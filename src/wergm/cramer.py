@@ -332,6 +332,23 @@ def endpoint_rate(dist: EdgeDistribution) -> tuple[float, float]:
     return -math.log(dist.atoms[0][1]), -math.log(dist.atoms[-1][1])
 
 
+def bisect(fn, lo: float, hi: float, fn_lo: float, tol: float) -> float:
+    """Root of ``fn`` on a sign-changing bracket, to absolute ``tol`` in x.
+
+    ``fn_lo`` is ``fn(lo)``; ``fn`` is evaluated at midpoints only.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fn_mid = fn(mid)
+        if fn_mid == 0.0:
+            return mid
+        if (fn_mid > 0.0) == (fn_lo > 0.0):
+            lo, fn_lo = mid, fn_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def dual_theta(dist: EdgeDistribution, u: float, *, tol: float = DUAL_TOL) -> DualPair:
     """Solve ``log_mgf_d1(theta) = u`` for the tilt dual to mean ``u``.
 

@@ -1,18 +1,32 @@
 """The two-maximizer region and the first-order transition curve.
 
-For the uniform(0, 1) law and a fixed shape exponent ``p``, the objective
-has two local maximizers exactly when ``(beta1, beta2)`` lies inside a
-V-shaped region bounded by two curves.  The boundary is the parametric
-curve ``u -> (-f(u), m(u))``: for a given ``beta1`` below the critical
-value, the tangency condition ``f(u) = -beta1`` has one root ``a`` below
-``u0`` and one root ``b`` above, and the region is ``m(b) < beta2 < m(a)``.
+For the uniform(0, 1) law everything here is solved on the tilt side, in
+closed forms of ``B = log_mgf_d1`` and ``log M``, by bisection alone.  The
+objective ``beta1*u + beta2*u**p - rate(u)/2`` at ``u = B(theta)`` is
 
-Inside that bracket the value gap between the upper and lower local
-maximum is strictly increasing in ``beta2`` and changes sign exactly once;
-the zero is the first-order transition curve ``beta2 = r(beta1)``, where
-both maximizers are global.  ``r_of_beta1`` locates it by bisection,
-continuing both maximizers in ``beta2`` by Newton steps so their
-identities never swap near the tie.
+    L(theta) = beta1*B + beta2*B**p - (theta*B - log M(theta)) / 2,
+
+with derivative ``A(theta) * p*B**(p-1) * (beta2 - h(theta))``, where
+
+    h(theta) = (theta/2 - beta1) / (p * B(theta)**(p-1))
+
+is the ``beta2`` at which ``B(theta)`` is stationary.  Local maxima are
+therefore where ``h`` crosses ``beta2`` upwards.  ``h`` rises where
+``g(theta) > -beta1`` (``critical.g_of_theta``) and falls between the two
+roots ``theta_a < theta0 < theta_b`` of ``g = -beta1``, which exist for
+``beta1`` below the critical value.  At those turning points ``h = 1/n =
+m(B)``, so with ``a = B(theta_a)`` and ``b = B(theta_b)`` (the tangency
+roots of ``f(u) = -beta1``, since ``f`` composed with B is ``g``) there are
+two local maxima exactly when ``m(b) < beta2 < m(a)``: the V-shaped region
+bounded by the parametric curve ``u -> (-f(u), m(u))``.  The lower maximum
+is the root of ``h = beta2`` on ``(-THETA_WINDOW, theta_a)``, the upper one
+on ``(theta_b, THETA_WINDOW)``.
+
+Inside the region the value gap between the upper and lower maximum
+increases in ``beta2`` (its derivative is ``u2**p - u1**p``) and changes
+sign once; the zero is the first-order transition curve
+``beta2 = r(beta1)``, where both maximizers are global and of equal height.
+``r_of_beta1`` bisects the gap in ``beta2``.
 """
 
 from __future__ import annotations
@@ -21,16 +35,11 @@ import math
 from dataclasses import dataclass
 
 from . import cramer, critical, variational
-from .errors import (
-    BracketError,
-    InputValidationError,
-    NoTwoPhaseRegionError,
-    ThetaCapError,
-)
+from .errors import InputValidationError, NoTwoPhaseRegionError, ThetaCapError
 
 _MODULE = "phase_curve"
 
-#: Absolute u-tolerance for the bounding-root bisections.
+#: Absolute theta-tolerance of the turning-point and maximum bisections.
 ROOT_TOL = 1e-11
 
 #: Absolute beta2 tolerance for the transition-curve bisection.
@@ -40,14 +49,9 @@ CURVE_TOL = 1e-10
 #: maximizers merge and the tie becomes a degenerate double root.
 CORNER_MARGIN = 1e-3
 
-#: Tilt bound defining how close to the support endpoints root searches
-#: reach; the duals of +-THETA_WINDOW are the effective u-interval.
+#: Every tilt searched for lies in [-THETA_WINDOW, THETA_WINDOW], inside
+#: the evaluation cap ``cramer.THETA_MAX``.
 THETA_WINDOW = 680.0
-
-#: Relative inset from the bounding bracket's edges used when verifying
-#: that the maxima gap changes sign (at the exact edges one maximum
-#: degenerates into an inflection and the gap is ill-defined).
-_EDGE_INSET = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,12 +81,6 @@ class PhaseCurvePoint:
     psi: float
 
 
-def _u_window() -> tuple[float, float]:
-    lo = cramer.log_mgf_d1(cramer.UNIFORM01, -THETA_WINDOW)
-    hi = cramer.log_mgf_d1(cramer.UNIFORM01, THETA_WINDOW)
-    return lo, hi
-
-
 def _check_beta1(p: int, beta1: float, operation: str) -> tuple[float, critical.CriticalData]:
     beta1 = float(beta1)
     if not math.isfinite(beta1):
@@ -104,140 +102,118 @@ def _check_beta1(p: int, beta1: float, operation: str) -> tuple[float, critical.
     return beta1, data
 
 
-def _bisect_on_sign(fn, lo: float, hi: float, v_lo: float, tol: float) -> float:
-    """Root of ``fn`` on a sign-changing bracket, to absolute ``tol`` in x."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        v_mid = fn(mid)
-        if v_mid == 0.0:
-            return mid
-        if (v_mid > 0.0) == (v_lo > 0.0):
-            lo, v_lo = mid, v_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _mean(theta: float) -> float:
+    return cramer.log_mgf_d1(cramer.UNIFORM01, theta)
+
+
+def _h(p: int, beta1: float, theta: float) -> float:
+    """The ``beta2`` at which ``u = B(theta)`` is a stationary point."""
+    return (0.5 * theta - beta1) / (p * _mean(theta) ** (p - 1))
+
+
+def _height(p: int, beta1: float, beta2: float, theta: float) -> float:
+    """Objective value at ``u = B(theta)``, where rate(u) = theta*u - log M."""
+    u = _mean(theta)
+    rate = theta * u - cramer.log_mgf(cramer.UNIFORM01, theta)
+    return beta1 * u + beta2 * u**p - 0.5 * rate
+
+
+def _turning_tilts(
+    p: int, beta1: float, theta0: float, operation: str
+) -> tuple[float, float]:
+    """The roots ``theta_a < theta0 < theta_b`` of ``g(theta) = -beta1``."""
+
+    def resid(theta: float) -> float:
+        return critical.g_of_theta(p, theta) + beta1
+
+    r_left = resid(-THETA_WINDOW)
+    if r_left <= 0.0 or resid(THETA_WINDOW) <= 0.0:
+        raise ThetaCapError(
+            f"a tangency root for beta1 = {beta1:g} lies beyond the tilt "
+            f"window +-{THETA_WINDOW:g}",
+            module=_MODULE,
+            operation=operation,
+            offending_parameter="beta1",
+        )
+    # resid(theta0) = beta1 - beta1_c < 0: each side brackets one root.
+    theta_a = cramer.bisect(resid, -THETA_WINDOW, theta0, r_left, ROOT_TOL)
+    theta_b = cramer.bisect(resid, theta0, THETA_WINDOW, resid(theta0), ROOT_TOL)
+    return theta_a, theta_b
+
+
+def _rising_root(resid, lo: float, hi: float, operation: str) -> float:
+    """Root of the increasing ``resid`` on [lo, hi], one end a window edge.
+
+    ``ThetaCapError`` when the root lies past that edge.
+    """
+    r_lo = resid(lo)
+    if r_lo > 0.0 or resid(hi) < 0.0:
+        raise ThetaCapError(
+            "a local maximum lies beyond the tilt window "
+            f"+-{THETA_WINDOW:g}",
+            module=_MODULE,
+            operation=operation,
+            offending_parameter="beta2",
+        )
+    return cramer.bisect(resid, lo, hi, r_lo, ROOT_TOL)
+
+
+def _maxima(
+    p: int, beta1: float, beta2: float, turns: tuple[float, float], operation: str
+) -> tuple[float, float]:
+    """Tilts of the lower and upper local maximum, for ``m_b < beta2 < m_a``."""
+    theta_a, theta_b = turns
+
+    def resid(theta: float) -> float:
+        return _h(p, beta1, theta) - beta2
+
+    return (
+        _rising_root(resid, -THETA_WINDOW, theta_a, operation),
+        _rising_root(resid, theta_b, THETA_WINDOW, operation),
+    )
+
+
+def _gap(
+    p: int, beta1: float, beta2: float, turns: tuple[float, float], operation: str
+) -> float:
+    """``L(upper max) - L(lower max)``, or +-inf where one of them is absent."""
+    theta_a, theta_b = turns
+    if beta2 >= _h(p, beta1, theta_a):
+        return math.inf
+    if beta2 <= _h(p, beta1, theta_b):
+        return -math.inf
+    theta1, theta2 = _maxima(p, beta1, beta2, turns, operation)
+    return _height(p, beta1, beta2, theta2) - _height(p, beta1, beta2, theta1)
 
 
 def bounding_point(p: int, beta1: float) -> BoundingPoint:
     """Tangency roots of ``f(u) = -beta1`` and the bounding ``beta2`` pair.
 
-    ``f`` decreases from the left support side to its minimum at ``u0``
-    and increases beyond, so each side holds exactly one root; both are
-    refined by bisection to ROOT_TOL.
+    The roots are ``B`` of the turning tilts, the two roots of
+    ``g = f o B = -beta1`` on either side of ``theta0``, each refined by
+    bisection in theta to ROOT_TOL.
     """
     beta1, data = _check_beta1(p, beta1, "bounding_point")
-    target = -beta1
-    u_lo, u_hi = _u_window()
-
-    def resid(u: float) -> float:
-        return critical.f_of_u(p, u) - target
-
-    r_left = resid(u_lo)
-    if r_left <= 0.0:
-        raise ThetaCapError(
-            f"the lower tangency root for beta1 = {beta1:g} lies outside "
-            "the tilt-reachable u-window",
-            module=_MODULE,
-            operation="bounding_point",
-            offending_parameter="beta1",
-        )
-    r_right = resid(u_hi)
-    if r_right <= 0.0:
-        raise ThetaCapError(
-            f"the upper tangency root for beta1 = {beta1:g} lies outside "
-            "the tilt-reachable u-window",
-            module=_MODULE,
-            operation="bounding_point",
-            offending_parameter="beta1",
-        )
-    # resid(u0) = f(u0) + beta1 = beta1 - beta1_c < 0: both sides bracket.
-    a = _bisect_on_sign(resid, u_lo, data.u0, r_left, ROOT_TOL)
-    b = _bisect_on_sign(resid, data.u0, u_hi, resid(data.u0), ROOT_TOL)
+    theta_a, theta_b = _turning_tilts(p, beta1, data.theta0, "bounding_point")
+    a, b = _mean(theta_a), _mean(theta_b)
     return BoundingPoint(
         beta1=beta1, a=a, b=b, m_a=critical.m_of_u(p, a), m_b=critical.m_of_u(p, b)
     )
 
 
-def _best_in_window(
-    params: variational.ModelParams, lo: float, hi: float
-) -> float | None:
-    """Best local maximizer of the objective strictly inside (lo, hi)."""
-    best_u, best_v = None, -math.inf
-    for mx in variational.local_maxima(params):
-        if lo < mx.u < hi and mx.value > best_v:
-            best_u, best_v = mx.u, mx.value
-    return best_u
-
-
-def _track_maximum(
-    params: variational.ModelParams, seed: float, lo: float, hi: float
-) -> float | None:
-    """Continue a local maximum from ``seed`` by safeguarded Newton.
-
-    Returns None when the iteration leaves (lo, hi), meets the wrong
-    curvature, or stalls — the caller then falls back to a fresh scan.
-    """
-    u = seed
-    for _ in range(60):
-        d2 = variational.objective_d2(params, u)
-        if d2 >= 0.0:
-            return None
-        u_new = u - variational.objective_d1(params, u) / d2
-        if not lo < u_new < hi:
-            return None
-        if abs(u_new - u) <= 1e-11:
-            return u_new
-        u = u_new
-    return None
-
-
-def _maxima_pair(
-    params: variational.ModelParams,
-    u0: float,
-    window: tuple[float, float],
-    seeds: tuple[float, float] | None,
-) -> tuple[float | None, float | None]:
-    """The lower and upper local maximizer, by continuation or fresh scan."""
-    lo, hi = window
-    u1 = u2 = None
-    if seeds is not None:
-        u1 = _track_maximum(params, seeds[0], lo, u0)
-        u2 = _track_maximum(params, seeds[1], u0, hi)
-    if u1 is None:
-        u1 = _best_in_window(params, lo, u0)
-    if u2 is None:
-        u2 = _best_in_window(params, u0, hi)
-    return u1, u2
-
-
-def maxima_gap(
-    p: int,
-    beta1: float,
-    beta2: float,
-    *,
-    _seeds: tuple[float, float] | None = None,
-) -> float:
+def maxima_gap(p: int, beta1: float, beta2: float) -> float:
     """Value gap l(upper max) - l(lower max) for the uniform law.
 
-    Returns -inf when the upper local maximum does not exist and +inf when
-    the lower one does not — the sign is what the curve bisection needs,
-    and there is no finite gap to report in either degenerate case.
+    Returns -inf for ``beta2 <= m_b``, where the upper local maximum does
+    not exist, and +inf for ``beta2 >= m_a``, where the lower one does not
+    — the sign is what the curve bisection needs, and there is no finite
+    gap to report in either case.  Raises ``ThetaCapError`` when a maximum
+    that exists lies beyond the tilt window.
     """
-    _, data = _check_beta1(p, beta1, "maxima_gap")
-    params = variational.ModelParams(beta1, beta2, p, cramer.UNIFORM01)
-    u1, u2 = _maxima_pair(params, data.u0, _u_window(), _seeds)
-    if u1 is None and u2 is None:
-        raise BracketError(
-            f"no local maxima found at (beta1, beta2) = ({beta1:g}, {beta2:g})",
-            module=_MODULE,
-            operation="maxima_gap",
-            offending_parameter="beta2",
-        )
-    if u2 is None:
-        return -math.inf
-    if u1 is None:
-        return math.inf
-    return variational.objective(params, u2) - variational.objective(params, u1)
+    beta1, data = _check_beta1(p, beta1, "maxima_gap")
+    params = variational.ModelParams(beta1, beta2, p)
+    turns = _turning_tilts(p, beta1, data.theta0, "maxima_gap")
+    return _gap(p, beta1, params.beta2, turns, "maxima_gap")
 
 
 def r_of_beta1(
@@ -245,11 +221,11 @@ def r_of_beta1(
 ) -> PhaseCurvePoint:
     """Transition ``beta2`` at the given ``beta1``, with both maximizers.
 
-    Bisection on the sign of the maxima gap over the bounding bracket
-    ``(m_b, m_a)``; the gap must be negative just above the lower edge and
-    positive just below the upper edge, otherwise the bracket is reported
-    as inconsistent.  Only interior points are ever evaluated — at the
-    exact edges one maximum degenerates into an inflection.
+    Bisection of the maxima gap to CURVE_TOL over ``(m_b, m_a)``, where it
+    rises from -inf to +inf.  The upper end is lowered to ``h`` at the tilt
+    window's edge when that is smaller; if the gap is still not positive
+    there, the tie needs an upper maximum beyond the window and
+    ``ThetaCapError`` is raised.
     """
     if dist != cramer.UNIFORM01:
         raise InputValidationError(
@@ -259,64 +235,30 @@ def r_of_beta1(
             offending_parameter="dist",
         )
     beta1, data = _check_beta1(p, beta1, "r_of_beta1")
-    bound = bounding_point(p, beta1)
-    width = bound.m_a - bound.m_b
-    lo = bound.m_b + _EDGE_INSET * width
-    hi = bound.m_a - _EDGE_INSET * width
-    u0 = data.u0
-    window = _u_window()
-
-    seeds: tuple[float, float] | None = None
+    turns = _turning_tilts(p, beta1, data.theta0, "r_of_beta1")
 
     def gap(beta2: float) -> float:
-        nonlocal seeds
-        params = variational.ModelParams(beta1, beta2, p, cramer.UNIFORM01)
-        u1, u2 = _maxima_pair(params, u0, window, seeds)
-        if u1 is not None and u2 is not None:
-            seeds = (u1, u2)
-            return variational.objective(params, u2) - variational.objective(
-                params, u1
-            )
-        if u1 is None and u2 is None:
-            raise BracketError(
-                f"no local maxima inside the bracket at beta2 = {beta2:g}",
-                module=_MODULE,
-                operation="r_of_beta1",
-                offending_parameter="beta1",
-            )
-        return -math.inf if u2 is None else math.inf
+        return _gap(p, beta1, beta2, turns, "r_of_beta1")
 
-    g_lo = gap(lo)
-    g_hi = gap(hi)
-    if not (g_lo < 0.0 < g_hi):
-        raise BracketError(
-            "maxima gap does not change sign across the bounding bracket: "
-            f"gap({lo:.6g}) = {g_lo:.3g}, gap({hi:.6g}) = {g_hi:.3g}",
+    theta_a, theta_b = turns
+    lo = _h(p, beta1, theta_b)
+    hi = min(_h(p, beta1, theta_a), _h(p, beta1, THETA_WINDOW))
+    if gap(hi) <= 0.0:
+        raise ThetaCapError(
+            f"the tie at beta1 = {beta1:g} needs an upper maximum beyond "
+            f"the tilt window +-{THETA_WINDOW:g}",
             module=_MODULE,
             operation="r_of_beta1",
             offending_parameter="beta1",
         )
-    while hi - lo > CURVE_TOL:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    r = 0.5 * (lo + hi)
-
-    params = variational.ModelParams(beta1, r, p, cramer.UNIFORM01)
-    u1, u2 = _maxima_pair(params, u0, window, seeds)
-    if u1 is None or u2 is None:
-        raise BracketError(
-            f"maximizers degenerate at the located tie point r = {r:.12g}",
-            module=_MODULE,
-            operation="r_of_beta1",
-            offending_parameter="beta1",
-        )
-    l1 = variational.objective(params, u1)
-    l2 = variational.objective(params, u2)
+    r = cramer.bisect(gap, lo, hi, gap(lo), CURVE_TOL)
+    theta1, theta2 = _maxima(p, beta1, r, turns, "r_of_beta1")
     return PhaseCurvePoint(
-        beta1=beta1, r=r, u1_star=u1, u2_star=u2, psi=max(l1, l2)
+        beta1=beta1,
+        r=r,
+        u1_star=_mean(theta1),
+        u2_star=_mean(theta2),
+        psi=max(_height(p, beta1, r, theta1), _height(p, beta1, r, theta2)),
     )
 
 

@@ -191,22 +191,6 @@ def _scan_window(params: ModelParams) -> tuple[float, float]:
     return u_lo, u_hi
 
 
-def _bisect_stationary(
-    params: ModelParams, lo: float, hi: float, d_lo: float
-) -> float:
-    """Refine a sign-changing bracket of the derivative to STATIONARY_TOL."""
-    while hi - lo > STATIONARY_TOL:
-        mid = 0.5 * (lo + hi)
-        d_mid = objective_d1(params, mid)
-        if d_mid == 0.0:
-            return mid
-        if (d_mid > 0.0) == (d_lo > 0.0):
-            lo, d_lo = mid, d_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def local_maxima(
     params: ModelParams, *, grid_points: int = GRID_POINTS
 ) -> tuple[Maximizer, ...]:
@@ -216,8 +200,7 @@ def local_maxima(
     ``_scan_window`` — positive at the left edge and negative at the right
     by construction, so every interior maximum produces a bracketed sign
     change — and each down-crossing is refined by bisection.  No global
-    filtering is applied; ``solve_psi`` layers tie detection on top, and
-    the curve tracer consumes both maxima directly.
+    filtering is applied; ``solve_psi`` layers tie detection on top.
     """
     if grid_points < 16:
         raise InputValidationError(
@@ -236,7 +219,10 @@ def local_maxima(
         d_here = objective_d1(params, u_here)
         # A maximum is a + -> - crossing of the derivative.
         if d_prev > 0.0 and d_here <= 0.0:
-            root = _bisect_stationary(params, u_prev, u_here, d_prev)
+            root = cramer.bisect(
+                lambda u: objective_d1(params, u), u_prev, u_here, d_prev,
+                STATIONARY_TOL,
+            )
             found.append(Maximizer(root, objective(params, root)))
         elif d_prev == 0.0 and d_here < 0.0:
             # Grid point landed exactly on a stationary maximum.

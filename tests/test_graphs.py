@@ -129,6 +129,17 @@ class TestMetropolisChain:
             chain.t_sub, hom_density(TRIANGLE, graph), atol=1e-11
         )
 
+    def test_generic_subgraph_increments_match_recompute(self):
+        # Not a built-in subgraph: the chain recomputes the density per step.
+        two_matching = SubgraphSpec(4, ((1, 2), (3, 4)), "2-matching")
+        chain = MetropolisChain(ModelParams(-1.0, 2.0, 2), 8, seed=5, subgraph=two_matching)
+        for _ in range(20):
+            chain.sweep()
+        graph = WeightedGraph(8, chain.weights.copy())
+        assert abs(chain.t_sub - hom_density(two_matching, graph)) <= 1e-12
+        # Disjoint edges: the 2-matching density is the edge density squared.
+        assert abs(chain.t_sub - chain.t_edge**2) <= 1e-12
+
     def test_free_chain_acceptance_is_total(self):
         # With beta1 = beta2 = 0 every proposal is accepted.
         stats = run_sampler(ModelParams(0.0, 0.0, 2), 15, 40, 10, seed=3)

@@ -77,7 +77,9 @@ class TestROfBeta1:
         point = r_of_beta1(3, beta1)
         assert point.r + beta1 > 0.0
 
-    @pytest.mark.parametrize("p,beta1", [(2, -5.0), (3, -3.0), (5, -2.0)])
+    @pytest.mark.parametrize(
+        "p,beta1", [(2, -5.0), (3, -3.0), (5, -2.0), (3, -9.0), (5, -4.0), (10, -3.0)]
+    )
     def test_tie_has_equal_stationary_maxima(self, p, beta1):
         point = r_of_beta1(p, beta1)
         params = ModelParams(beta1, point.r, p)
@@ -99,7 +101,9 @@ class TestROfBeta1:
         assert above.classification is PhaseClass.UNIQUE
         assert below.maximizers[0] < u0 < above.maximizers[0]
 
-    @pytest.mark.parametrize("p,beta1", [(2, -5.0), (3, -3.0)])
+    @pytest.mark.parametrize(
+        "p,beta1", [(2, -5.0), (3, -3.0), (3, -9.0), (5, -4.0), (10, -3.0)]
+    )
     def test_on_curve_two_global(self, p, beta1):
         point = r_of_beta1(p, beta1)
         solution = solve_psi(ModelParams(beta1, point.r, p))
