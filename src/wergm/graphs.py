@@ -161,16 +161,20 @@ def _draw_weights(dist: cramer.EdgeDistribution, rng: np.random.Generator, size:
     return rng.choice(values, size=size, p=probs)
 
 
-def sample_prior(dist: cramer.EdgeDistribution, n: int, seed) -> WeightedGraph:
-    """Graph with iid entries from ``dist`` on the upper triangle + diagonal."""
+def _check_n(n, operation: str) -> int:
     if not float(n).is_integer() or int(n) < 2:
         raise InputValidationError(
             f"n must be an integer >= 2, got {n!r}",
             module=_MODULE,
-            operation="sample_prior",
+            operation=operation,
             offending_parameter="n",
         )
-    n = int(n)
+    return int(n)
+
+
+def sample_prior(dist: cramer.EdgeDistribution, n: int, seed) -> WeightedGraph:
+    """Graph with iid entries from ``dist`` on the upper triangle + diagonal."""
+    n = _check_n(n, "sample_prior")
     rng = np.random.default_rng(seed)
     iu = np.triu_indices(n)
     weights = np.zeros((n, n))
@@ -215,14 +219,7 @@ class MetropolisChain:
         seed,
         subgraph: SubgraphSpec | None = None,
     ):
-        if not float(n).is_integer() or int(n) < 2:
-            raise InputValidationError(
-                f"n must be an integer >= 2, got {n!r}",
-                module=_MODULE,
-                operation="MetropolisChain",
-                offending_parameter="n",
-            )
-        n = int(n)
+        n = _check_n(n, "MetropolisChain")
         if subgraph is None:
             defaults = {2: TWO_STAR, 3: TRIANGLE}
             if params.p not in defaults:
@@ -495,14 +492,7 @@ def enumerate_gibbs(
             operation="enumerate_gibbs",
             offending_parameter="params",
         )
-    if not float(n).is_integer() or int(n) < 2:
-        raise InputValidationError(
-            f"n must be an integer >= 2, got {n!r}",
-            module=_MODULE,
-            operation="enumerate_gibbs",
-            offending_parameter="n",
-        )
-    n = int(n)
+    n = _check_n(n, "enumerate_gibbs")
     entries = [(i, j) for i in range(n) for j in range(i, n)]
     values = [v for v, _ in params.dist.atoms]
     log_q = {v: math.log(q) for v, q in params.dist.atoms}

@@ -36,11 +36,9 @@ from dataclasses import dataclass
 
 from . import cramer, critical, variational
 from .errors import InputValidationError, NoTwoPhaseRegionError, ThetaCapError
+from .variational import ROOT_TOL, THETA_WINDOW
 
 _MODULE = "phase_curve"
-
-#: Absolute theta-tolerance of the turning-point and maximum bisections.
-ROOT_TOL = 1e-11
 
 #: Absolute beta2 tolerance for the transition-curve bisection.
 CURVE_TOL = 1e-10
@@ -48,10 +46,6 @@ CURVE_TOL = 1e-10
 #: Tracing stops this far below the critical beta1: at the corner the two
 #: maximizers merge and the tie becomes a degenerate double root.
 CORNER_MARGIN = 1e-3
-
-#: Every tilt searched for lies in [-THETA_WINDOW, THETA_WINDOW], inside
-#: the evaluation cap ``cramer.THETA_MAX``.
-THETA_WINDOW = 680.0
 
 
 @dataclass(frozen=True)
@@ -111,13 +105,6 @@ def _h(p: int, beta1: float, theta: float) -> float:
     return (0.5 * theta - beta1) / (p * _mean(theta) ** (p - 1))
 
 
-def _height(p: int, beta1: float, beta2: float, theta: float) -> float:
-    """Objective value at ``u = B(theta)``, where rate(u) = theta*u - log M."""
-    u = _mean(theta)
-    rate = theta * u - cramer.log_mgf(cramer.UNIFORM01, theta)
-    return beta1 * u + beta2 * u**p - 0.5 * rate
-
-
 def _turning_tilts(
     p: int, beta1: float, theta0: float, operation: str
 ) -> tuple[float, float]:
@@ -174,16 +161,17 @@ def _maxima(
 
 
 def _gap(
-    p: int, beta1: float, beta2: float, turns: tuple[float, float], operation: str
+    params: variational.ModelParams, turns: tuple[float, float], operation: str
 ) -> float:
     """``L(upper max) - L(lower max)``, or +-inf where one of them is absent."""
+    p, beta1, beta2 = params.p, params.beta1, params.beta2
     theta_a, theta_b = turns
     if beta2 >= _h(p, beta1, theta_a):
         return math.inf
     if beta2 <= _h(p, beta1, theta_b):
         return -math.inf
     theta1, theta2 = _maxima(p, beta1, beta2, turns, operation)
-    return _height(p, beta1, beta2, theta2) - _height(p, beta1, beta2, theta1)
+    return variational.at_tilt(params, theta2).value - variational.at_tilt(params, theta1).value
 
 
 def bounding_point(p: int, beta1: float) -> BoundingPoint:
@@ -213,7 +201,7 @@ def maxima_gap(p: int, beta1: float, beta2: float) -> float:
     beta1, data = _check_beta1(p, beta1, "maxima_gap")
     params = variational.ModelParams(beta1, beta2, p)
     turns = _turning_tilts(p, beta1, data.theta0, "maxima_gap")
-    return _gap(p, beta1, params.beta2, turns, "maxima_gap")
+    return _gap(params, turns, "maxima_gap")
 
 
 def r_of_beta1(
@@ -238,7 +226,7 @@ def r_of_beta1(
     turns = _turning_tilts(p, beta1, data.theta0, "r_of_beta1")
 
     def gap(beta2: float) -> float:
-        return _gap(p, beta1, beta2, turns, "r_of_beta1")
+        return _gap(variational.ModelParams(beta1, beta2, p), turns, "r_of_beta1")
 
     theta_a, theta_b = turns
     lo = _h(p, beta1, theta_b)
@@ -253,12 +241,10 @@ def r_of_beta1(
         )
     r = cramer.bisect(gap, lo, hi, gap(lo), CURVE_TOL)
     theta1, theta2 = _maxima(p, beta1, r, turns, "r_of_beta1")
+    params = variational.ModelParams(beta1, r, p)
+    low, high = variational.at_tilt(params, theta1), variational.at_tilt(params, theta2)
     return PhaseCurvePoint(
-        beta1=beta1,
-        r=r,
-        u1_star=_mean(theta1),
-        u2_star=_mean(theta2),
-        psi=max(_height(p, beta1, r, theta1), _height(p, beta1, r, theta2)),
+        beta1=beta1, r=r, u1_star=low.u, u2_star=high.u, psi=max(low.value, high.value)
     )
 
 

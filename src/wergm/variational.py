@@ -12,6 +12,20 @@ maximizer means a single phase, two tied maximizers mean coexistence, and
 the envelope gradient of psi in (beta1, beta2) is ``(u*, u***p)`` wherever
 the maximizer is unique.
 
+The problem is solved on the tilt side.  Every mean in the open support
+interior is ``u = B(theta)`` with ``B = log_mgf_d1``, where ``rate(u) =
+theta*u - log M(theta)``, so the objective at ``u = B(theta)`` is
+
+    L(theta) = beta1*B + beta2*B**p - (theta*B - log M(theta)) / 2
+
+with derivative ``A(theta) * D(theta)``, ``A = log_mgf_d2 > 0`` and
+
+    D(theta) = beta1 + p*beta2*B**(p-1) - theta/2.
+
+The interior local maxima are the ``+ -> -`` crossings of ``D``, found in
+closed forms of ``B`` and ``log M`` and refined by bisection in theta; no
+dual solve is needed.
+
 Negative ``beta2`` (the repulsive region) changes the variational form
 and is rejected with ``AttractiveRegionError``.
 """
@@ -27,6 +41,7 @@ from .errors import (
     AttractiveRegionError,
     GradientUndefinedError,
     InputValidationError,
+    ThetaCapError,
 )
 
 _MODULE = "variational"
@@ -34,8 +49,12 @@ _MODULE = "variational"
 #: Number of points in the stationary-point scan grid.
 GRID_POINTS = 2048
 
-#: Absolute u-tolerance for bisection refinement of stationary points.
-STATIONARY_TOL = 1e-12
+#: Every tilt searched for lies in [-THETA_WINDOW, THETA_WINDOW], inside
+#: the evaluation cap ``cramer.THETA_MAX``.
+THETA_WINDOW = 680.0
+
+#: Absolute theta-tolerance of the bisections that refine stationary tilts.
+ROOT_TOL = 1e-11
 
 #: Two candidate values within 1e-9 * max(1, |psi|) count as tied.
 TIE_RTOL = 1e-9
@@ -43,9 +62,6 @@ TIE_RTOL = 1e-9
 #: Tied maximizers closer than this fraction of the scanned u-span are
 #: treated as one flat optimum, not genuine coexistence.
 MERGE_SPAN_FRACTION = 1e-3
-
-#: Margin kept inside the global tilt cap when sizing the scan window.
-_THETA_GRID_CAP = 680.0
 
 
 class PhaseClass(Enum):
@@ -154,41 +170,31 @@ def objective_d2(params: ModelParams, u: float) -> float:
     return p * (p - 1) * params.beta2 * u ** (p - 2) - 0.5 * curvature
 
 
-def _scan_window(params: ModelParams) -> tuple[float, float]:
-    """u-interval that provably contains every interior stationary point.
+def at_tilt(params: ModelParams, theta: float) -> Maximizer:
+    """Location ``u = B(theta)`` and objective value ``L(theta)`` there.
 
-    A stationary point satisfies theta(u) = 2 * (beta1 + p*beta2*u**(p-1)),
-    so its tilt is bounded by 2 * (|beta1| + p*beta2*s**(p-1)) with ``s``
-    the largest support magnitude.  Clipping the scan to the means dual to
-    twice that bound (plus slack) loses nothing: beyond the clip the tilt
-    term dominates the derivative, which therefore cannot vanish.
+    Closed form through ``rate(B(theta)) = theta*B - log M(theta)``.
+    """
+    u = cramer.log_mgf_d1(params.dist, theta)
+    rate = theta * u - cramer.log_mgf(params.dist, theta)
+    return Maximizer(u, params.beta1 * u + params.beta2 * u**params.p - 0.5 * rate)
+
+
+def _theta_window(params: ModelParams) -> float:
+    """Half-width of the tilt interval that holds every interior maximum.
+
+    With ``s`` the largest support magnitude, ``|p*beta2*B**(p-1)|`` is at
+    most ``p*beta2*s**(p-1)``, so ``D`` is positive below ``-T`` and
+    negative above ``T = 2 * (|beta1| + p*beta2*s**(p-1))``.  Twice that
+    plus slack, capped at THETA_WINDOW.
     """
     lo, hi = cramer.support_interval(params.dist)
     s = max(abs(lo), abs(hi))
-    theta_grid = min(
+    return min(
         4.0 * (abs(params.beta1) + params.p * params.beta2 * s ** (params.p - 1))
         + 50.0,
-        _THETA_GRID_CAP,
+        THETA_WINDOW,
     )
-    u_lo = cramer.log_mgf_d1(params.dist, -theta_grid)
-    u_hi = cramer.log_mgf_d1(params.dist, theta_grid)
-    # For laws whose endpoints carry atoms the tilted mean saturates so
-    # fast that B(theta_grid) can round onto the closed endpoint, where
-    # the dual solve is undefined.  Shrink until the window is strictly
-    # interior; stationary points pushed outside sit within one float of
-    # the endpoint and are represented by the endpoint candidate.
-    while u_lo <= lo or u_hi >= hi:
-        theta_grid *= 0.5
-        if theta_grid < 1.0:
-            raise InputValidationError(
-                "could not build an interior scan window for this law",
-                module=_MODULE,
-                operation="_scan_window",
-                offending_parameter="dist",
-            )
-        u_lo = cramer.log_mgf_d1(params.dist, -theta_grid)
-        u_hi = cramer.log_mgf_d1(params.dist, theta_grid)
-    return u_lo, u_hi
 
 
 def local_maxima(
@@ -196,11 +202,15 @@ def local_maxima(
 ) -> tuple[Maximizer, ...]:
     """All interior local maximizers of the objective, in ascending u.
 
-    The derivative is scanned on a dense grid over the window from
-    ``_scan_window`` — positive at the left edge and negative at the right
-    by construction, so every interior maximum produces a bracketed sign
-    change — and each down-crossing is refined by bisection.  No global
-    filtering is applied; ``solve_psi`` layers tie detection on top.
+    ``D`` is scanned on a uniform theta-grid over ``[-T, T]`` from
+    ``_theta_window``, positive at the left edge and negative at the right
+    unless the window is capped, and each ``+ -> -`` crossing is bisected
+    in theta to ROOT_TOL.  A crossing whose mean rounds onto a support
+    endpoint is dropped; the endpoint candidate of ``solve_psi`` stands for
+    it.  For a law whose endpoints carry no atom (infinite endpoint rate),
+    a capped window whose edge signs are wrong leaves a maximum beyond it,
+    and ``ThetaCapError`` is raised.  No global filtering is applied;
+    ``solve_psi`` layers tie detection on top.
     """
     if grid_points < 16:
         raise InputValidationError(
@@ -209,26 +219,38 @@ def local_maxima(
             operation="local_maxima",
             offending_parameter="grid_points",
         )
-    u_lo, u_hi = _scan_window(params)
-    step = (u_hi - u_lo) / (grid_points - 1)
-    found: list[Maximizer] = []
-    u_prev = u_lo
-    d_prev = objective_d1(params, u_prev)
-    for i in range(1, grid_points):
-        u_here = u_lo + i * step if i < grid_points - 1 else u_hi
-        d_here = objective_d1(params, u_here)
-        # A maximum is a + -> - crossing of the derivative.
+    dist, beta1, beta2, p = params.dist, params.beta1, params.beta2, params.p
+
+    def slope(theta: float) -> float:
+        return beta1 + p * beta2 * cramer.log_mgf_d1(dist, theta) ** (p - 1) - 0.5 * theta
+
+    window = _theta_window(params)
+    e_lo, e_hi = cramer.endpoint_rate(dist)
+    d_prev = slope(-window)
+    # The edge signs can be wrong only when the window is capped.
+    if (d_prev <= 0.0 and math.isinf(e_lo)) or (slope(window) >= 0.0 and math.isinf(e_hi)):
+        raise ThetaCapError(
+            f"a maximum lies beyond the tilt window +-{THETA_WINDOW:g}",
+            module=_MODULE,
+            operation="local_maxima",
+            offending_parameter="params",
+        )
+    step = 2.0 * window / (grid_points - 1)
+    grid = [-window + i * step for i in range(1, grid_points - 1)] + [window]
+    roots: list[float] = []
+    theta_prev = -window
+    for theta_here in grid:
+        d_here = slope(theta_here)
+        # A maximum is a + -> - crossing of D.
         if d_prev > 0.0 and d_here <= 0.0:
-            root = cramer.bisect(
-                lambda u: objective_d1(params, u), u_prev, u_here, d_prev,
-                STATIONARY_TOL,
-            )
-            found.append(Maximizer(root, objective(params, root)))
+            roots.append(cramer.bisect(slope, theta_prev, theta_here, d_prev, ROOT_TOL))
         elif d_prev == 0.0 and d_here < 0.0:
             # Grid point landed exactly on a stationary maximum.
-            found.append(Maximizer(u_prev, objective(params, u_prev)))
-        u_prev, d_prev = u_here, d_here
-    return tuple(found)
+            roots.append(theta_prev)
+        theta_prev, d_prev = theta_here, d_here
+    s_lo, s_hi = cramer.support_interval(dist)
+    found = (at_tilt(params, theta) for theta in roots)
+    return tuple(m for m in found if s_lo < m.u < s_hi)
 
 
 def solve_psi(
@@ -240,9 +262,9 @@ def solve_psi(
     added as candidates when they carry finite rate (laws with endpoint
     atoms), since the objective stays finite there.  Every candidate tied
     with the best within ``TIE_RTOL`` is kept, then tied maximizers
-    separated by less than ``MERGE_SPAN_FRACTION`` of the scan window are
-    merged into their best representative: a numerically flat optimum is
-    one phase, not two.
+    separated by less than ``MERGE_SPAN_FRACTION`` of the scanned u-span
+    ``B(T) - B(-T)`` are merged into their best representative: a
+    numerically flat optimum is one phase, not two.
     """
     candidates = list(local_maxima(params, grid_points=grid_points))
 
@@ -264,13 +286,6 @@ def solve_psi(
                 is_endpoint=True,
             )
         )
-    if not candidates:
-        raise InputValidationError(
-            "no maximizer candidates found; scan window degenerate",
-            module=_MODULE,
-            operation="solve_psi",
-            offending_parameter="params",
-        )
 
     psi = max(c.value for c in candidates)
     tie_tol = TIE_RTOL * max(1.0, abs(psi))
@@ -278,8 +293,10 @@ def solve_psi(
         (c for c in candidates if c.value >= psi - tie_tol), key=lambda c: c.u
     )
 
-    u_lo, u_hi = _scan_window(params)
-    merge_gap = MERGE_SPAN_FRACTION * (u_hi - u_lo)
+    window = _theta_window(params)
+    merge_gap = MERGE_SPAN_FRACTION * (
+        cramer.log_mgf_d1(params.dist, window) - cramer.log_mgf_d1(params.dist, -window)
+    )
     merged: list[Maximizer] = []
     for c in tied:
         if merged and c.u - merged[-1].u < merge_gap:

@@ -1,8 +1,19 @@
 """Shared pytest configuration.
 
-After the run, prints one PASS/FAIL line per acceptance criterion so the
-acceptance surface is readable without scanning the whole log.
+Puts the checkout's ``src`` first on ``PYTHONPATH``, so that child
+processes the tests start (``python -m wergm``) import the package under
+test without an install.  After the run, prints one PASS/FAIL line per
+acceptance criterion so the acceptance surface is readable without
+scanning the whole log.
 """
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+)
 
 _ACCEPTANCE_RESULTS = []
 

@@ -4,7 +4,10 @@ The tilt-side solve in ``phase_curve`` rests on the identities
 ``m(B(theta)) * n(theta) = 1``, ``f(B(theta)) = g(theta)`` and
 ``rate(B(theta)) = theta*B - log M(theta)``; they are checked over a range
 of tilts and shapes rather than at a handful of points.  The tie is checked
-over a range of ``beta1`` below each corner.
+over a range of ``beta1`` below each corner.  ``solve_psi``, which works on
+the tilt side too, is checked against the mean-side ``objective`` (through
+the dual solve) for all three laws: psi is the supremum, it is attained at
+every interior maximizer, and it is convex in ``beta1``.
 
 Tolerances follow from the dual solve's stopping rule ``|B(theta') - u| <=
 DUAL_TOL = 1e-12``: the recovered tilt is off by at most ``1e-12 / A``,
@@ -20,9 +23,17 @@ from hypothesis import strategies as st
 
 from wergm import cramer, critical
 from wergm.phase_curve import bounding_point, r_of_beta1
-from wergm.variational import ModelParams, objective
+from wergm.variational import ModelParams, objective, solve_psi
 
 thetas = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
+laws = st.sampled_from(
+    [
+        cramer.UNIFORM01,
+        cramer.BERNOULLI_HALF,
+        cramer.finite_support([(0.2, 0.3), (0.5, 0.4), (0.8, 0.3)]),
+    ]
+)
+beta1s = st.floats(min_value=-12.0, max_value=4.0, allow_nan=False)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -52,3 +63,31 @@ def test_tie_inside_region_with_equal_heights(p, depth):
     assert bound.m_b < point.r < bound.m_a
     params = ModelParams(beta1, point.r, p)
     assert abs(objective(params, point.u2_star) - objective(params, point.u1_star)) <= 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    dist=laws,
+    p=st.integers(min_value=2, max_value=6),
+    beta1=beta1s,
+    other_beta1=beta1s,
+    beta2=st.floats(min_value=0.0, max_value=12.0, allow_nan=False),
+)
+def test_solve_psi_is_the_convex_supremum(dist, p, beta1, other_beta1, beta2):
+    params = ModelParams(beta1, beta2, p, dist)
+    solution = solve_psi(params)
+    lo, hi = cramer.support_interval(dist)
+    for k in range(1, 20):
+        u = lo + (hi - lo) * k / 20
+        assert solution.psi >= objective(params, u) - 1e-12
+    scale = max(1.0, abs(solution.psi))
+    for u in solution.maximizers:
+        if lo < u < hi:
+            assert abs(objective(params, u) - solution.psi) <= 1e-12 * scale
+
+    def psi(b1: float) -> float:
+        return solve_psi(ModelParams(b1, beta2, p, dist)).psi
+
+    mid = psi(0.5 * (beta1 + other_beta1))
+    chord = 0.5 * (solution.psi + psi(other_beta1))
+    assert mid <= chord + 1e-12 * max(1.0, abs(chord))

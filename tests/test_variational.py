@@ -6,7 +6,12 @@ Key oracles:
   u* = sigmoid(2*beta1), checked against a brute-force grid sup as well;
 - psi_gradient must match central finite differences of solve_psi;
 - the two-maximizer point (-5, 5) at p = 2 reproduces the known tie with
-  maximizers near 0.137 / 0.863 and value near -1.0854.
+  maximizers near 0.137 / 0.863 and value near -1.0854;
+- high-precision references: the C02 maximizers are the roots of
+  ``D(theta) = -5 + 10*B(theta) - theta/2`` computed to 50 digits with
+  mpmath, and for the fair coin at (-12, 6, p = 10) the stationary tilt is
+  ``2*beta1 = -24`` up to ``120*B**9 ~ 1e-92``, so ``u* = 1/(1 + e**24)``
+  and ``psi = log M(-24) / 2`` in closed form.
 """
 
 import math
@@ -19,6 +24,7 @@ from wergm.errors import (
     AttractiveRegionError,
     GradientUndefinedError,
     InputValidationError,
+    ThetaCapError,
 )
 from wergm.variational import (
     ModelParams,
@@ -183,6 +189,43 @@ class TestSolvePsi:
         for beta1 in (-30.0, 0.0, 30.0):
             solution = solve_psi(ModelParams(beta1, 2.0, 2))
             assert not solution.includes_endpoint
+
+    @pytest.mark.parametrize(
+        "params,psi,maximizers,atol,rtol",
+        [
+            (
+                ModelParams(-5.0, 5.0, 2),
+                -1.0853865810374499,
+                (0.13705900640440021, 0.86294099359559979),
+                1e-13,
+                0.0,
+            ),
+            (
+                ModelParams(-12.0, 6.0, 10, BERNOULLI_HALF),
+                0.5 * (math.log1p(math.exp(-24.0)) - math.log(2.0)),
+                (1.0 / (1.0 + math.exp(24.0)),),
+                0.0,
+                1e-9,
+            ),
+        ],
+        ids=["c02", "coin-near-endpoint"],
+    )
+    def test_high_precision_reference(self, params, psi, maximizers, atol, rtol):
+        solution = solve_psi(params)
+        assert abs(solution.psi - psi) <= 1e-15
+        assert len(solution.maximizers) == len(maximizers)
+        np.testing.assert_allclose(solution.maximizers, maximizers, rtol=rtol, atol=atol)
+        assert not solution.includes_endpoint
+
+    @pytest.mark.parametrize("beta1,beta2", [(-300.0, 400.0), (0.0, 300.0)])
+    def test_maximum_beyond_tilt_window_raises(self, beta1, beta2):
+        # The uniform law has no endpoint candidate to stand for a maximum
+        # past the window: at (-300, 400) the global one sits at theta ~ 998
+        # (psi ~ 96.5465), at (0, 300) the only one beyond 680.
+        with pytest.raises(ThetaCapError) as info:
+            solve_psi(ModelParams(beta1, beta2, 2))
+        assert info.value.module == "variational"
+        assert info.value.offending_parameter == "params"
 
 
 class TestPsiGradient:
