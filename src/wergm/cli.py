@@ -45,6 +45,12 @@ def _jf(x: float) -> float:
     return float(_fmt(x))
 
 
+def _invalid(message: str, operation: str, parameter: str) -> InputValidationError:
+    return InputValidationError(
+        message, module=_MODULE, operation=operation, offending_parameter=parameter
+    )
+
+
 def _parse_range(text: str, flag: str) -> list[float]:
     """Parse ``lo:hi:count`` into a grid, or a bare scalar into [value]."""
     parts = text.split(":")
@@ -62,11 +68,8 @@ def _parse_range(text: str, flag: str) -> list[float]:
             return [lo + k * step for k in range(count)]
         raise ValueError
     except ValueError:
-        raise InputValidationError(
-            f"{flag} expects a number or lo:hi:count, got {text!r}",
-            module=_MODULE,
-            operation="parse_range",
-            offending_parameter=flag,
+        raise _invalid(
+            f"{flag} expects a number or lo:hi:count, got {text!r}", "parse_range", flag
         ) from None
 
 
@@ -80,24 +83,20 @@ def _parse_dist(args) -> cramer.EdgeDistribution:
                 value, prob = chunk.split("=")
                 pairs.append((float(value), float(prob)))
             except ValueError:
-                raise InputValidationError(
+                raise _invalid(
                     f"--atoms expects value=prob[,value=prob...], got {atoms!r}",
-                    module=_MODULE,
-                    operation="parse_dist",
-                    offending_parameter="atoms",
+                    "parse_dist", "atoms",
                 ) from None
         return cramer.finite_support(pairs)
-    name = getattr(args, "dist", "uniform01")
-    if name == "uniform01":
-        return cramer.UNIFORM01
-    if name == "bernoulli-half":
-        return cramer.BERNOULLI_HALF
-    raise InputValidationError(
-        f"unknown distribution {name!r}",
-        module=_MODULE,
-        operation="parse_dist",
-        offending_parameter="dist",
-    )
+    return cramer.NAMED_LAWS[getattr(args, "dist", "uniform01")]
+
+
+def _check_seed(seed: int, operation: str) -> None:
+    """Reject a negative ``--seed``, which numpy's generators refuse."""
+    if seed < 0:
+        raise _invalid(
+            f"--seed must be a non-negative integer, got {seed}", operation, "seed"
+        )
 
 
 @contextmanager
@@ -159,11 +158,9 @@ def _cmd_critical_table(args) -> int:
     try:
         p_list = [int(chunk) for chunk in args.p.split(",")]
     except ValueError:
-        raise InputValidationError(
+        raise _invalid(
             f"--p expects a comma-separated integer list, got {args.p!r}",
-            module=_MODULE,
-            operation="critical-table",
-            offending_parameter="p",
+            "critical-table", "p",
         ) from None
     rows = []
     for data in critical.critical_table(p_list):
@@ -208,12 +205,15 @@ def _cmd_figures(args) -> int:
             beta1_text, beta2_text = chunk.split(",")
             points.append((float(beta1_text), float(beta2_text)))
     except ValueError:
-        raise InputValidationError(
+        raise _invalid(
             f"--points expects 'b1,b2;b1,b2;...', got {args.points!r}",
-            module=_MODULE,
-            operation="figures",
-            offending_parameter="points",
+            "figures", "points",
         ) from None
+    if args.grid_points < 1:
+        raise _invalid(
+            f"--grid-points must be >= 1, got {args.grid_points}",
+            "figures", "grid_points",
+        )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -251,6 +251,7 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _check_seed(args.seed, "sample")
     params = variational.ModelParams(args.beta1, args.beta2, args.p, _parse_dist(args))
     stats = graphs.run_sampler(
         params, args.n, sweeps=args.sweeps, burn_in=args.burn_in, seed=args.seed
@@ -288,6 +289,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_gaussian(args) -> int:
+    _check_seed(args.seed, "gaussian")
     params = gaussian_directed.GaussianModelParams(args.beta1, args.beta2)
     exact = gaussian_directed.psi_n_exact(params, args.n)
     limit = gaussian_directed.psi_inf(params)
@@ -322,7 +324,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_dist_flags(sub):
     sub.add_argument(
-        "--dist", default="uniform01", choices=["uniform01", "bernoulli-half"],
+        "--dist", default="uniform01", choices=list(cramer.NAMED_LAWS),
         help="edge-weight law (default uniform01)",
     )
     sub.add_argument(

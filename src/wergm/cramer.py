@@ -11,13 +11,21 @@ the support we solve ``log_mgf_d1(theta) = u`` and use
     rate_d1(u) = theta
     rate_d2(u) = 1 / log_mgf_d2(theta)
 
-Three weight laws are supported: the standard uniform on (0, 1), the fair
-coin on {0, 1}, and an arbitrary finite-support law given by atoms.  The
-uniform closed forms are 0/0 at theta = 0; a wide even power series (radius
-well inside the 2*pi convergence disk) is used for |theta| < 0.5 because
-the closed forms lose roughly eight digits to cancellation near zero --
-``1/theta**2 - 1/(4*sinh(theta/2)**2)`` is noise-dominated below |theta|
-of about 1e-3.
+A weight law is an ``EdgeDistribution`` that owns its evaluators
+(``log_mgf``, ``mean``, ``var`` at an already checked tilt), its support
+hull, its endpoint rates and its sampler ``draw(rng, size)``; the module
+functions check the tilt and delegate, so no caller branches on the law.
+
+- ``UniformLaw`` (``UNIFORM01``): the uniform on (0, 1).  Its closed forms
+  are 0/0 at theta = 0; a wide even power series (radius well inside the
+  2*pi convergence disk) is used for |theta| < 0.5 because the closed
+  forms lose roughly eight digits to cancellation near zero --
+  ``1/theta**2 - 1/(4*sinh(theta/2)**2)`` is noise-dominated below |theta|
+  of about 1e-3.
+- ``AtomLaw`` (``finite_support``): a law on finitely many atoms, which
+  fix its support hull, its endpoint rates ``-log q`` and its tilted sums.
+- ``FairCoin`` (``BERNOULLI_HALF``): the atom law on {0, 1} with mass 1/2
+  each, with closed-form evaluators and an integer sampler.
 
 All evaluation is capped at |theta| <= THETA_MAX; solves that would need a
 larger tilt fail loudly rather than returning overflowed garbage.
@@ -26,8 +34,10 @@ larger tilt fail loudly rather than returning overflowed garbage.
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from enum import Enum
+
+import numpy as np
 
 from .errors import (
     BracketError,
@@ -46,100 +56,6 @@ SERIES_RADIUS = 0.5
 
 #: Absolute tolerance on |log_mgf_d1(theta) - u| for dual solves.
 DUAL_TOL = 1e-12
-
-
-class Kind(Enum):
-    """Identifies one of the supported edge-weight laws."""
-
-    UNIFORM01 = "uniform01"
-    BERNOULLI_HALF = "bernoulli-half"
-    FINITE_SUPPORT = "finite-support"
-
-
-@dataclass(frozen=True)
-class EdgeDistribution:
-    """An edge-weight law.
-
-    ``atoms`` is only meaningful for ``Kind.FINITE_SUPPORT``: a tuple of
-    (value, probability) pairs, sorted by value, probabilities positive and
-    summing to one.  Use the module constants ``UNIFORM01`` and
-    ``BERNOULLI_HALF`` or the ``finite_support`` factory instead of
-    constructing instances by hand.
-    """
-
-    kind: Kind
-    atoms: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self):
-        if self.kind is not Kind.FINITE_SUPPORT:
-            if self.atoms:
-                raise InputValidationError(
-                    f"atoms are only meaningful for finite-support laws, got {self.kind}",
-                    module=_MODULE,
-                    operation="EdgeDistribution",
-                    offending_parameter="atoms",
-                )
-            return
-        if len(self.atoms) < 2:
-            raise InputValidationError(
-                "a finite-support law needs at least two atoms",
-                module=_MODULE,
-                operation="EdgeDistribution",
-                offending_parameter="atoms",
-            )
-        values = [v for v, _ in self.atoms]
-        probs = [q for _, q in self.atoms]
-        if any(not math.isfinite(v) for v in values):
-            raise InputValidationError(
-                "atom values must be finite",
-                module=_MODULE,
-                operation="EdgeDistribution",
-                offending_parameter="atoms",
-            )
-        if sorted(values) != values or len(set(values)) != len(values):
-            raise InputValidationError(
-                "atom values must be strictly increasing",
-                module=_MODULE,
-                operation="EdgeDistribution",
-                offending_parameter="atoms",
-            )
-        if any(q <= 0.0 for q in probs):
-            raise InputValidationError(
-                "atom probabilities must be positive",
-                module=_MODULE,
-                operation="EdgeDistribution",
-                offending_parameter="atoms",
-            )
-        if abs(math.fsum(probs) - 1.0) > 1e-12:
-            raise InputValidationError(
-                f"atom probabilities sum to {math.fsum(probs)!r}, expected 1",
-                module=_MODULE,
-                operation="EdgeDistribution",
-                offending_parameter="atoms",
-            )
-
-
-UNIFORM01 = EdgeDistribution(Kind.UNIFORM01)
-BERNOULLI_HALF = EdgeDistribution(Kind.BERNOULLI_HALF)
-
-
-def finite_support(atoms) -> EdgeDistribution:
-    """Build a finite-support law from (value, probability) pairs."""
-    normalized = tuple(sorted((float(v), float(q)) for v, q in atoms))
-    return EdgeDistribution(Kind.FINITE_SUPPORT, normalized)
-
-
-@dataclass(frozen=True)
-class DualPair:
-    """A tilt and the mean it induces: ``log_mgf_d1(theta) == u``."""
-
-    theta: float
-    u: float
-
-
-# ---------------------------------------------------------------------------
-# uniform(0, 1) evaluators
-# ---------------------------------------------------------------------------
 
 # log M(theta) = log((exp(theta) - 1) / theta)
 #             = theta/2 + sum_k B_{2k} / (2k * (2k)!) * theta^(2k)
@@ -161,6 +77,8 @@ _A_SERIES = tuple(
     2.0 * (k + 1) * (2.0 * (k + 1) - 1.0) * c for k, c in enumerate(_LOGM_SERIES)
 )
 
+_LOG2 = math.log(2.0)
+
 
 def _horner_even(coeffs: tuple[float, ...], s: float) -> float:
     acc = 0.0
@@ -169,93 +87,193 @@ def _horner_even(coeffs: tuple[float, ...], s: float) -> float:
     return acc
 
 
-def _u01_log_mgf(theta: float) -> float:
-    if abs(theta) < SERIES_RADIUS:
-        s = theta * theta
-        return 0.5 * theta + s * _horner_even(_LOGM_SERIES, s)
-    if theta < 0.0:
-        # M(-t) = exp(-t) * M(t)
-        return _u01_log_mgf(-theta) + theta
-    return theta + math.log(-math.expm1(-theta)) - math.log(theta)
+class EdgeDistribution(ABC):
+    """An edge-weight law.
+
+    The evaluators take a tilt already checked against ``THETA_MAX``; call
+    the module functions (``log_mgf`` and so on) rather than these.
+    ``support`` is the convex hull of the support, ``endpoint_rate`` the
+    limiting rate values at its two ends, and ``atoms`` the (value,
+    probability) pairs, sorted by value, of a law with finite support
+    (empty otherwise).  Use ``UNIFORM01``, ``BERNOULLI_HALF`` or
+    ``finite_support`` rather than the law types.
+    """
+
+    support: tuple[float, float]
+    endpoint_rate: tuple[float, float]
+    atoms: tuple[tuple[float, float], ...] = ()
+
+    @abstractmethod
+    def log_mgf(self, theta: float) -> float:
+        """log of the moment generating function."""
+
+    @abstractmethod
+    def mean(self, theta: float) -> float:
+        """Tilted mean, the first derivative of ``log_mgf``."""
+
+    @abstractmethod
+    def var(self, theta: float) -> float:
+        """Tilted variance, the second derivative of ``log_mgf``."""
+
+    @abstractmethod
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` iid float draws from the law."""
 
 
-def _u01_mean(theta: float) -> float:
-    if abs(theta) < SERIES_RADIUS:
-        s = theta * theta
-        return 0.5 + theta * _horner_even(_B_SERIES, s)
-    if theta < 0.0:
-        return 1.0 - _u01_mean(-theta)
-    return 1.0 / (-math.expm1(-theta)) - 1.0 / theta
+@dataclass(frozen=True)
+class UniformLaw(EdgeDistribution):
+    """The standard uniform law on (0, 1)."""
+
+    support = (0.0, 1.0)
+    # The density carries no endpoint atom.
+    endpoint_rate = (math.inf, math.inf)
+
+    def log_mgf(self, theta: float) -> float:
+        if abs(theta) < SERIES_RADIUS:
+            s = theta * theta
+            return 0.5 * theta + s * _horner_even(_LOGM_SERIES, s)
+        if theta < 0.0:
+            # M(-t) = exp(-t) * M(t)
+            return self.log_mgf(-theta) + theta
+        return theta + math.log(-math.expm1(-theta)) - math.log(theta)
+
+    def mean(self, theta: float) -> float:
+        if abs(theta) < SERIES_RADIUS:
+            s = theta * theta
+            return 0.5 + theta * _horner_even(_B_SERIES, s)
+        if theta < 0.0:
+            return 1.0 - self.mean(-theta)
+        return 1.0 / (-math.expm1(-theta)) - 1.0 / theta
+
+    def var(self, theta: float) -> float:
+        theta = abs(theta)
+        if theta < SERIES_RADIUS:
+            return _horner_even(_A_SERIES, theta * theta)
+        half = 0.5 * theta
+        sinh_sq = math.sinh(half) ** 2
+        if not math.isfinite(sinh_sq):
+            return 1.0 / (theta * theta)
+        return 1.0 / (theta * theta) - 0.25 / sinh_sq
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.random(size)
 
 
-def _u01_var(theta: float) -> float:
-    theta = abs(theta)
-    if theta < SERIES_RADIUS:
-        return _horner_even(_A_SERIES, theta * theta)
-    half = 0.5 * theta
-    sinh_sq = math.sinh(half) ** 2
-    if not math.isfinite(sinh_sq):
-        return 1.0 / (theta * theta)
-    return 1.0 / (theta * theta) - 0.25 / sinh_sq
+def _require_atoms(ok: bool, message: str) -> None:
+    if not ok:
+        raise InputValidationError(
+            message,
+            module=_MODULE,
+            operation="EdgeDistribution",
+            offending_parameter="atoms",
+        )
 
 
-# ---------------------------------------------------------------------------
-# fair-coin evaluators
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class AtomLaw(EdgeDistribution):
+    """A law on finitely many atoms.
 
-_LOG2 = math.log(2.0)
+    ``atoms`` is a tuple of (value, probability) pairs: at least two,
+    values finite and strictly increasing, probabilities finite, positive
+    and summing to one.
+    """
+
+    atoms: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        _require_atoms(
+            len(self.atoms) >= 2, "a finite-support law needs at least two atoms"
+        )
+        values = tuple(v for v, _ in self.atoms)
+        probs = tuple(q for _, q in self.atoms)
+        _require_atoms(all(map(math.isfinite, values)), "atom values must be finite")
+        _require_atoms(
+            sorted(set(values)) == list(values), "atom values must be strictly increasing"
+        )
+        _require_atoms(all(map(math.isfinite, probs)), "atom probabilities must be finite")
+        _require_atoms(all(q > 0.0 for q in probs), "atom probabilities must be positive")
+        total = math.fsum(probs)
+        _require_atoms(
+            abs(total - 1.0) <= 1e-12, f"atom probabilities sum to {total!r}, expected 1"
+        )
+        # Derived once; not dataclass fields, so equality and hashing see
+        # only the atoms.
+        log_q = tuple(math.log(q) for q in probs)
+        object.__setattr__(self, "support", (values[0], values[-1]))
+        object.__setattr__(self, "endpoint_rate", (-log_q[0], -log_q[-1]))
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_log_q", log_q)
+        object.__setattr__(self, "_draw_values", np.array(values))
+        object.__setattr__(self, "_draw_probs", np.array(probs))
+
+    def _tilt(self, theta: float) -> tuple[float, list[float]]:
+        """Tilted log-normalizer and normalized atom weights."""
+        scores = [theta * v + lq for v, lq in zip(self._values, self._log_q)]
+        top = max(scores)
+        weights = [math.exp(s - top) for s in scores]
+        total = math.fsum(weights)
+        return top + math.log(total), [w / total for w in weights]
+
+    def log_mgf(self, theta: float) -> float:
+        return self._tilt(theta)[0]
+
+    def mean(self, theta: float) -> float:
+        weights = self._tilt(theta)[1]
+        return math.fsum(w * v for w, v in zip(weights, self._values))
+
+    def var(self, theta: float) -> float:
+        weights = self._tilt(theta)[1]
+        mean = math.fsum(w * v for w, v in zip(weights, self._values))
+        return math.fsum(w * (v - mean) ** 2 for w, v in zip(weights, self._values))
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.choice(self._draw_values, size=size, p=self._draw_probs)
 
 
-def _coin_log_mgf(theta: float) -> float:
-    # log((1 + exp(theta)) / 2), written to avoid overflow on either side.
-    if theta > 0.0:
-        return theta + math.log1p(math.exp(-theta)) - _LOG2
-    return math.log1p(math.exp(theta)) - _LOG2
+class FairCoin(AtomLaw):
+    """The fair coin on {0, 1}: an atom law with closed-form evaluators."""
+
+    def log_mgf(self, theta: float) -> float:
+        # log((1 + exp(theta)) / 2), written to avoid overflow on either side.
+        if theta > 0.0:
+            return theta + math.log1p(math.exp(-theta)) - _LOG2
+        return math.log1p(math.exp(theta)) - _LOG2
+
+    def mean(self, theta: float) -> float:
+        if theta >= 0.0:
+            return 1.0 / (1.0 + math.exp(-theta))
+        e = math.exp(theta)
+        return e / (1.0 + e)
+
+    def var(self, theta: float) -> float:
+        # sigmoid * (1 - sigmoid), but computed from exp(-|theta|) so it stays
+        # positive instead of rounding to 0 once the sigmoid saturates.
+        e = math.exp(-abs(theta))
+        return e / (1.0 + e) ** 2
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.integers(0, 2, size).astype(float)
 
 
-def _coin_mean(theta: float) -> float:
-    if theta >= 0.0:
-        return 1.0 / (1.0 + math.exp(-theta))
-    e = math.exp(theta)
-    return e / (1.0 + e)
+UNIFORM01 = UniformLaw()
+BERNOULLI_HALF = FairCoin(((0.0, 0.5), (1.0, 0.5)))
+
+#: Command-line names of the named laws.
+NAMED_LAWS = {"uniform01": UNIFORM01, "bernoulli-half": BERNOULLI_HALF}
 
 
-def _coin_var(theta: float) -> float:
-    # sigmoid * (1 - sigmoid), but computed from exp(-|theta|) so it stays
-    # positive instead of rounding to 0 once the sigmoid saturates.
-    e = math.exp(-abs(theta))
-    return e / (1.0 + e) ** 2
+def finite_support(atoms) -> EdgeDistribution:
+    """Build a finite-support law from (value, probability) pairs."""
+    normalized = tuple(sorted((float(v), float(q)) for v, q in atoms))
+    return AtomLaw(normalized)
 
 
-# ---------------------------------------------------------------------------
-# finite-support evaluators
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class DualPair:
+    """A tilt and the mean it induces: ``log_mgf_d1(theta) == u``."""
 
-
-def _fs_weights(dist: EdgeDistribution, theta: float):
-    """Tilted log-normalizer and normalized atom weights."""
-    scores = [theta * v + math.log(q) for v, q in dist.atoms]
-    top = max(scores)
-    weights = [math.exp(s - top) for s in scores]
-    total = math.fsum(weights)
-    log_mgf = top + math.log(total)
-    weights = [w / total for w in weights]
-    return log_mgf, weights
-
-
-def _fs_log_mgf(dist: EdgeDistribution, theta: float) -> float:
-    return _fs_weights(dist, theta)[0]
-
-
-def _fs_mean(dist: EdgeDistribution, theta: float) -> float:
-    _, weights = _fs_weights(dist, theta)
-    return math.fsum(w * v for w, (v, _) in zip(weights, dist.atoms))
-
-
-def _fs_var(dist: EdgeDistribution, theta: float) -> float:
-    _, weights = _fs_weights(dist, theta)
-    mean = math.fsum(w * v for w, (v, _) in zip(weights, dist.atoms))
-    return math.fsum(w * (v - mean) ** 2 for w, (v, _) in zip(weights, dist.atoms))
+    theta: float
+    u: float
 
 
 # ---------------------------------------------------------------------------
@@ -284,39 +302,22 @@ def _check_theta(theta: float, operation: str) -> float:
 
 def log_mgf(dist: EdgeDistribution, theta: float) -> float:
     """log of the moment generating function at tilt ``theta``."""
-    theta = _check_theta(theta, "log_mgf")
-    if dist.kind is Kind.UNIFORM01:
-        return _u01_log_mgf(theta)
-    if dist.kind is Kind.BERNOULLI_HALF:
-        return _coin_log_mgf(theta)
-    return _fs_log_mgf(dist, theta)
+    return dist.log_mgf(_check_theta(theta, "log_mgf"))
 
 
 def log_mgf_d1(dist: EdgeDistribution, theta: float) -> float:
     """Tilted mean: first derivative of ``log_mgf`` in ``theta``."""
-    theta = _check_theta(theta, "log_mgf_d1")
-    if dist.kind is Kind.UNIFORM01:
-        return _u01_mean(theta)
-    if dist.kind is Kind.BERNOULLI_HALF:
-        return _coin_mean(theta)
-    return _fs_mean(dist, theta)
+    return dist.mean(_check_theta(theta, "log_mgf_d1"))
 
 
 def log_mgf_d2(dist: EdgeDistribution, theta: float) -> float:
     """Tilted variance: second derivative of ``log_mgf`` in ``theta``."""
-    theta = _check_theta(theta, "log_mgf_d2")
-    if dist.kind is Kind.UNIFORM01:
-        return _u01_var(theta)
-    if dist.kind is Kind.BERNOULLI_HALF:
-        return _coin_var(theta)
-    return _fs_var(dist, theta)
+    return dist.var(_check_theta(theta, "log_mgf_d2"))
 
 
 def support_interval(dist: EdgeDistribution) -> tuple[float, float]:
     """Endpoints of the convex hull of the support."""
-    if dist.kind is Kind.FINITE_SUPPORT:
-        return dist.atoms[0][0], dist.atoms[-1][0]
-    return 0.0, 1.0
+    return dist.support
 
 
 def endpoint_rate(dist: EdgeDistribution) -> tuple[float, float]:
@@ -325,11 +326,7 @@ def endpoint_rate(dist: EdgeDistribution) -> tuple[float, float]:
     Finite for atom-carrying endpoints (-log of the endpoint's mass),
     +inf for the continuous uniform whose density carries no endpoint atom.
     """
-    if dist.kind is Kind.UNIFORM01:
-        return math.inf, math.inf
-    if dist.kind is Kind.BERNOULLI_HALF:
-        return _LOG2, _LOG2
-    return -math.log(dist.atoms[0][1]), -math.log(dist.atoms[-1][1])
+    return dist.endpoint_rate
 
 
 def bisect(fn, lo: float, hi: float, fn_lo: float, tol: float) -> float:

@@ -151,16 +151,6 @@ def hom_density(subgraph: SubgraphSpec, graph: WeightedGraph) -> float:
     return total / float(graph.n) ** len(used)
 
 
-def _draw_weights(dist: cramer.EdgeDistribution, rng: np.random.Generator, size: int):
-    if dist.kind is cramer.Kind.UNIFORM01:
-        return rng.random(size)
-    if dist.kind is cramer.Kind.BERNOULLI_HALF:
-        return rng.integers(0, 2, size).astype(float)
-    values = np.array([v for v, _ in dist.atoms])
-    probs = np.array([q for _, q in dist.atoms])
-    return rng.choice(values, size=size, p=probs)
-
-
 def _check_n(n, operation: str) -> int:
     if not float(n).is_integer() or int(n) < 2:
         raise InputValidationError(
@@ -178,7 +168,7 @@ def sample_prior(dist: cramer.EdgeDistribution, n: int, seed) -> WeightedGraph:
     rng = np.random.default_rng(seed)
     iu = np.triu_indices(n)
     weights = np.zeros((n, n))
-    weights[iu] = _draw_weights(dist, rng, len(iu[0]))
+    weights[iu] = dist.draw(rng, len(iu[0]))
     weights = weights + np.triu(weights, 1).T
     return WeightedGraph(n, weights)
 
@@ -248,7 +238,7 @@ class MetropolisChain:
 
         iu = np.triu_indices(n)
         weights = np.zeros((n, n))
-        weights[iu] = _draw_weights(params.dist, self._rng, len(iu[0]))
+        weights[iu] = params.dist.draw(self._rng, len(iu[0]))
         self._w = weights + np.triu(weights, 1).T
 
         self._mode = {TWO_STAR: "two-star", TRIANGLE: "triangle"}.get(
@@ -337,7 +327,7 @@ class MetropolisChain:
     def step(self, i: int, j: int, proposal: float | None = None) -> bool:
         """One Metropolis update of entry (i, j); returns acceptance."""
         if proposal is None:
-            proposal = float(_draw_weights(self.params.dist, self._rng, 1)[0])
+            proposal = float(self.params.dist.draw(self._rng, 1)[0])
         delta = proposal - float(self._w[i, j])
         self.proposed += 1
         d_edge = (delta if i == j else 2.0 * delta) / self.n**2
@@ -354,7 +344,7 @@ class MetropolisChain:
     def sweep(self) -> int:
         """One full sweep over all distinct entries in random order."""
         m = len(self._entries)
-        proposals = _draw_weights(self.params.dist, self._rng, m)
+        proposals = self.params.dist.draw(self._rng, m)
         accepted_before = self.accepted
         for idx, k in enumerate(self._rng.permutation(m)):
             i, j = self._entries[k]
@@ -485,7 +475,7 @@ def enumerate_gibbs(
     ``len(atoms) ** (n*(n+1)/2)`` states — meant for tiny ``n`` as a
     ground-truth oracle for the chain.
     """
-    if params.dist.kind is not cramer.Kind.FINITE_SUPPORT:
+    if not params.dist.atoms:
         raise InputValidationError(
             "exact enumeration needs a finite-support edge law",
             module=_MODULE,

@@ -80,6 +80,31 @@ class TestPsiCommand:
         payload = json.loads(out)  # would fail on concatenated objects
         assert isinstance(payload, dict)
 
+    def test_fair_coin_law(self, capsys):
+        # With beta1 = -beta2 the p = 2 objective is beta2*(u - 1/2)**2 -
+        # beta2/4 - rate(u)/2, and rate(u) >= 2*(u - 1/2)**2 (Pinsker), so for
+        # beta2 < 1 its unique maximizer is 1/2: psi = -beta2/4.
+        code, out, err = run_cli(
+            capsys, "psi", "--p", "2", "--beta1", "-0.5", "--beta2", "0.5",
+            "--dist", "bernoulli-half",
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["psi"] == -0.125
+        assert payload["maximizers"] == [0.5]
+        assert payload["classification"] == "unique"
+
+    def test_nan_atom_probability_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "psi", "--p", "2", "--beta1", "-1", "--beta2", "1",
+            "--atoms", "0.2=nan,0.8=0.5",
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["operation"] == "EdgeDistribution"
+        assert record["offending_parameter"] == "atoms"
+
 
 class TestCriticalTableCommand:
     def test_reference_rows(self, capsys):
@@ -153,6 +178,17 @@ class TestFiguresCommand:
         signs = np.sign([float(r[2]) for r in rows])
         assert int(np.sum(np.abs(np.diff(signs)) > 0)) == 1
 
+    @pytest.mark.parametrize("grid_points", ["0", "-3"])
+    def test_empty_profile_rejected(self, capsys, tmp_path, grid_points):
+        out_dir = tmp_path / "figs"
+        code, out, err = run_cli(
+            capsys, "figures", "--p", "2", "--points=-5,3.5",
+            "--out-dir", str(out_dir), "--grid-points", grid_points,
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["offending_parameter"] == "grid_points"
+        assert not out_dir.exists()
+
 
 class TestSampleCommand:
     def test_csv_trajectory_shape(self, capsys):
@@ -177,6 +213,38 @@ class TestSampleCommand:
         assert payload["classification"] == "unique"
         assert payload["targets"] == [[0.5, 0.25]]
         assert payload["acceptance_rate"] == 1.0
+
+    def test_fair_coin_stream_pinned(self, capsys):
+        # Figures of the coin chain at a fixed seed: a change to the coin's
+        # sampler or its RNG use shows up here.
+        code, out, _ = run_cli(
+            capsys, "sample", "--p", "2", "--beta1", "0.4", "--beta2", "0.4",
+            "--n", "6", "--sweeps", "30", "--burn-in", "10", "--seed", "7",
+            "--dist", "bernoulli-half", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["mean_t_edge"] == 0.849074074074
+        assert payload["mean_t_sub"] == 0.740586419753
+        assert payload["acceptance_rate"] == 0.642857142857
+        assert payload["targets"] == [[0.904394087649, 0.817928665774]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--p", "2", "--beta1", "0", "--beta2", "0", "--n", "4",
+             "--sweeps", "2", "--burn-in", "1"],
+            ["gaussian", "--beta1", "1", "--beta2", "0.1", "--n", "4",
+             "--samples", "100"],
+        ],
+        ids=["sample", "gaussian"],
+    )
+    def test_negative_seed_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["module"] == "cli"
+        assert record["offending_parameter"] == "seed"
 
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit):

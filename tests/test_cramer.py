@@ -254,6 +254,15 @@ class TestFiniteSupportValidation:
         with pytest.raises(InputValidationError):
             finite_support([(0.2, 0.0), (0.8, 1.0)])
 
+    def test_nan_probability_rejected(self):
+        # NaN slips past both "q <= 0" and the sum check, so it needs its
+        # own finiteness check.
+        with pytest.raises(InputValidationError) as excinfo:
+            finite_support([(0.2, math.nan), (0.8, 0.5)])
+        record = excinfo.value.record()
+        assert record["operation"] == "EdgeDistribution"
+        assert record["offending_parameter"] == "atoms"
+
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(InputValidationError):
             finite_support([(0.2, 0.6), (0.8, 0.6)])

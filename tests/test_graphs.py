@@ -101,6 +101,27 @@ class TestSamplePrior:
         graph = sample_prior(THREE_ATOMS, 25, seed=8)
         assert set(np.unique(graph.weights)) <= {0.2, 0.5, 0.8}
 
+    @pytest.mark.parametrize(
+        "law, expected",
+        [
+            (UNIFORM01, [
+                0.625095466604667, 0.8972138009695755, 0.7756856902451935,
+                0.22520718999059186, 0.30016628491122543, 0.8735534453962619,
+                0.005265304565574724, 0.8212284183827663, 0.7970694287520462,
+                0.4679349528437208,
+            ]),
+            (BERNOULLI_HALF, [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
+            (THREE_ATOMS, [0.5, 0.8, 0.8, 0.2, 0.2, 0.8, 0.2, 0.8, 0.8, 0.5]),
+        ],
+        ids=["uniform", "coin", "three-atoms"],
+    )
+    def test_prior_draw_streams_pinned(self, law, expected):
+        # Upper triangle, diagonal included, row by row: the exact draws of
+        # each law's sampler at a fixed seed, so a change to a law's RNG
+        # stream cannot pass unnoticed.
+        graph = sample_prior(law, 4, seed=7)
+        assert graph.weights[np.triu_indices(4)].tolist() == expected
+
 
 class TestMetropolisChain:
     def test_symmetry_preserved_and_drift_tiny(self):
@@ -211,28 +232,30 @@ class TestEnumerateGibbs:
             enumerate_gibbs(ModelParams(0.0, 0.0, 2), 3)
 
     def test_chain_matches_enumeration_small_case(self):
-        # n = 2 has three free entries -> 27 states; a short chain's
-        # empirical law should already sit close to the truth.
-        params = ModelParams(0.4, 0.4, 2, THREE_ATOMS)
-        law = enumerate_gibbs(params, 2)
-        chain = MetropolisChain(params, 2, seed=123)
-        entries = [(i, j) for i in range(2) for j in range(i, 2)]
-        rng = np.random.default_rng(9)
-        counts: dict[tuple[float, ...], int] = {}
-        steps = 60_000
-        for _ in range(steps):
-            i, j = entries[rng.integers(len(entries))]
-            chain.step(i, j)
-            key = chain.state_key()
-            counts[key] = counts.get(key, 0) + 1
-        tv = 0.5 * sum(
-            abs(counts.get(state, 0) / steps - prob) for state, prob in law.items()
-        )
-        off_grid = sum(
-            count for state, count in counts.items() if state not in law
-        )
-        assert off_grid == 0
-        assert tv <= 0.05
+        # n = 2 has three free entries -> 27 states (8 for the coin); a
+        # short chain's empirical law should already sit close to the truth.
+        for dist in (THREE_ATOMS, BERNOULLI_HALF):
+            params = ModelParams(0.4, 0.4, 2, dist)
+            law = enumerate_gibbs(params, 2)
+            assert len(law) == len(dist.atoms) ** 3
+            chain = MetropolisChain(params, 2, seed=123)
+            entries = [(i, j) for i in range(2) for j in range(i, 2)]
+            rng = np.random.default_rng(9)
+            counts: dict[tuple[float, ...], int] = {}
+            steps = 60_000
+            for _ in range(steps):
+                i, j = entries[rng.integers(len(entries))]
+                chain.step(i, j)
+                key = chain.state_key()
+                counts[key] = counts.get(key, 0) + 1
+            tv = 0.5 * sum(
+                abs(counts.get(state, 0) / steps - prob) for state, prob in law.items()
+            )
+            off_grid = sum(
+                count for state, count in counts.items() if state not in law
+            )
+            assert off_grid == 0
+            assert tv <= 0.05
 
 
 class TestSubgraphSpecValidation:

@@ -7,7 +7,9 @@ of tilts and shapes rather than at a handful of points.  The tie is checked
 over a range of ``beta1`` below each corner.  ``solve_psi``, which works on
 the tilt side too, is checked against the mean-side ``objective`` (through
 the dual solve) for all three laws: psi is the supremum, it is attained at
-every interior maximizer, and it is convex in ``beta1``.
+every interior maximizer, and it is convex in ``beta1``.  The fair coin's
+closed-form evaluators are checked against the generic atom-law sums for
+the same two atoms.
 
 Tolerances follow from the dual solve's stopping rule ``|B(theta') - u| <=
 DUAL_TOL = 1e-12``: the recovered tilt is off by at most ``1e-12 / A``,
@@ -91,3 +93,15 @@ def test_solve_psi_is_the_convex_supremum(dist, p, beta1, other_beta1, beta2):
     mid = psi(0.5 * (beta1 + other_beta1))
     chord = 0.5 * (solution.psi + psi(other_beta1))
     assert mid <= chord + 1e-12 * max(1.0, abs(chord))
+
+
+_GENERIC_COIN = cramer.finite_support([(0.0, 0.5), (1.0, 0.5)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(theta=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
+def test_coin_closed_forms_match_generic_atom_sums(theta):
+    for evaluator in (cramer.log_mgf, cramer.log_mgf_d1, cramer.log_mgf_d2):
+        closed = evaluator(cramer.BERNOULLI_HALF, theta)
+        generic = evaluator(_GENERIC_COIN, theta)
+        assert abs(closed - generic) <= 1e-12 * max(1.0, abs(generic))
