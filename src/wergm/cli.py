@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import cramer, critical, gaussian_directed, graphs, phase_curve, variational
-from .errors import InputValidationError, WergmError
+from .errors import InputValidationError, WergmError, check_seed
 
 _MODULE = "cli"
 
@@ -91,14 +91,6 @@ def _parse_dist(args) -> cramer.EdgeDistribution:
     return cramer.NAMED_LAWS[getattr(args, "dist", "uniform01")]
 
 
-def _check_seed(seed: int, operation: str) -> None:
-    """Reject a negative ``--seed``, which numpy's generators refuse."""
-    if seed < 0:
-        raise _invalid(
-            f"--seed must be a non-negative integer, got {seed}", operation, "seed"
-        )
-
-
 @contextmanager
 def _open_out(path: str):
     """Yield a text stream for ``path``, with '-' meaning stdout."""
@@ -126,12 +118,11 @@ def _write_json(stream, payload: dict) -> None:
 
 def _cmd_rate(args) -> int:
     dist = _parse_dist(args)
-    grid = _parse_range(args.u, "--u")
-    rows = [
-        [_fmt(u), _fmt(cramer.rate(dist, u)), _fmt(cramer.rate_d1(dist, u)),
-         _fmt(cramer.rate_d2(dist, u))]
-        for u in grid
-    ]
+    rows = []
+    for u in _parse_range(args.u, "--u"):
+        pair = cramer.dual_theta(dist, u)
+        rows.append([_fmt(u), _fmt(cramer.rate_at(dist, pair)), _fmt(pair.theta),
+                     _fmt(cramer.rate_d2_at(dist, pair))])
     with _open_out(args.out) as stream:
         _write_csv(stream, ["u", "rate", "rate_d1", "rate_d2"], rows)
     return 0
@@ -220,12 +211,12 @@ def _cmd_figures(args) -> int:
     written = []
     for beta1, beta2 in points:
         params = variational.ModelParams(beta1, beta2, args.p)
-        grid = [(k + 1) / (args.grid_points + 1) for k in range(args.grid_points)]
-        rows = [
-            [_fmt(u), _fmt(variational.objective(params, u)),
-             _fmt(variational.objective_d1(params, u))]
-            for u in grid
-        ]
+        rows = []
+        for k in range(args.grid_points):
+            u = (k + 1) / (args.grid_points + 1)
+            pair = cramer.dual_theta(params.dist, u)
+            rows.append([_fmt(u), _fmt(variational.objective_at(params, pair)),
+                         _fmt(variational.objective_d1_at(params, pair))])
         path = out_dir / _profile_name(args.p, beta1, beta2)
         with open(path, "w", encoding="utf-8", newline="") as stream:
             _write_csv(stream, ["u", "l", "l_d1"], rows)
@@ -251,7 +242,7 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    _check_seed(args.seed, "sample")
+    check_seed(args.seed, module=_MODULE, operation="sample", name="--seed")
     params = variational.ModelParams(args.beta1, args.beta2, args.p, _parse_dist(args))
     stats = graphs.run_sampler(
         params, args.n, sweeps=args.sweeps, burn_in=args.burn_in, seed=args.seed
@@ -289,7 +280,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_gaussian(args) -> int:
-    _check_seed(args.seed, "gaussian")
+    check_seed(args.seed, module=_MODULE, operation="gaussian", name="--seed")
     params = gaussian_directed.GaussianModelParams(args.beta1, args.beta2)
     exact = gaussian_directed.psi_n_exact(params, args.n)
     limit = gaussian_directed.psi_inf(params)

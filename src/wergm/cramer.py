@@ -23,7 +23,8 @@ functions check the tilt and delegate, so no caller branches on the law.
   ``1/theta**2 - 1/(4*sinh(theta/2)**2)`` is noise-dominated below |theta|
   of about 1e-3.
 - ``AtomLaw`` (``finite_support``): a law on finitely many atoms, which
-  fix its support hull, its endpoint rates ``-log q`` and its tilted sums.
+  fix its support hull, its endpoint rates ``-log q``, its tilted sums and
+  the CDF its sampler bisects.
 - ``FairCoin`` (``BERNOULLI_HALF``): the atom law on {0, 1} with mass 1/2
   each, with closed-form evaluators and an integer sampler.
 
@@ -35,9 +36,10 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from .errors import (
     BracketError,
@@ -45,6 +47,11 @@ from .errors import (
     SupportError,
     ThetaCapError,
 )
+
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+
+    import numpy as np
 
 _MODULE = "cramer"
 
@@ -116,8 +123,13 @@ class EdgeDistribution(ABC):
         """Tilted variance, the second derivative of ``log_mgf``."""
 
     @abstractmethod
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` iid float draws from the law."""
+    def draw(self, rng: np.random.Generator, size: int) -> Sequence[float]:
+        """``size`` iid draws from the law, as a sequence of floats.
+
+        The uniform and the coin return a float ndarray, other atom laws a
+        list.  An atom law draws the same values from the same stream as
+        ``rng.choice(values, size, p=probs)``.
+        """
 
 
 @dataclass(frozen=True)
@@ -203,8 +215,9 @@ class AtomLaw(EdgeDistribution):
         object.__setattr__(self, "endpoint_rate", (-log_q[0], -log_q[-1]))
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_log_q", log_q)
-        object.__setattr__(self, "_draw_values", np.array(values))
-        object.__setattr__(self, "_draw_probs", np.array(probs))
+        # Generator.choice's CDF: the running sum divided by its last entry.
+        cdf = tuple(accumulate(probs))
+        object.__setattr__(self, "_cdf", tuple(c / cdf[-1] for c in cdf))
 
     def _tilt(self, theta: float) -> tuple[float, list[float]]:
         """Tilted log-normalizer and normalized atom weights."""
@@ -226,8 +239,9 @@ class AtomLaw(EdgeDistribution):
         mean = math.fsum(w * v for w, v in zip(weights, self._values))
         return math.fsum(w * (v - mean) ** 2 for w, v in zip(weights, self._values))
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.choice(self._draw_values, size=size, p=self._draw_probs)
+    def draw(self, rng: np.random.Generator, size: int) -> list[float]:
+        values, cdf = self._values, self._cdf
+        return [values[bisect_right(cdf, x)] for x in rng.random(size).tolist()]
 
 
 class FairCoin(AtomLaw):
@@ -421,8 +435,7 @@ def dual_theta(dist: EdgeDistribution, u: float, *, tol: float = DUAL_TOL) -> Du
 
 def rate(dist: EdgeDistribution, u: float) -> float:
     """Cramér rate function at mean ``u`` (Legendre dual of ``log_mgf``)."""
-    pair = dual_theta(dist, u)
-    return pair.theta * u - log_mgf(dist, pair.theta)
+    return rate_at(dist, dual_theta(dist, u))
 
 
 def rate_d1(dist: EdgeDistribution, u: float) -> float:
@@ -432,11 +445,21 @@ def rate_d1(dist: EdgeDistribution, u: float) -> float:
 
 def rate_d2(dist: EdgeDistribution, u: float) -> float:
     """Second derivative of the rate function: reciprocal tilted variance."""
-    pair = dual_theta(dist, u)
+    return rate_d2_at(dist, dual_theta(dist, u))
+
+
+def rate_at(dist: EdgeDistribution, pair: DualPair) -> float:
+    """``rate`` at an already solved pair ``pair = dual_theta(dist, u)``."""
+    return pair.theta * pair.u - log_mgf(dist, pair.theta)
+
+
+def rate_d2_at(dist: EdgeDistribution, pair: DualPair) -> float:
+    """``rate_d2`` at an already solved pair ``pair = dual_theta(dist, u)``."""
     var = log_mgf_d2(dist, pair.theta)
     if var <= 0.0:
         raise SupportError(
-            f"tilted variance underflowed at u = {u:g}; too close to a support endpoint",
+            f"tilted variance underflowed at u = {pair.u:g}; "
+            "too close to a support endpoint",
             module=_MODULE,
             operation="rate_d2",
             offending_parameter="u",

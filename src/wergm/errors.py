@@ -3,10 +3,13 @@
 Every error raised by the numerical modules names the module that owns the
 violated precondition, the operation that raised, and (when meaningful) the
 offending parameter, so callers -- the CLI in particular -- can serialize a
-machine-readable record without parsing message strings.
+machine-readable record without parsing message strings.  ``check_seed``
+is the one seed check shared by every entry point that takes a seed.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
 
 
 class WergmError(Exception):
@@ -69,3 +72,19 @@ class BracketError(WergmError):
 
 class DivergenceError(WergmError):
     """Gaussian normalizing integral diverges (beta2 too close to 1/2)."""
+
+
+def check_seed(seed, *, module: str, operation: str, name: str = "seed") -> None:
+    """Reject a negative integer seed, which numpy's generators refuse.
+
+    Raises ``InputValidationError`` naming ``seed`` before any generator is
+    built; ``name`` is the seed's spelling in the message (``--seed`` on
+    the command line).  Other seed types are left to numpy.
+    """
+    if isinstance(seed, Integral) and seed < 0:
+        raise InputValidationError(
+            f"{name} must be a non-negative integer, got {seed}",
+            module=module,
+            operation=operation,
+            offending_parameter="seed",
+        )

@@ -23,6 +23,9 @@ weights are bounded by twice the normaliser, so the reported standard
 error is finite at every admissible point.  For this Gaussian integrand
 the Laplace component is the exact tilted law, so the check tests the
 sampler's machinery, not the quality of an approximation.
+
+numpy is imported inside the functions that use it, so that ``import
+wergm`` does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -30,9 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DivergenceError, InputValidationError
+from .errors import DivergenceError, InputValidationError, check_seed
 
 _MODULE = "gaussian_directed"
 
@@ -72,6 +73,8 @@ class GaussianModelParams:
 
 def directed_stats(weights) -> tuple[float, float]:
     """Directed edge and out-two-star densities of a square weight matrix."""
+    import numpy as np
+
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
         raise InputValidationError(
@@ -143,6 +146,8 @@ def psi_n_monte_carlo(
     within about ``1e-7`` of ``beta2 = 1/2`` rounding, not sampling, limits
     the accuracy.
     """
+    import numpy as np
+
     n = _check_n(n, "psi_n_monte_carlo")
     if not float(samples).is_integer() or int(samples) < 100:
         raise InputValidationError(
@@ -152,6 +157,7 @@ def psi_n_monte_carlo(
             offending_parameter="samples",
         )
     samples = int(samples)
+    check_seed(seed, module=_MODULE, operation="psi_n_monte_carlo")
     beta1, beta2 = params.beta1, params.beta2
     # The log-integrand beta1*y - (1 - 2*beta2)*y**2/(2n) is a concave
     # quadratic: its curvature is -(1 - 2*beta2)/n, its mode beta1 * v.

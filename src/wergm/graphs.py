@@ -13,6 +13,9 @@ beta2 * t_sub))``; proposals redraw one entry from the prior, so the
 acceptance ratio is exactly that exponential factor with no correction
 term.  ``enumerate_gibbs`` computes the same measure exactly for small
 graphs over finite-support laws, as an oracle for the chain.
+
+numpy is imported inside the functions that use it, so that ``import
+wergm`` and the theory commands do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import cramer
-from .errors import InputValidationError
+from .errors import InputValidationError, check_seed
 from .variational import ModelParams, PhaseClass, solve_psi
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MODULE = "graphs"
 
@@ -99,6 +104,8 @@ class WeightedGraph:
     weights: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         self.weights = np.asarray(self.weights, dtype=float)
         if self.n < 2:
             raise InputValidationError(
@@ -132,6 +139,8 @@ def hom_density(subgraph: SubgraphSpec, graph: WeightedGraph) -> float:
     contracted; the contraction is delegated to einsum, which may do much
     better than the n**k map enumeration but is not guaranteed to.
     """
+    import numpy as np
+
     if subgraph.k > 4:
         warnings.warn(
             f"density of a {subgraph.k}-vertex subgraph may cost up to "
@@ -164,7 +173,10 @@ def _check_n(n, operation: str) -> int:
 
 def sample_prior(dist: cramer.EdgeDistribution, n: int, seed) -> WeightedGraph:
     """Graph with iid entries from ``dist`` on the upper triangle + diagonal."""
+    import numpy as np
+
     n = _check_n(n, "sample_prior")
+    check_seed(seed, module=_MODULE, operation="sample_prior")
     rng = np.random.default_rng(seed)
     iu = np.triu_indices(n)
     weights = np.zeros((n, n))
@@ -209,7 +221,10 @@ class MetropolisChain:
         seed,
         subgraph: SubgraphSpec | None = None,
     ):
+        import numpy as np
+
         n = _check_n(n, "MetropolisChain")
+        check_seed(seed, module=_MODULE, operation="MetropolisChain")
         if subgraph is None:
             defaults = {2: TWO_STAR, 3: TRIANGLE}
             if params.p not in defaults:
@@ -272,6 +287,8 @@ class MetropolisChain:
         return self._t_sub
 
     def _t_sub_scratch(self) -> float:
+        import numpy as np
+
         n = self.n
         if self._mode == "two-star":
             return float(np.dot(self._rows, self._rows)) / n**3
@@ -377,6 +394,8 @@ def run_sampler(
     Acceptance is counted over the recorded portion only.  Identical
     arguments (seed included) reproduce the identical trajectory.
     """
+    import numpy as np
+
     if not float(sweeps).is_integer() or int(sweeps) < 1:
         raise InputValidationError(
             f"sweeps must be a positive integer, got {sweeps!r}",
@@ -392,6 +411,7 @@ def run_sampler(
             offending_parameter="burn_in",
         )
     sweeps, burn_in = int(sweeps), int(burn_in)
+    check_seed(seed, module=_MODULE, operation="run_sampler")
 
     chain = MetropolisChain(params, n, seed, subgraph)
     for _ in range(burn_in):
@@ -475,6 +495,8 @@ def enumerate_gibbs(
     ``len(atoms) ** (n*(n+1)/2)`` states — meant for tiny ``n`` as a
     ground-truth oracle for the chain.
     """
+    import numpy as np
+
     if not params.dist.atoms:
         raise InputValidationError(
             "exact enumeration needs a finite-support edge law",

@@ -150,17 +150,30 @@ class MaximizerSet:
 
 def objective(params: ModelParams, u: float) -> float:
     """The variational integrand ``beta1*u + beta2*u**p - rate(u)/2``."""
-    return (
-        params.beta1 * u
-        + params.beta2 * u**params.p
-        - 0.5 * cramer.rate(params.dist, u)
-    )
+    return objective_at(params, cramer.dual_theta(params.dist, u))
 
 
 def objective_d1(params: ModelParams, u: float) -> float:
     """First u-derivative of the variational integrand."""
-    theta = cramer.rate_d1(params.dist, u)
-    return params.beta1 + params.p * params.beta2 * u ** (params.p - 1) - 0.5 * theta
+    return objective_d1_at(params, cramer.dual_theta(params.dist, u))
+
+
+def objective_at(params: ModelParams, pair: cramer.DualPair) -> float:
+    """``objective`` at ``pair.u``, given ``pair = dual_theta(dist, u)``."""
+    u = pair.u
+    return (
+        params.beta1 * u
+        + params.beta2 * u**params.p
+        - 0.5 * cramer.rate_at(params.dist, pair)
+    )
+
+
+def objective_d1_at(params: ModelParams, pair: cramer.DualPair) -> float:
+    """``objective_d1`` at ``pair.u``, given ``pair = dual_theta(dist, u)``."""
+    return (
+        params.beta1 + params.p * params.beta2 * pair.u ** (params.p - 1)
+        - 0.5 * pair.theta
+    )
 
 
 def objective_d2(params: ModelParams, u: float) -> float:

@@ -243,8 +243,12 @@ class TestSampleCommand:
         code, out, err = run_cli(capsys, *argv, "--seed", "-1")
         assert code == 1 and out == ""
         record = json.loads(err)
-        assert record["module"] == "cli"
-        assert record["offending_parameter"] == "seed"
+        assert record == {
+            "module": "cli",
+            "operation": argv[0],
+            "message": "--seed must be a non-negative integer, got -1",
+            "offending_parameter": "seed",
+        }
 
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit):
@@ -280,7 +284,49 @@ class TestDeterminism:
         assert data.decode("utf-8").endswith("\n")
 
 
+NUMPY_FREE_SCRIPT = """
+import sys
+import tempfile
+
+import wergm
+import wergm.cli
+
+assert "numpy" not in sys.modules, "import"
+with tempfile.TemporaryDirectory() as out_dir:
+    for argv in [
+        ["psi", "--p", "2", "--beta1", "-5", "--beta2", "5"],
+        ["psi", "--p", "3", "--beta1", "-1", "--beta2", "2",
+         "--dist", "bernoulli-half"],
+        ["psi", "--p", "2", "--beta1", "-1", "--beta2", "2",
+         "--atoms", "0.2=0.3,0.5=0.4,0.8=0.3"],
+        ["rate", "--u", "0.3:0.7:3", "--atoms", "0.2=0.3,0.5=0.4,0.8=0.3"],
+        ["critical-table", "--p", "2,3"],
+        ["phase-curve", "--p", "3", "--beta1", "-3:-2:2"],
+        ["figures", "--p", "2", "--points=-5,5", "--grid-points", "8",
+         "--beta1", "-5:-4:2", "--out-dir", out_dir],
+    ]:
+        assert wergm.cli.main(argv) == 0, argv
+        assert "numpy" not in sys.modules, argv
+
+from wergm import MetropolisChain, psi_n_monte_carlo
+
+missing = [name for name in wergm.__all__ if not hasattr(wergm, name)]
+assert not missing, missing
+print("numpy-free")
+"""
+
+
 class TestEntryPoint:
+    def test_theory_commands_do_not_import_numpy(self):
+        # numpy is for the finite-graph checks only; the closed-form theory
+        # commands must not pay its import.
+        result = subprocess.run(
+            [sys.executable, "-c", NUMPY_FREE_SCRIPT],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.endswith("numpy-free\n")
+
     def test_python_dash_m_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "wergm", "critical-table", "--p", "2"],

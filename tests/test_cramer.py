@@ -278,3 +278,28 @@ class TestFiniteSupportValidation:
         assert record["module"] == "cramer"
         assert record["offending_parameter"] == "u"
         assert record["message"]
+
+
+class TestAtomLawDraw:
+    @pytest.mark.parametrize(
+        "law",
+        [
+            THREE_ATOMS,
+            finite_support([(0.0, 0.07), (0.1, 0.61), (0.7, 0.29), (1.3, 0.03)]),
+        ],
+        ids=["three-atoms", "uneven-four-atoms"],
+    )
+    def test_draws_match_generator_choice(self, law):
+        # The law's own sampler must consume the generator exactly as
+        # Generator.choice with p= does and return the same atoms, so the
+        # sampler's streams stay those of numpy's choice.  Sizes: one
+        # proposal, and one sweep's worth at n = 40; plain uniforms are
+        # interleaved to check the stream position after each draw.
+        values = np.array([v for v, _ in law.atoms])
+        probs = np.array([q for _, q in law.atoms])
+        for seed in range(20):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for size in (1, 40 * 41 // 2) * 3:
+                expected = ref.choice(values, size, p=probs).tolist()
+                assert list(law.draw(ours, size)) == expected
+                assert ours.random() == ref.random()

@@ -147,6 +147,13 @@ class TestMonteCarlo:
         b = psi_n_monte_carlo(params, 8, 5000, seed=77)
         assert a == b
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputValidationError) as excinfo:
+            psi_n_monte_carlo(GaussianModelParams(0.5, 0.1), 5, 1000, seed=-1)
+        record = excinfo.value.record()
+        assert record["operation"] == "psi_n_monte_carlo"
+        assert record["offending_parameter"] == "seed"
+
     def test_sample_floor_enforced(self):
         with pytest.raises(InputValidationError):
             psi_n_monte_carlo(GaussianModelParams(0.0, 0.0), 5, 99, seed=1)

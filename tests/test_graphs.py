@@ -29,6 +29,7 @@ from wergm.graphs import (
 from wergm.variational import ModelParams, PhaseClass
 
 THREE_ATOMS = finite_support([(0.2, 1 / 3), (0.5, 1 / 3), (0.8, 1 / 3)])
+FREE = ModelParams(0.0, 0.0, 2)
 
 
 def hom_density_all_maps(subgraph: SubgraphSpec, graph: WeightedGraph) -> float:
@@ -121,6 +122,26 @@ class TestSamplePrior:
         # stream cannot pass unnoticed.
         graph = sample_prior(law, 4, seed=7)
         assert graph.weights[np.triu_indices(4)].tolist() == expected
+
+
+class TestSeedCheck:
+    @pytest.mark.parametrize(
+        "operation, call",
+        [
+            ("sample_prior", lambda seed: sample_prior(UNIFORM01, 4, seed)),
+            ("MetropolisChain", lambda seed: MetropolisChain(FREE, 4, seed)),
+            ("run_sampler", lambda seed: run_sampler(FREE, 4, 2, 0, seed)),
+        ],
+        ids=["sample_prior", "MetropolisChain", "run_sampler"],
+    )
+    def test_negative_seed_rejected(self, operation, call):
+        # Without the typed check numpy's ValueError surfaces here.
+        with pytest.raises(InputValidationError) as excinfo:
+            call(-1)
+        record = excinfo.value.record()
+        assert record["module"] == "graphs"
+        assert record["operation"] == operation
+        assert record["offending_parameter"] == "seed"
 
 
 class TestMetropolisChain:
