@@ -49,8 +49,6 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Sequence
-
     import numpy as np
 
 _MODULE = "cramer"
@@ -123,11 +121,10 @@ class EdgeDistribution(ABC):
         """Tilted variance, the second derivative of ``log_mgf``."""
 
     @abstractmethod
-    def draw(self, rng: np.random.Generator, size: int) -> Sequence[float]:
-        """``size`` iid draws from the law, as a sequence of floats.
+    def draw(self, rng: np.random.Generator, size: int) -> list[float]:
+        """``size`` iid draws from the law, as a list of Python floats.
 
-        The uniform and the coin return a float ndarray, other atom laws a
-        list.  An atom law draws the same values from the same stream as
+        An atom law draws the same values from the same stream as
         ``rng.choice(values, size, p=probs)``.
         """
 
@@ -167,8 +164,8 @@ class UniformLaw(EdgeDistribution):
             return 1.0 / (theta * theta)
         return 1.0 / (theta * theta) - 0.25 / sinh_sq
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.random(size)
+    def draw(self, rng: np.random.Generator, size: int) -> list[float]:
+        return rng.random(size).tolist()
 
 
 def _require_atoms(ok: bool, message: str) -> None:
@@ -196,7 +193,7 @@ class AtomLaw(EdgeDistribution):
         _require_atoms(
             len(self.atoms) >= 2, "a finite-support law needs at least two atoms"
         )
-        values = tuple(v for v, _ in self.atoms)
+        values = tuple(float(v) for v, _ in self.atoms)
         probs = tuple(q for _, q in self.atoms)
         _require_atoms(all(map(math.isfinite, values)), "atom values must be finite")
         _require_atoms(
@@ -265,8 +262,8 @@ class FairCoin(AtomLaw):
         e = math.exp(-abs(theta))
         return e / (1.0 + e) ** 2
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.integers(0, 2, size).astype(float)
+    def draw(self, rng: np.random.Generator, size: int) -> list[float]:
+        return rng.integers(0, 2, size).astype(float).tolist()
 
 
 UNIFORM01 = UniformLaw()

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import cramer
-from .errors import GradientUndefinedError, InputValidationError, NonUnimodalError
+from .errors import GradientUndefinedError, NonUnimodalError, check_integer
 
 _MODULE = "critical"
 
@@ -46,23 +46,12 @@ CROSS_CHECK_TOL = 1e-6
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _check_p(p: int, operation: str) -> int:
-    if not float(p).is_integer() or int(p) < 2:
-        raise InputValidationError(
-            f"p must be an integer >= 2, got {p!r}",
-            module=_MODULE,
-            operation=operation,
-            offending_parameter="p",
-        )
-    return int(p)
-
-
 def n_of_theta(p: int, theta: float) -> float:
     """Tilt-side curvature profile ``2 p (p-1) A(theta) B(theta)**(p-2)``.
 
     Uniform(0, 1) law only.
     """
-    p = _check_p(p, "n_of_theta")
+    p = check_integer(p, 2, name="p", module=_MODULE, operation="n_of_theta")
     a = cramer.log_mgf_d2(cramer.UNIFORM01, theta)
     b = cramer.log_mgf_d1(cramer.UNIFORM01, theta)
     return 2.0 * p * (p - 1) * a * b ** (p - 2)
@@ -72,7 +61,7 @@ def m_of_u(
     p: int, u: float, dist: cramer.EdgeDistribution = cramer.UNIFORM01
 ) -> float:
     """Mean-side curvature profile, reciprocal to ``n_of_theta`` under duality."""
-    p = _check_p(p, "m_of_u")
+    p = check_integer(p, 2, name="p", module=_MODULE, operation="m_of_u")
     denom = 2.0 * p * (p - 1) * u ** (p - 2)
     if denom == 0.0:
         raise GradientUndefinedError(
@@ -88,7 +77,7 @@ def f_of_u(
     p: int, u: float, dist: cramer.EdgeDistribution = cramer.UNIFORM01
 ) -> float:
     """Mean-side location profile; ``-f(u0)`` is the critical edge parameter."""
-    p = _check_p(p, "f_of_u")
+    p = check_integer(p, 2, name="p", module=_MODULE, operation="f_of_u")
     return u * cramer.rate_d2(dist, u) / (2.0 * (p - 1)) - 0.5 * cramer.rate_d1(
         dist, u
     )
@@ -99,7 +88,7 @@ def g_of_theta(p: int, theta: float) -> float:
 
     Uniform(0, 1) law only.
     """
-    p = _check_p(p, "g_of_theta")
+    p = check_integer(p, 2, name="p", module=_MODULE, operation="g_of_theta")
     a = cramer.log_mgf_d2(cramer.UNIFORM01, theta)
     b = cramer.log_mgf_d1(cramer.UNIFORM01, theta)
     return b / (2.0 * (p - 1) * a) - 0.5 * theta
@@ -195,7 +184,7 @@ def find_theta0(p: int) -> CriticalData:
     critical tilt through dual formulas, so disagreement signals a
     numerically untrustworthy profile.
     """
-    p = _check_p(p, "find_theta0")
+    p = check_integer(p, 2, name="p", module=_MODULE, operation="find_theta0")
     theta_n = _refine_peak(lambda t: n_of_theta(p, t), "n profile")
     theta_g = _refine_peak(lambda t: -g_of_theta(p, t), "g profile")
     if abs(theta_n - theta_g) > CROSS_CHECK_TOL:

@@ -4,7 +4,8 @@ Every error raised by the numerical modules names the module that owns the
 violated precondition, the operation that raised, and (when meaningful) the
 offending parameter, so callers -- the CLI in particular -- can serialize a
 machine-readable record without parsing message strings.  ``check_seed``
-is the one seed check shared by every entry point that takes a seed.
+is the one seed check shared by every entry point that takes a seed, and
+``check_integer`` the one check of an integer count or order.
 """
 
 from __future__ import annotations
@@ -72,6 +73,29 @@ class BracketError(WergmError):
 
 class DivergenceError(WergmError):
     """Gaussian normalizing integral diverges (beta2 too close to 1/2)."""
+
+
+def check_integer(
+    value, minimum: int, *, name: str, module: str, operation: str
+) -> int:
+    """Return ``value`` as an int if it is an integer >= ``minimum``.
+
+    Any value ``float`` accepts with an integral value passes (``3.0``
+    does).  Otherwise raises ``InputValidationError`` naming ``name``; the
+    message asks for "a nonnegative integer" at minimum 0, "a positive
+    integer" at 1 and "an integer >= minimum" above.
+    """
+    if not float(value).is_integer() or int(value) < minimum:
+        wanted = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+            minimum, f"an integer >= {minimum}"
+        )
+        raise InputValidationError(
+            f"{name} must be {wanted}, got {value!r}",
+            module=module,
+            operation=operation,
+            offending_parameter=name,
+        )
+    return int(value)
 
 
 def check_seed(seed, *, module: str, operation: str, name: str = "seed") -> None:

@@ -33,7 +33,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DivergenceError, InputValidationError, check_seed
+from .errors import (
+    DivergenceError,
+    InputValidationError,
+    check_integer,
+    check_seed,
+)
 
 _MODULE = "gaussian_directed"
 
@@ -90,20 +95,9 @@ def directed_stats(weights) -> tuple[float, float]:
     return e, s
 
 
-def _check_n(n: int, operation: str) -> int:
-    if not float(n).is_integer() or int(n) < 1:
-        raise InputValidationError(
-            f"n must be a positive integer, got {n!r}",
-            module=_MODULE,
-            operation=operation,
-            offending_parameter="n",
-        )
-    return int(n)
-
-
 def psi_n_exact(params: GaussianModelParams, n: int) -> float:
     """Closed-form normalization constant at finite ``n``."""
-    n = _check_n(n, "psi_n_exact")
+    n = check_integer(n, 1, name="n", module=_MODULE, operation="psi_n_exact")
     shrink = 1.0 - 2.0 * params.beta2
     return params.beta1**2 / (2.0 * shrink) - math.log(shrink) / (2.0 * n)
 
@@ -141,22 +135,19 @@ def psi_n_monte_carlo(
     The weights are averaged by a shifted log-mean-exp; the standard error
     is the sampling error of their mean propagated through the log and the
     1/n scaling.  At ``beta1 = beta2 = 0`` both components are the prior,
-    every weight is exactly 1, and estimate and error are exactly 0.  Per
-    draw the exponents grow like ``beta1**2 * n / (1 - 2*beta2)**2``, so
-    within about ``1e-7`` of ``beta2 = 1/2`` rounding, not sampling, limits
-    the accuracy.
+    every weight is exactly 1, and estimate and error are exactly 0.  The
+    log-weights are computed centred on the mode, so they keep their
+    precision up to ``BETA2_MAX``: written about ``y = 0`` instead, their
+    terms grow like ``beta1**2 * n / (1 - 2*beta2)**2`` and cancel, and
+    within about ``1e-7`` of ``beta2 = 1/2`` rounding, not sampling, would
+    limit the accuracy.
     """
     import numpy as np
 
-    n = _check_n(n, "psi_n_monte_carlo")
-    if not float(samples).is_integer() or int(samples) < 100:
-        raise InputValidationError(
-            f"samples must be an integer >= 100, got {samples!r}",
-            module=_MODULE,
-            operation="psi_n_monte_carlo",
-            offending_parameter="samples",
-        )
-    samples = int(samples)
+    n = check_integer(n, 1, name="n", module=_MODULE, operation="psi_n_monte_carlo")
+    samples = check_integer(
+        samples, 100, name="samples", module=_MODULE, operation="psi_n_monte_carlo"
+    )
     check_seed(seed, module=_MODULE, operation="psi_n_monte_carlo")
     beta1, beta2 = params.beta1, params.beta2
     # The log-integrand beta1*y - (1 - 2*beta2)*y**2/(2n) is a concave
@@ -170,19 +161,22 @@ def psi_n_monte_carlo(
     np.multiply(y, math.sqrt(v / n), out=y, where=laplace)
     np.add(y, m, out=y, where=laplace)
     # In place to keep the peak to three sample-sized arrays:
-    # log_ratio = log Normal(m, v) - log prior - h, neg_h = -h.
+    # log_ratio = log Normal(m, v) - log prior - h, neg_h = -h.  Centred on
+    # the mode, -log prior - h = y*(y - 2m)/(2v) plus constants: written as
+    # y**2/(2n) - h instead, two terms of order m**2/n would cancel near
+    # beta2 = 1/2 and leave only their rounding.
     log_ratio = y - m
     log_ratio *= log_ratio
     log_ratio *= -0.5 / v
-    neg_h = np.square(y)
-    neg_h *= 0.5 / n
+    neg_h = y - 2.0 * m
+    neg_h *= y
+    neg_h *= 0.5 / v
     log_ratio += neg_h
     log_ratio -= 0.5 * math.log(v / n)
-    neg_h *= -2.0 * beta2
-    y *= beta1
-    neg_h -= y
+    np.multiply(y, -beta2 / n, out=neg_h)
+    neg_h -= beta1
+    neg_h *= y
     del y
-    log_ratio += neg_h
     log_ratio += _LOG_HALF
     neg_h += _LOG_HALF
     # log w = -log(exp(-h)/2 + Normal(m, v)/(2 prior) * exp(-h)).

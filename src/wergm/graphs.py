@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import cramer
-from .errors import InputValidationError, check_seed
+from .errors import InputValidationError, check_integer, check_seed
 from .variational import ModelParams, PhaseClass, solve_psi
 
 if TYPE_CHECKING:
@@ -160,22 +160,11 @@ def hom_density(subgraph: SubgraphSpec, graph: WeightedGraph) -> float:
     return total / float(graph.n) ** len(used)
 
 
-def _check_n(n, operation: str) -> int:
-    if not float(n).is_integer() or int(n) < 2:
-        raise InputValidationError(
-            f"n must be an integer >= 2, got {n!r}",
-            module=_MODULE,
-            operation=operation,
-            offending_parameter="n",
-        )
-    return int(n)
-
-
 def sample_prior(dist: cramer.EdgeDistribution, n: int, seed) -> WeightedGraph:
     """Graph with iid entries from ``dist`` on the upper triangle + diagonal."""
     import numpy as np
 
-    n = _check_n(n, "sample_prior")
+    n = check_integer(n, 2, name="n", module=_MODULE, operation="sample_prior")
     check_seed(seed, module=_MODULE, operation="sample_prior")
     rng = np.random.default_rng(seed)
     iu = np.triu_indices(n)
@@ -212,6 +201,15 @@ class MetropolisChain:
     built-in two-star and triangle (making sweeps O(n**2) and O(n**3)
     respectively); any other subgraph falls back to recomputing the
     density, which is far slower but exact.
+
+    ``step`` and ``sweep`` share one update loop, ``_update``, which reads
+    the state from Python lists: ``_wl`` mirrors the weight matrix row by
+    row and ``_rows`` holds the row sums, since indexing a list costs a
+    fraction of indexing a numpy array.  The numpy matrix is still written
+    on every accept, so ``weights`` stays a live view: the triangle
+    increment reads it as ``w[i] @ w[:, j]``, whose summation order fixes
+    the result's last bits, and the resync and generic densities
+    recompute from it.
     """
 
     def __init__(
@@ -223,7 +221,7 @@ class MetropolisChain:
     ):
         import numpy as np
 
-        n = _check_n(n, "MetropolisChain")
+        n = check_integer(n, 2, name="n", module=_MODULE, operation="MetropolisChain")
         check_seed(seed, module=_MODULE, operation="MetropolisChain")
         if subgraph is None:
             defaults = {2: TWO_STAR, 3: TRIANGLE}
@@ -260,7 +258,8 @@ class MetropolisChain:
             subgraph, "generic"
         )
         self._graph = WeightedGraph(n, self._w)  # shares the matrix
-        self._rows = self._w.sum(axis=1)
+        self._wl = self._w.tolist()
+        self._rows = self._w.sum(axis=1).tolist()
         self._t_edge = float(self._w.sum()) / n**2
         self._t_sub = self._t_sub_scratch()
 
@@ -298,81 +297,82 @@ class MetropolisChain:
 
     def state_key(self) -> tuple[float, ...]:
         """Current state as the upper-triangle entries in row-major order."""
-        return tuple(
-            float(self._w[i, j]) for i, j in self._entries
-        )
+        wl = self._wl
+        return tuple(wl[i][j] for i, j in self._entries)
 
     # -- dynamics ----------------------------------------------------------
 
-    def _sub_change(self, i: int, j: int, delta: float) -> float:
-        """Change in t_sub when entry (i, j) (mirrored) moves by delta."""
-        n = self.n
-        if self._mode == "two-star":
-            if i == j:
-                return delta * (2.0 * self._rows[i] + delta) / n**3
-            return 2.0 * delta * (self._rows[i] + self._rows[j] + delta) / n**3
-        if self._mode == "triangle":
-            w = self._w
-            if i == j:
-                sq = float(w[i] @ w[:, i])
-                return (3.0 * delta * sq + 3.0 * delta**2 * w[i, i] + delta**3) / n**3
-            sq = float(w[i] @ w[:, j])
-            return (
-                6.0 * delta * sq + 3.0 * delta**2 * (w[i, i] + w[j, j])
-            ) / n**3
-        old = self._w[i, j]
-        self._w[i, j] = self._w[j, i] = old + delta
-        t_new = hom_density(self.subgraph, self._graph)
-        self._w[i, j] = self._w[j, i] = old
-        return t_new - self._t_sub
+    def _update(self, pairs, proposals) -> int:
+        """Metropolis-update each entry (i, j) of ``pairs`` in turn.
 
-    def _apply(
-        self, i: int, j: int, value: float, delta: float, d_edge: float, d_sub: float
-    ):
-        # Assign the proposal itself: value + delta arithmetic would land
-        # one ulp off the proposal and (for discrete priors) off the atom
-        # grid.  Row sums and densities still move by delta, resynced
-        # periodically.
-        self._w[i, j] = value
-        if i != j:
-            self._w[j, i] = value
-            self._rows[j] += delta
-        self._rows[i] += delta
-        self._t_edge += d_edge
-        self._t_sub += d_sub
+        Entry (i, j) (mirrored) is offered the matching value of
+        ``proposals``; one uniform is drawn per step whose ``log_acc`` is
+        negative.  Returns the number of accepted steps.
+        """
+        n2, n3 = self.n**2, self.n**3
+        beta1, beta2 = self.params.beta1, self.params.beta2
+        random, log = self._rng.random, math.log
+        mode, w, wl, rows = self._mode, self._w, self._wl, self._rows
+        t_edge, t_sub = self._t_edge, self._t_sub
+        accepted = 0
+        for (i, j), value in zip(pairs, proposals):
+            wi = wl[i]
+            delta = value - wi[j]
+            diag = i == j
+            d_edge = (delta if diag else 2.0 * delta) / n2
+            if mode == "two-star":
+                if diag:
+                    d_sub = delta * (2.0 * rows[i] + delta) / n3
+                else:
+                    d_sub = 2.0 * delta * (rows[i] + rows[j] + delta) / n3
+            elif mode == "triangle":
+                sq = float(w[i] @ w[:, j])
+                dd = 3.0 * delta**2
+                if diag:
+                    d_sub = (3.0 * delta * sq + dd * wi[i] + delta**3) / n3
+                else:
+                    d_sub = (6.0 * delta * sq + dd * (wi[i] + wl[j][j])) / n3
+            else:
+                w[i, j] = w[j, i] = wi[j] + delta
+                d_sub = hom_density(self.subgraph, self._graph) - t_sub
+                w[i, j] = w[j, i] = wi[j]
+            log_acc = n2 * (beta1 * d_edge + beta2 * d_sub)
+            if log_acc >= 0.0 or log(random()) < log_acc:
+                # Assign the proposal itself: value + delta arithmetic would
+                # land one ulp off the proposal and (for discrete priors) off
+                # the atom grid.  Row sums and densities still move by
+                # delta, resynced periodically.
+                w[i, j] = w[j, i] = wi[j] = wl[j][i] = value
+                rows[i] += delta
+                if not diag:
+                    rows[j] += delta
+                t_edge += d_edge
+                t_sub += d_sub
+                accepted += 1
+        self._t_edge, self._t_sub = t_edge, t_sub
+        self.proposed += len(pairs)
+        self.accepted += accepted
+        return accepted
 
     def step(self, i: int, j: int, proposal: float | None = None) -> bool:
         """One Metropolis update of entry (i, j); returns acceptance."""
         if proposal is None:
-            proposal = float(self.params.dist.draw(self._rng, 1)[0])
-        delta = proposal - float(self._w[i, j])
-        self.proposed += 1
-        d_edge = (delta if i == j else 2.0 * delta) / self.n**2
-        d_sub = self._sub_change(i, j, delta)
-        log_acc = self.n**2 * (
-            self.params.beta1 * d_edge + self.params.beta2 * d_sub
-        )
-        if log_acc >= 0.0 or math.log(self._rng.random()) < log_acc:
-            self._apply(i, j, proposal, delta, d_edge, d_sub)
-            self.accepted += 1
-            return True
-        return False
+            proposal = self.params.dist.draw(self._rng, 1)[0]
+        return self._update(((i, j),), (float(proposal),)) == 1
 
     def sweep(self) -> int:
         """One full sweep over all distinct entries in random order."""
         m = len(self._entries)
         proposals = self.params.dist.draw(self._rng, m)
-        accepted_before = self.accepted
-        for idx, k in enumerate(self._rng.permutation(m)):
-            i, j = self._entries[k]
-            self.step(i, j, float(proposals[idx]))
+        order = self._rng.permutation(m).tolist()
+        accepted = self._update([self._entries[k] for k in order], proposals)
         self.sweeps_done += 1
         if self.sweeps_done % RESYNC_INTERVAL == 0:
             self._resync()
-        return self.accepted - accepted_before
+        return accepted
 
     def _resync(self):
-        self._rows = self._w.sum(axis=1)
+        self._rows = self._w.sum(axis=1).tolist()
         t_edge = float(self._w.sum()) / self.n**2
         t_sub = self._t_sub_scratch()
         drift = max(abs(t_edge - self._t_edge), abs(t_sub - self._t_sub))
@@ -396,21 +396,12 @@ def run_sampler(
     """
     import numpy as np
 
-    if not float(sweeps).is_integer() or int(sweeps) < 1:
-        raise InputValidationError(
-            f"sweeps must be a positive integer, got {sweeps!r}",
-            module=_MODULE,
-            operation="run_sampler",
-            offending_parameter="sweeps",
-        )
-    if not float(burn_in).is_integer() or int(burn_in) < 0:
-        raise InputValidationError(
-            f"burn_in must be a nonnegative integer, got {burn_in!r}",
-            module=_MODULE,
-            operation="run_sampler",
-            offending_parameter="burn_in",
-        )
-    sweeps, burn_in = int(sweeps), int(burn_in)
+    sweeps = check_integer(
+        sweeps, 1, name="sweeps", module=_MODULE, operation="run_sampler"
+    )
+    burn_in = check_integer(
+        burn_in, 0, name="burn_in", module=_MODULE, operation="run_sampler"
+    )
     check_seed(seed, module=_MODULE, operation="run_sampler")
 
     chain = MetropolisChain(params, n, seed, subgraph)
@@ -504,7 +495,7 @@ def enumerate_gibbs(
             operation="enumerate_gibbs",
             offending_parameter="params",
         )
-    n = _check_n(n, "enumerate_gibbs")
+    n = check_integer(n, 2, name="n", module=_MODULE, operation="enumerate_gibbs")
     entries = [(i, j) for i in range(n) for j in range(i, n)]
     values = [v for v, _ in params.dist.atoms]
     log_q = {v: math.log(q) for v, q in params.dist.atoms}

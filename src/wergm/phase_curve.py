@@ -35,7 +35,12 @@ import math
 from dataclasses import dataclass
 
 from . import cramer, critical, variational
-from .errors import InputValidationError, NoTwoPhaseRegionError, ThetaCapError
+from .errors import (
+    InputValidationError,
+    NoTwoPhaseRegionError,
+    ThetaCapError,
+    check_integer,
+)
 from .variational import ROOT_TOL, THETA_WINDOW
 
 _MODULE = "phase_curve"
@@ -257,14 +262,9 @@ def trace_curve(
     at the corner itself the tie becomes a degenerate double root, and
     the corner's coordinates are known exactly from ``find_theta0``.
     """
-    if not float(steps).is_integer() or int(steps) < 2:
-        raise InputValidationError(
-            f"steps must be an integer >= 2, got {steps!r}",
-            module=_MODULE,
-            operation="trace_curve",
-            offending_parameter="steps",
-        )
-    steps = int(steps)
+    steps = check_integer(
+        steps, 2, name="steps", module=_MODULE, operation="trace_curve"
+    )
     data = critical.find_theta0(p)
     if beta1_hi > data.beta1_c:
         raise InputValidationError(

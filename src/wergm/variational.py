@@ -42,6 +42,7 @@ from .errors import (
     GradientUndefinedError,
     InputValidationError,
     ThetaCapError,
+    check_integer,
 )
 
 _MODULE = "variational"
@@ -112,14 +113,8 @@ class ModelParams:
                 operation="ModelParams",
                 offending_parameter="beta2",
             )
-        if not float(self.p).is_integer() or int(self.p) < 2:
-            raise InputValidationError(
-                f"p must be an integer >= 2, got {self.p!r}",
-                module=_MODULE,
-                operation="ModelParams",
-                offending_parameter="p",
-            )
-        object.__setattr__(self, "p", int(self.p))
+        p = check_integer(self.p, 2, name="p", module=_MODULE, operation="ModelParams")
+        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True)

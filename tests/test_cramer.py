@@ -303,3 +303,21 @@ class TestAtomLawDraw:
                 expected = ref.choice(values, size, p=probs).tolist()
                 assert list(law.draw(ours, size)) == expected
                 assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            cramer.UNIFORM01,
+            BERNOULLI_HALF,
+            THREE_ATOMS,
+            cramer.AtomLaw(((0, 0.5), (1, 0.5))),
+        ],
+        ids=["uniform", "coin", "three-atoms", "integer-atoms"],
+    )
+    def test_draws_are_python_floats(self, law):
+        # The Metropolis chain stores accepted draws in its Python-list
+        # state, whose entries `state_key` returns; an atom law built from
+        # integer values must still draw floats.
+        draws = law.draw(np.random.default_rng(3), 5)
+        assert type(draws) is list
+        assert all(type(x) is float for x in draws)

@@ -134,6 +134,24 @@ class TestMonteCarlo:
             assert np.count_nonzero(np.abs(z) > 2.0) <= 20, point
             assert 0.8 <= z.std(ddof=1) <= 1.25, point
 
+    @pytest.mark.parametrize("beta2", [0.5 - 0.5e-8, BETA2_MAX], ids=["1e-8", "max"])
+    def test_calibrated_next_to_divergence(self, beta2):
+        # Here a Laplace draw sits near m = n / (1 - 2*beta2) >= 1e9, and
+        # log-weights written about y = 0 cancel terms of order 1e16: at
+        # 1 - 2*beta2 = 1e-8 that gave z = +15.5 at seed 12345 and |z| > 2
+        # at every one of the 200 seeds below.
+        params = GaussianModelParams(1.0, beta2)
+        exact = psi_n_exact(params, 10)
+        estimate, std_error = psi_n_monte_carlo(params, 10, 100_000, seed=12345)
+        assert abs(estimate - exact) <= 2.0 * std_error
+        z = []
+        for seed in range(200):
+            estimate, std_error = psi_n_monte_carlo(params, 10, 2_000, seed=seed)
+            z.append((estimate - exact) / std_error)
+        z = np.array(z)
+        assert np.count_nonzero(np.abs(z) > 2.0) <= 20
+        assert 0.8 <= z.std(ddof=1) <= 1.25
+
     def test_zero_parameters_exact(self):
         estimate, std_error = psi_n_monte_carlo(
             GaussianModelParams(0.0, 0.0), 5, 1000, seed=0

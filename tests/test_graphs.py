@@ -5,6 +5,7 @@ matrices where densities are powers of the constant, the exact enumerated
 Gibbs law on tiny graphs, and the law of large numbers under the prior.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -30,6 +31,55 @@ from wergm.variational import ModelParams, PhaseClass
 
 THREE_ATOMS = finite_support([(0.2, 1 / 3), (0.5, 1 / 3), (0.8, 1 / 3)])
 FREE = ModelParams(0.0, 0.0, 2)
+TWO_MATCHING = SubgraphSpec(4, ((1, 2), (3, 4)), "2-matching")
+
+#: Exact outputs of seeded chains, one per update path: (params, n, sweeps,
+#: burn_in, seed, subgraph) and then t_edge and t_sub at recorded sweeps 0,
+#: sweeps // 2 and sweeps - 1, the acceptance rate, the largest resync
+#: drift, the final w[0, n-1] and w[n-1, n-1], and the first 16 hex digits
+#: of the SHA-256 of the final matrix's bytes.  The two-star run crosses a
+#: resync at sweep 100.  Any change to the update arithmetic or to the use
+#: of the RNG stream moves these.
+PINNED_CHAINS = [
+    pytest.param(
+        (ModelParams(-1.0, 2.0, 2), 12, 130, 5, 2024, None),
+        [0.7896352842371683, 0.7463699357701726, 0.7168494516252445],
+        [0.6253632641760088, 0.5614065094534701, 0.5170545703890684],
+        0.5146942800788955, 4.6629367034256575e-15,
+        (0.07836647149955678, 0.8123319915743413), "defbb0ff8b51e2a6",
+        id="two-star-uniform",
+    ),
+    pytest.param(
+        (ModelParams(-0.5, 0.8, 3), 10, 40, 5, 31, None),
+        [0.5516246012258749, 0.5342590329217742, 0.4516901175214908],
+        [0.18242376040824726, 0.16268716553608115, 0.1092641818719301],
+        0.9340909090909091, 0.0,
+        (0.03856519736384734, 0.24707508714375825), "2efd68d1bce03461",
+        id="triangle-uniform",
+    ),
+    pytest.param(
+        (ModelParams(0.4, 0.4, 2, THREE_ATOMS), 10, 40, 5, 7, None),
+        [0.56, 0.6110000000000001, 0.6110000000000001],
+        [0.31666000000000005, 0.3758500000000004, 0.37909000000000054],
+        0.77, 0.0, (0.5, 0.8), "39fa9dfa9a3831dc",
+        id="two-star-three-atoms",
+    ),
+    pytest.param(
+        (ModelParams(-1.0, 1.5, 2, BERNOULLI_HALF), 10, 40, 5, 8, None),
+        [0.9400000000000004, 0.9300000000000004, 0.9600000000000004],
+        [0.8880000000000006, 0.8730000000000006, 0.9260000000000006],
+        0.5718181818181818, 0.0, (1.0, 1.0), "cf5221cab481333b",
+        id="two-star-coin",
+    ),
+    pytest.param(
+        (ModelParams(-1.0, 2.0, 2), 6, 12, 3, 5, TWO_MATCHING),
+        [0.6663020236561532, 0.7421268805407597, 0.7430734886926258],
+        [0.44395838672828525, 0.5507523068211604, 0.5521582095978311],
+        0.5436507936507936, 0.0,
+        (0.668823427535272, 0.92968430393), "2a49fbd89d83dcac",
+        id="generic-2-matching",
+    ),
+]
 
 
 def hom_density_all_maps(subgraph: SubgraphSpec, graph: WeightedGraph) -> float:
@@ -181,6 +231,56 @@ class TestMetropolisChain:
         assert abs(chain.t_sub - hom_density(two_matching, graph)) <= 1e-12
         # Disjoint edges: the 2-matching density is the edge density squared.
         assert abs(chain.t_sub - chain.t_edge**2) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "run, t_edge, t_sub, acceptance, drift, corners, digest", PINNED_CHAINS
+    )
+    def test_pinned_chain(
+        self, run, t_edge, t_sub, acceptance, drift, corners, digest
+    ):
+        params, n, sweeps, burn_in, seed, subgraph = run
+        stats = run_sampler(params, n, sweeps, burn_in, seed, subgraph)
+        picks = (0, sweeps // 2, sweeps - 1)
+        assert [float(stats.t_edge_series[k]) for k in picks] == t_edge
+        assert [float(stats.t_sub_series[k]) for k in picks] == t_sub
+        assert stats.acceptance_rate == acceptance
+        assert stats.max_resync_drift == drift
+        # A chain with the same arguments retraces run_sampler's chain.
+        chain = MetropolisChain(params, n, seed, subgraph)
+        for _ in range(burn_in + sweeps):
+            chain.sweep()
+        assert chain.t_edge == stats.t_edge_series[-1]
+        assert chain.t_sub == stats.t_sub_series[-1]
+        w = chain.weights
+        assert (w[0, n - 1], w[n - 1, n - 1]) == corners
+        assert hashlib.sha256(w.tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
+        "params, subgraph",
+        [
+            (ModelParams(-1.0, 2.0, 2), None),
+            (ModelParams(-0.5, 0.8, 3), None),
+            (ModelParams(-1.0, 2.0, 2), TWO_MATCHING),
+        ],
+        ids=["two-star", "triangle", "generic-2-matching"],
+    )
+    def test_sweep_equals_hand_driven_steps(self, params, subgraph):
+        # A sweep draws every proposal, then the visiting order, then runs
+        # the single-entry update in that order: exactly what `step` does.
+        a = MetropolisChain(params, 7, seed=17, subgraph=subgraph)
+        b = MetropolisChain(params, 7, seed=17, subgraph=subgraph)
+        entries = [(i, j) for i in range(7) for j in range(i, 7)]
+        m = len(entries)
+        for _ in range(3):
+            a.sweep()
+            proposals = params.dist.draw(b._rng, m)
+            order = b._rng.permutation(m)
+            for idx, k in enumerate(order):
+                b.step(*entries[k], proposals[idx])
+            assert np.array_equal(a.weights, b.weights)
+            assert (a.t_edge, a.t_sub) == (b.t_edge, b.t_sub)
+            assert (a.accepted, a.proposed) == (b.accepted, b.proposed)
+        assert 0 < a.accepted < a.proposed
 
     def test_free_chain_acceptance_is_total(self):
         # With beta1 = beta2 = 0 every proposal is accepted.
