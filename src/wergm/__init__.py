@@ -8,7 +8,7 @@ term and one ``p``-times-repeated edge ("p-fold") term:
 - ``variational``: the limiting normalization constant as a scalar
   maximization problem, with maximizer classification;
 - ``critical``: the corner point where the first-order transition curve
-  begins, located from two dual one-dimensional optimizations;
+  begins, located as one root of ``kappa3 B + (p-2) A**2`` in the tilt;
 - ``phase_curve``: the transition curve itself — bounding region, the tie
   line ``r(beta1)``, and the jump profile across it;
 - ``graphs``: finite-size Metropolis sampling and exact enumeration to

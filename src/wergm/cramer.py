@@ -81,6 +81,8 @@ _B_SERIES = tuple(2.0 * (k + 1) * c for k, c in enumerate(_LOGM_SERIES))
 _A_SERIES = tuple(
     2.0 * (k + 1) * (2.0 * (k + 1) - 1.0) * c for k, c in enumerate(_LOGM_SERIES)
 )
+# The derivative of the _A_SERIES sum, divided by theta.
+_K3_SERIES = tuple(2.0 * k * c for k, c in enumerate(_A_SERIES) if k)
 
 _LOG2 = math.log(2.0)
 
@@ -163,6 +165,21 @@ class UniformLaw(EdgeDistribution):
         if not math.isfinite(sinh_sq):
             return 1.0 / (theta * theta)
         return 1.0 / (theta * theta) - 0.25 / sinh_sq
+
+    def skew(self, theta: float) -> float:
+        """Third cumulant of the tilted law, the derivative of ``var``.
+
+        The closed form's last term is ``cosh / (4 sinh**3)`` of theta/2,
+        written with ``tanh * sinh**2`` so it stays finite up to THETA_MAX.
+        """
+        if abs(theta) < SERIES_RADIUS:
+            return theta * _horner_even(_K3_SERIES, theta * theta)
+        if theta < 0.0:
+            return -self.skew(-theta)
+        half = 0.5 * theta
+        return -2.0 / (theta * theta * theta) + 0.25 / (
+            math.tanh(half) * math.sinh(half) ** 2
+        )
 
     def draw(self, rng: np.random.Generator, size: int) -> list[float]:
         return rng.random(size).tolist()

@@ -12,7 +12,14 @@ built from the tilted mean ``B = log_mgf_d1``, the tilted variance
 ``m`` and ``n`` are reciprocal along the duality u = B(theta), and ``f``
 composed with B equals ``g``.  The critical corner of the phase diagram
 sits at the tilt ``theta0`` maximizing ``n`` over theta >= 0 (equivalently
-minimizing ``g``); its coordinates are
+minimizing ``g``).  With ``kappa3`` the third derivative of ``log M``,
+
+    n'(theta) = 2 p (p-1) B**(p-3) * phi(theta)
+    g'(theta) = -phi(theta) / (2 (p-1) A**2)
+    phi       = kappa3 * B + (p-2) * A**2
+
+so ``theta0`` is one root of ``kappa3 B + (p-2) A**2``, where it falls
+through zero.  The corner's coordinates are
 
     beta2_c = m(u0) = 1 / n(theta0),   beta1_c = -f(u0) = -g(theta0)
 
@@ -24,26 +31,25 @@ evaluate for any law (uniform by default).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import cramer
-from .errors import GradientUndefinedError, NonUnimodalError, check_integer
+from .errors import (
+    GradientUndefinedError,
+    NonUnimodalError,
+    ThetaCapError,
+    check_integer,
+)
 
 _MODULE = "critical"
 
-#: Scan interval and resolution used to bracket the n-profile maximum.
+#: Scan interval and resolution used to bracket the critical tilt.
 SCAN_UPPER = 60.0
 SCAN_POINTS = 512
 
-#: Absolute theta tolerance of the golden-section refinement.
-REFINE_TOL = 1e-10
-
-#: Maximum allowed disagreement between the n-max and g-min locations.
-CROSS_CHECK_TOL = 1e-6
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Absolute theta tolerance of the bisection that refines it.
+REFINE_TOL = 1e-14
 
 
 def n_of_theta(p: int, theta: float) -> float:
@@ -94,68 +100,11 @@ def g_of_theta(p: int, theta: float) -> float:
     return b / (2.0 * (p - 1) * a) - 0.5 * theta
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float) -> float:
-    """Location of the maximum of a unimodal ``fn`` on [lo, hi].
-
-    Comparison-based search cannot localize a flat peak better than about
-    sqrt(eps) in relative terms, so when the bracket starts at lo = 0 and
-    the boundary value ties the refined interior value to within float
-    noise, the boundary wins: profiles that are even in the tilt peak at
-    exactly zero, and the tie is that symmetry seen through float64.
-    """
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-    best = 0.5 * (a + b)
-    if lo == 0.0:
-        f_best = fn(best)
-        if fn(0.0) >= f_best - 1e-13 * max(1.0, abs(f_best)):
-            return 0.0
-    return best
-
-
-def _scan_peak(values: list[float], operation: str, label: str) -> int:
-    """Index of the peak of a scan that must be unimodal (up, then down)."""
-    k = max(range(len(values)), key=values.__getitem__)
-    noise = 1e-12
-    for i in range(1, len(values)):
-        tol = noise * max(1.0, abs(values[i - 1]))
-        rising = values[i] >= values[i - 1] - tol
-        falling = values[i] <= values[i - 1] + tol
-        if i <= k and not rising:
-            break
-        if i > k and not falling:
-            break
-    else:
-        return k
-    raise NonUnimodalError(
-        f"{label} scan is not unimodal near index {i}; "
-        "cannot bracket a unique critical tilt",
-        module=_MODULE,
-        operation=operation,
-        offending_parameter="p",
-    )
-
-
-def _refine_peak(fn, label: str) -> float:
-    """Scan-validate unimodality of ``fn`` on [0, SCAN_UPPER], then refine."""
-    step = SCAN_UPPER / (SCAN_POINTS - 1)
-    thetas = [i * step for i in range(SCAN_POINTS)]
-    values = [fn(t) for t in thetas]
-    k = _scan_peak(values, "find_theta0", label)
-    lo = thetas[k - 1] if k > 0 else thetas[0]
-    hi = thetas[k + 1] if k + 1 < SCAN_POINTS else thetas[-1]
-    return _golden_section_max(fn, lo, hi, REFINE_TOL)
+def _phi(p: int, theta: float) -> float:
+    """``kappa3 * B + (p-2) * A**2``, which has the sign of ``n'`` and of ``-g'``."""
+    a = cramer.log_mgf_d2(cramer.UNIFORM01, theta)
+    b = cramer.log_mgf_d1(cramer.UNIFORM01, theta)
+    return cramer.UNIFORM01.skew(theta) * b + (p - 2) * a * a
 
 
 @dataclass(frozen=True)
@@ -177,25 +126,45 @@ class CriticalData:
 def find_theta0(p: int) -> CriticalData:
     """Critical tilt and corner coordinates for the uniform(0, 1) law.
 
-    theta0 maximizes ``n_of_theta`` over [0, SCAN_UPPER]: a 512-point scan
-    establishes unimodality and a bracket, golden-section search refines
-    the peak, and the minimum of ``g_of_theta`` (located the same way)
-    must agree within CROSS_CHECK_TOL — the two characterize the same
-    critical tilt through dual formulas, so disagreement signals a
-    numerically untrustworthy profile.
+    theta0 is the one root of ``kappa3 * B + (p-2) * A**2`` on [0,
+    SCAN_UPPER]: where it falls from >= 0 to < 0, ``n`` peaks and ``g``
+    bottoms out.  A SCAN_POINTS scan must see exactly one sign change,
+    which bisection refines to REFINE_TOL.  At p = 2 the function is
+    exactly 0 at theta = 0, which is then the root.  Raises
+    ``ThetaCapError`` when the function is still >= 0 at SCAN_UPPER (the
+    root is near p/2 for large p, so from p = 120 on) and
+    ``NonUnimodalError`` when the scan changes sign more than once.
     """
     p = check_integer(p, 2, name="p", module=_MODULE, operation="find_theta0")
-    theta_n = _refine_peak(lambda t: n_of_theta(p, t), "n profile")
-    theta_g = _refine_peak(lambda t: -g_of_theta(p, t), "g profile")
-    if abs(theta_n - theta_g) > CROSS_CHECK_TOL:
+    step = SCAN_UPPER / (SCAN_POINTS - 1)
+    thetas = [i * step for i in range(SCAN_POINTS)]
+    values = [_phi(p, t) for t in thetas]
+    changes = [
+        i for i in range(1, SCAN_POINTS) if (values[i] >= 0.0) != (values[i - 1] >= 0.0)
+    ]
+    # values[0] = (p-2) * A(0)**2 >= 0, so a lone sign change is a fall.
+    if len(changes) > 1:
         raise NonUnimodalError(
-            f"dual locations of the critical tilt disagree: "
-            f"n-max at {theta_n:.3e}, g-min at {theta_g:.3e}",
+            f"the curvature profile changes direction {len(changes)} times on "
+            f"[0, {SCAN_UPPER:g}]; cannot bracket a unique critical tilt",
             module=_MODULE,
             operation="find_theta0",
             offending_parameter="p",
         )
-    theta0 = theta_n
+    if not changes:
+        raise ThetaCapError(
+            f"the critical tilt for p = {p} lies beyond the scan edge {SCAN_UPPER:g}",
+            module=_MODULE,
+            operation="find_theta0",
+            offending_parameter="p",
+        )
+    k = changes[0]
+    if values[k - 1] == 0.0:
+        theta0 = thetas[k - 1]
+    else:
+        theta0 = cramer.bisect(
+            lambda t: _phi(p, t), thetas[k - 1], thetas[k], values[k - 1], REFINE_TOL
+        )
     u0 = cramer.log_mgf_d1(cramer.UNIFORM01, theta0)
     f0 = f_of_u(p, u0)
     m0 = m_of_u(p, u0)

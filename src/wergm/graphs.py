@@ -40,6 +40,13 @@ _MODULE = "graphs"
 RESYNC_INTERVAL = 100
 
 
+def _require(ok: bool, message: str, operation: str, parameter: str) -> None:
+    if not ok:
+        raise InputValidationError(
+            message, module=_MODULE, operation=operation, offending_parameter=parameter
+        )
+
+
 @dataclass(frozen=True)
 class SubgraphSpec:
     """A finite simple graph on vertices 1..k, given by its edge list."""
@@ -49,39 +56,24 @@ class SubgraphSpec:
     name: str
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InputValidationError(
-                f"vertex count must be >= 1, got {self.k}",
-                module=_MODULE,
-                operation="SubgraphSpec",
-                offending_parameter="k",
-            )
+        _require(
+            self.k >= 1, f"vertex count must be >= 1, got {self.k}", "SubgraphSpec", "k"
+        )
         seen = set()
         normalized = []
         for pair in self.edges:
             i, j = pair
-            if i == j:
-                raise InputValidationError(
-                    f"self-loop {pair} is not allowed",
-                    module=_MODULE,
-                    operation="SubgraphSpec",
-                    offending_parameter="edges",
-                )
-            if not (1 <= i <= self.k and 1 <= j <= self.k):
-                raise InputValidationError(
-                    f"edge {pair} uses vertices outside 1..{self.k}",
-                    module=_MODULE,
-                    operation="SubgraphSpec",
-                    offending_parameter="edges",
-                )
+            _require(
+                i != j, f"self-loop {pair} is not allowed", "SubgraphSpec", "edges"
+            )
+            _require(
+                1 <= i <= self.k and 1 <= j <= self.k,
+                f"edge {pair} uses vertices outside 1..{self.k}",
+                "SubgraphSpec",
+                "edges",
+            )
             key = (min(i, j), max(i, j))
-            if key in seen:
-                raise InputValidationError(
-                    f"duplicate edge {pair}",
-                    module=_MODULE,
-                    operation="SubgraphSpec",
-                    offending_parameter="edges",
-                )
+            _require(key not in seen, f"duplicate edge {pair}", "SubgraphSpec", "edges")
             seen.add(key)
             normalized.append(key)
         object.__setattr__(self, "edges", tuple(normalized))
@@ -96,6 +88,18 @@ TWO_STAR = SubgraphSpec(3, ((1, 2), (1, 3)), "two-star")
 TRIANGLE = SubgraphSpec(3, ((1, 2), (1, 3), (2, 3)), "triangle")
 
 
+def _default_subgraph(p: int, operation: str) -> SubgraphSpec:
+    """The built-in p-edge subgraph: the two-star at p = 2, the triangle at 3."""
+    subgraph = {2: TWO_STAR, 3: TRIANGLE}.get(p)
+    _require(
+        subgraph is not None,
+        f"no built-in {p}-edge subgraph; pass one explicitly",
+        operation,
+        "subgraph",
+    )
+    return subgraph
+
+
 @dataclass
 class WeightedGraph:
     """Symmetric weight matrix on ``n`` vertices, diagonal included."""
@@ -107,27 +111,24 @@ class WeightedGraph:
         import numpy as np
 
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.n < 2:
-            raise InputValidationError(
-                f"need at least 2 vertices, got n = {self.n}",
-                module=_MODULE,
-                operation="WeightedGraph",
-                offending_parameter="n",
-            )
-        if self.weights.shape != (self.n, self.n):
-            raise InputValidationError(
-                f"weights must be {self.n}x{self.n}, got {self.weights.shape}",
-                module=_MODULE,
-                operation="WeightedGraph",
-                offending_parameter="weights",
-            )
-        if not np.array_equal(self.weights, self.weights.T):
-            raise InputValidationError(
-                "weights matrix must be symmetric",
-                module=_MODULE,
-                operation="WeightedGraph",
-                offending_parameter="weights",
-            )
+        _require(
+            self.n >= 2,
+            f"need at least 2 vertices, got n = {self.n}",
+            "WeightedGraph",
+            "n",
+        )
+        _require(
+            self.weights.shape == (self.n, self.n),
+            f"weights must be {self.n}x{self.n}, got {self.weights.shape}",
+            "WeightedGraph",
+            "weights",
+        )
+        _require(
+            np.array_equal(self.weights, self.weights.T),
+            "weights matrix must be symmetric",
+            "WeightedGraph",
+            "weights",
+        )
 
 
 def hom_density(subgraph: SubgraphSpec, graph: WeightedGraph) -> float:
@@ -224,23 +225,14 @@ class MetropolisChain:
         n = check_integer(n, 2, name="n", module=_MODULE, operation="MetropolisChain")
         check_seed(seed, module=_MODULE, operation="MetropolisChain")
         if subgraph is None:
-            defaults = {2: TWO_STAR, 3: TRIANGLE}
-            if params.p not in defaults:
-                raise InputValidationError(
-                    f"no built-in {params.p}-edge subgraph; pass one explicitly",
-                    module=_MODULE,
-                    operation="MetropolisChain",
-                    offending_parameter="subgraph",
-                )
-            subgraph = defaults[params.p]
-        if subgraph.edge_count != params.p:
-            raise InputValidationError(
-                f"subgraph {subgraph.name!r} has {subgraph.edge_count} edges, "
-                f"but the model has p = {params.p}",
-                module=_MODULE,
-                operation="MetropolisChain",
-                offending_parameter="subgraph",
-            )
+            subgraph = _default_subgraph(params.p, "MetropolisChain")
+        _require(
+            subgraph.edge_count == params.p,
+            f"subgraph {subgraph.name!r} has {subgraph.edge_count} edges, "
+            f"but the model has p = {params.p}",
+            "MetropolisChain",
+            "subgraph",
+        )
 
         self.params = params
         self.n = n
@@ -488,26 +480,18 @@ def enumerate_gibbs(
     """
     import numpy as np
 
-    if not params.dist.atoms:
-        raise InputValidationError(
-            "exact enumeration needs a finite-support edge law",
-            module=_MODULE,
-            operation="enumerate_gibbs",
-            offending_parameter="params",
-        )
+    _require(
+        bool(params.dist.atoms),
+        "exact enumeration needs a finite-support edge law",
+        "enumerate_gibbs",
+        "params",
+    )
     n = check_integer(n, 2, name="n", module=_MODULE, operation="enumerate_gibbs")
     entries = [(i, j) for i in range(n) for j in range(i, n)]
     values = [v for v, _ in params.dist.atoms]
     log_q = {v: math.log(q) for v, q in params.dist.atoms}
     if subgraph is None:
-        subgraph = {2: TWO_STAR, 3: TRIANGLE}.get(params.p)
-        if subgraph is None:
-            raise InputValidationError(
-                f"no built-in {params.p}-edge subgraph; pass one explicitly",
-                module=_MODULE,
-                operation="enumerate_gibbs",
-                offending_parameter="subgraph",
-            )
+        subgraph = _default_subgraph(params.p, "enumerate_gibbs")
 
     states = []
     log_weights = []

@@ -107,7 +107,12 @@ def _mean(theta: float) -> float:
 
 def _h(p: int, beta1: float, theta: float) -> float:
     """The ``beta2`` at which ``u = B(theta)`` is a stationary point."""
-    return (0.5 * theta - beta1) / (p * _mean(theta) ** (p - 1))
+    rise = 0.5 * theta - beta1
+    denom = p * _mean(theta) ** (p - 1)
+    if denom == 0.0:
+        # B**(p-1) underflows far left for large p; h tends to +-inf there.
+        return math.copysign(math.inf, rise)
+    return rise / denom
 
 
 def _turning_tilts(

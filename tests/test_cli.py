@@ -135,6 +135,15 @@ class TestCriticalTableCommand:
         assert code == 1
         assert json.loads(err)["offending_parameter"] == "p"
 
+    def test_root_beyond_scan_edge(self, capsys):
+        code, out, err = run_cli(capsys, "critical-table", "--p", "150")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["module"] == "critical"
+        assert record["operation"] == "find_theta0"
+        assert record["offending_parameter"] == "p"
+
 
 class TestPhaseCurveCommand:
     def test_straight_line_rows(self, capsys):

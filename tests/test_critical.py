@@ -3,9 +3,11 @@
 The strongest oracle is exactness at p = 2: the curvature profile is even
 in the tilt, so theta0 = 0, u0 = 1/2, and the corner is (-3, 3) in closed
 form.  For general p the dual identities m(B(theta)) * n(theta) = 1 and
-f(B(theta)) = g(theta) must hold pointwise, the two independent
-optimizations must land on the same spot, and the four-decimal reference
-values are checked at 5e-4.
+f(B(theta)) = g(theta) must hold pointwise, the one root of
+``kappa3 * B + (p-2) * A**2`` must sit where n peaks and g bottoms out on a
+grid, and the four-decimal reference values are checked at 5e-4.  The
+root is checked to 1e-11 against 50-digit mpmath values, and the corner
+up to p = 119 (theta0 near p/2, just inside the scan edge 60).
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from wergm.critical import (
     n_of_theta,
 )
 from wergm.cramer import UNIFORM01, log_mgf_d1
-from wergm.errors import InputValidationError
+from wergm.errors import InputValidationError, ThetaCapError
 
 # Four-decimal reference values: p -> (theta0, n(theta0), u0, m(u0), g(theta0)).
 REFERENCE = {
@@ -28,6 +30,23 @@ REFERENCE = {
     3: (1.3251, 0.5575, 0.6073, 1.7937, 1.3222),
     5: (2.9869, 0.8324, 0.7183, 1.2014, 0.1059),
     10: (5.6256, 1.0894, 0.8259, 0.9180, -1.1723),
+}
+
+# 50-digit mpmath roots: p -> (theta0, u0).
+MPMATH_ROOTS = {
+    3: (1.3251039247294337, 0.60732315407479402),
+    4: (2.2525074860628187, 0.67353764067116137),
+    5: (2.9869343576681699, 0.71832995469162378),
+    7: (4.1685955793167362, 0.77582823814537187),
+    10: (5.6256328702686598, 0.82585954100561651),
+}
+
+# 50-digit mpmath corners at large p: p -> (theta0, beta1_c, beta2_c).
+MPMATH_LARGE_P = {
+    49: (24.500003310048185, 6.2526040840946031, 0.90465148307426901),
+    55: (27.500000268410843, 7.0023148089895264, 0.90673503663157301),
+    100: (50.000000000000001, 12.626262626262626, 0.91436459309862432),
+    119: (59.5, 15.001059322033898, 0.9158484731450701),
 }
 
 
@@ -104,6 +123,29 @@ class TestFindTheta0:
         g_values = [g_of_theta(p, float(t)) for t in grid]
         assert abs(grid[int(np.argmax(n_values))] - data.theta0) <= 6e-3
         assert abs(grid[int(np.argmin(g_values))] - data.theta0) <= 6e-3
+
+    @pytest.mark.parametrize("p", sorted(MPMATH_ROOTS))
+    def test_root_matches_mpmath(self, p):
+        theta0, u0 = MPMATH_ROOTS[p]
+        data = find_theta0(p)
+        assert abs(data.theta0 - theta0) <= 1e-11
+        assert abs(data.u0 - u0) <= 1e-11
+
+    @pytest.mark.parametrize("p", sorted(MPMATH_LARGE_P))
+    def test_large_p_corner_matches_mpmath(self, p):
+        data = find_theta0(p)
+        np.testing.assert_allclose(
+            (data.theta0, data.beta1_c, data.beta2_c), MPMATH_LARGE_P[p], rtol=1e-9
+        )
+
+    def test_root_beyond_scan_edge_is_a_typed_error(self):
+        # theta0 is about p/2, past SCAN_UPPER = 60 here.
+        with pytest.raises(ThetaCapError) as excinfo:
+            find_theta0(150)
+        record = excinfo.value.record()
+        assert record["module"] == "critical"
+        assert record["operation"] == "find_theta0"
+        assert record["offending_parameter"] == "p"
 
     def test_u0_increases_with_p(self):
         u0s = [find_theta0(p).u0 for p in (2, 3, 4, 5, 7, 10)]

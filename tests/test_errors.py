@@ -1,8 +1,9 @@
-"""Tests for the shared argument checks in ``wergm.errors``.
+"""Tests for the shared argument checks and the records they raise.
 
-Every integer count or order in the package goes through ``check_integer``;
-each call site keeps its own module, operation, parameter and message, so
-the error records a caller sees are pinned here site by site.
+Every integer count or order in the package goes through ``check_integer``,
+and the ``graphs`` input checks through one local helper; each call site
+keeps its own module, operation, parameter and message, so the error
+records a caller sees are pinned here site by site.
 """
 
 import pytest
@@ -11,7 +12,15 @@ from wergm import critical
 from wergm.cramer import BERNOULLI_HALF, UNIFORM01
 from wergm.errors import InputValidationError, check_integer
 from wergm.gaussian_directed import GaussianModelParams, psi_n_exact, psi_n_monte_carlo
-from wergm.graphs import MetropolisChain, enumerate_gibbs, run_sampler, sample_prior
+from wergm.graphs import (
+    TRIANGLE,
+    MetropolisChain,
+    SubgraphSpec,
+    WeightedGraph,
+    enumerate_gibbs,
+    run_sampler,
+    sample_prior,
+)
 from wergm.phase_curve import trace_curve
 from wergm.variational import ModelParams
 
@@ -50,6 +59,46 @@ INTEGER_SITES = [
      "phase_curve", "trace_curve", "steps", "steps must be an integer >= 2, got nan"),
 ]
 
+GRAPHS_SITES = [
+    (lambda: SubgraphSpec(0, (), "empty"),
+     "graphs", "SubgraphSpec", "k", "vertex count must be >= 1, got 0"),
+    (lambda: SubgraphSpec(2, ((1, 1),), "loop"),
+     "graphs", "SubgraphSpec", "edges", "self-loop (1, 1) is not allowed"),
+    (lambda: SubgraphSpec(2, ((1, 3),), "outside"),
+     "graphs", "SubgraphSpec", "edges", "edge (1, 3) uses vertices outside 1..2"),
+    (lambda: SubgraphSpec(2, ((1, 2), (2, 1)), "twice"),
+     "graphs", "SubgraphSpec", "edges", "duplicate edge (2, 1)"),
+    (lambda: WeightedGraph(1, [[0.5]]),
+     "graphs", "WeightedGraph", "n", "need at least 2 vertices, got n = 1"),
+    (lambda: WeightedGraph(2, [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]),
+     "graphs", "WeightedGraph", "weights", "weights must be 2x2, got (2, 3)"),
+    (lambda: WeightedGraph(2, [[0.5, 0.1], [0.2, 0.5]]),
+     "graphs", "WeightedGraph", "weights", "weights matrix must be symmetric"),
+    (lambda: MetropolisChain(ModelParams(0.0, 0.0, 4), 3, 0),
+     "graphs", "MetropolisChain", "subgraph",
+     "no built-in 4-edge subgraph; pass one explicitly"),
+    (lambda: MetropolisChain(FREE, 3, 0, TRIANGLE),
+     "graphs", "MetropolisChain", "subgraph",
+     "subgraph 'triangle' has 3 edges, but the model has p = 2"),
+    (lambda: enumerate_gibbs(ModelParams(0.0, 0.0, 4, BERNOULLI_HALF), 2),
+     "graphs", "enumerate_gibbs", "subgraph",
+     "no built-in 4-edge subgraph; pass one explicitly"),
+    (lambda: enumerate_gibbs(FREE, 2),
+     "graphs", "enumerate_gibbs", "params",
+     "exact enumeration needs a finite-support edge law"),
+]
+
+
+def _assert_record(call, module, operation, parameter, message):
+    with pytest.raises(InputValidationError) as excinfo:
+        call()
+    assert excinfo.value.record() == {
+        "module": module,
+        "operation": operation,
+        "message": message,
+        "offending_parameter": parameter,
+    }
+
 
 class TestCheckInteger:
     @pytest.mark.parametrize(
@@ -60,16 +109,21 @@ class TestCheckInteger:
     def test_call_sites_keep_their_records(
         self, call, module, operation, parameter, message
     ):
-        with pytest.raises(InputValidationError) as excinfo:
-            call()
-        assert excinfo.value.record() == {
-            "module": module,
-            "operation": operation,
-            "message": message,
-            "offending_parameter": parameter,
-        }
+        _assert_record(call, module, operation, parameter, message)
 
     def test_integral_values_pass_as_int(self):
         for value in (3, 3.0):
             result = check_integer(value, 2, name="p", module="m", operation="o")
             assert result == 3 and type(result) is int
+
+
+class TestGraphsValidation:
+    @pytest.mark.parametrize(
+        "call, module, operation, parameter, message",
+        GRAPHS_SITES,
+        ids=[f"{site[2]}-{site[3]}-{i}" for i, site in enumerate(GRAPHS_SITES)],
+    )
+    def test_call_sites_keep_their_records(
+        self, call, module, operation, parameter, message
+    ):
+        _assert_record(call, module, operation, parameter, message)

@@ -102,7 +102,8 @@ class TestROfBeta1:
         assert below.maximizers[0] < u0 < above.maximizers[0]
 
     @pytest.mark.parametrize(
-        "p,beta1", [(2, -5.0), (3, -3.0), (3, -9.0), (5, -4.0), (10, -3.0)]
+        "p,beta1",
+        [(2, -5.0), (3, -3.0), (3, -9.0), (5, -4.0), (10, -3.0), (116, 0.0)],
     )
     def test_on_curve_two_global(self, p, beta1):
         point = r_of_beta1(p, beta1)
@@ -113,7 +114,8 @@ class TestROfBeta1:
         )
 
     def test_r_inside_bounding_bracket(self):
-        for p, beta1 in ((2, -6.0), (3, -2.5)):
+        # At p = 116, B**(p-1) underflows to 0 at the window's left edge.
+        for p, beta1 in ((2, -6.0), (3, -2.5), (116, 0.0)):
             bound = bounding_point(p, beta1)
             point = r_of_beta1(p, beta1)
             assert bound.m_b < point.r < bound.m_a

@@ -9,7 +9,8 @@ the tilt side too, is checked against the mean-side ``objective`` (through
 the dual solve) for all three laws: psi is the supremum, it is attained at
 every interior maximizer, and it is convex in ``beta1``.  The fair coin's
 closed-form evaluators are checked against the generic atom-law sums for
-the same two atoms.
+the same two atoms, and the uniform law's third cumulant ``skew`` against a
+centred difference of its variance.
 
 Tolerances follow from the dual solve's stopping rule ``|B(theta') - u| <=
 DUAL_TOL = 1e-12``: the recovered tilt is off by at most ``1e-12 / A``,
@@ -105,3 +106,28 @@ def test_coin_closed_forms_match_generic_atom_sums(theta):
         closed = evaluator(cramer.BERNOULLI_HALF, theta)
         generic = evaluator(_GENERIC_COIN, theta)
         assert abs(closed - generic) <= 1e-12 * max(1.0, abs(generic))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    theta=st.floats(
+        min_value=-0.999 * cramer.THETA_MAX, max_value=0.999 * cramer.THETA_MAX
+    )
+)
+def test_uniform_skew_is_the_derivative_of_the_variance(theta):
+    # Step relative to |theta|: truncation error is then a relative
+    # 2 * (h / theta)**2 far out, rounding about 1e-13 absolute near 0.
+    h = 1e-4 * max(1.0, abs(theta))
+    law = cramer.UNIFORM01
+    diff = (cramer.log_mgf_d2(law, theta + h) - cramer.log_mgf_d2(law, theta - h)) / (
+        2.0 * h
+    )
+    skew = law.skew(theta)
+    assert abs(skew - diff) <= 1e-7 * abs(diff) + 1e-12
+    assert law.skew(-theta) == -skew
+
+
+def test_uniform_skew_at_zero_and_at_the_cap():
+    assert cramer.UNIFORM01.skew(0.0) == 0.0
+    for theta in (cramer.THETA_MAX, -cramer.THETA_MAX):
+        assert math.isfinite(cramer.UNIFORM01.skew(theta))
