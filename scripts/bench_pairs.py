@@ -1,0 +1,138 @@
+"""Paired benchmark runs of a base commit against the working tree.
+
+Usage, from the root of a checkout::
+
+    python3 scripts/bench_pairs.py --out BENCH_9.json --workload sampler \\
+        --seeds 5,11 --pairs 10 --seconds 40 --base HEAD
+
+The base commit's files are exported with ``git archive`` into a temporary
+directory, so the base side runs exactly what that commit holds; the change
+side runs the working tree as it is.  Each pair runs ``perfbench/run.py``
+(unmodified, ``--trace 0``) once on each side, alternating which side goes
+first, and pair ``k`` uses seed ``seeds[k % len(seeds)]``.  The output file
+keeps every run's last-line JSON, each side's median and quartiles of every
+end-to-end metric named in ``BENCHMARK.json``, the number of pairs each side
+won (ties count for neither), whether the change's median beats the base's
+by more than the base's interquartile range, and both sides' ``src/`` line
+counts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from io import BytesIO
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
+    parser.add_argument("--workload", default="sampler")
+    parser.add_argument("--seeds", default="1", help="comma-separated workload seeds")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--base", default="HEAD", help="git revision of the base side")
+    return parser.parse_args(argv)
+
+
+def _export(rev: str, dest: Path) -> str:
+    """Write the files of ``rev`` under ``dest``; return the full commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                            cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit],
+                             cwd=ROOT, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return commit
+
+
+def _src_lines(root: Path) -> int:
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in sorted((root / "src").rglob("*.py")))
+
+
+def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"bench_pairs: run in {root} failed:\n{proc.stderr.strip()}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    args = _parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        base_root = Path(tmp)
+        commit = _export(args.base, base_root)
+        roots = {"base": base_root, "change": ROOT}
+        runs = []
+        for k in range(args.pairs):
+            seed = seeds[k % len(seeds)]
+            order = ("base", "change") if k % 2 == 0 else ("change", "base")
+            pair = {"pair": k, "seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = _run(roots[side], args.workload, seed, args.seconds)
+                value = pair[side]["metrics"]["wall_s"]["value"]
+                print(f"pair {k} seed {seed} {side:6s} wall_s {value:.4g}", flush=True)
+            runs.append(pair)
+        base_lines = _src_lines(base_root)
+
+    metrics = {}
+    for name, direction in better.items():
+        sign = 1.0 if direction == "higher" else -1.0
+        base = [r["base"]["metrics"][name]["value"] for r in runs]
+        change = [r["change"]["metrics"][name]["value"] for r in runs]
+        won = sum(sign * (c - b) > 0.0 for b, c in zip(base, change))
+        lost = sum(sign * (c - b) < 0.0 for b, c in zip(base, change))
+        base_s, change_s = _summary(base), _summary(change)
+        gap = sign * (change_s["median"] - base_s["median"])
+        metrics[name] = {
+            "better": direction,
+            "base": base_s,
+            "change": change_s,
+            "pairs_won_by_change": won,
+            "pairs_won_by_base": lost,
+            "median_gap_exceeds_base_iqr": gap > base_s["q3"] - base_s["q1"],
+        }
+
+    result = {
+        "workload": args.workload,
+        "seeds": seeds,
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "base_commit": commit,
+        "change": "working tree",
+        "src_lines": {"base": base_lines, "change": _src_lines(ROOT)},
+        "all_correct": all(r[s]["correct"] for r in runs for s in ("base", "change")),
+        "metrics": metrics,
+        "runs": runs,
+    }
+    Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    for name, m in metrics.items():
+        print(f"{name:12s} base {m['base']['median']:.4g} change {m['change']['median']:.4g}"
+              f"  won {m['pairs_won_by_change']}/{args.pairs}"
+              f"  gap > base IQR: {m['median_gap_exceeds_base_iqr']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from contextlib import contextmanager
@@ -40,8 +41,13 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _jf(x: float) -> float:
-    """Float rounded to the same 12 significant digits for JSON payloads."""
+def _jf(x: float) -> float | None:
+    """Float rounded to the same 12 significant digits for JSON payloads.
+
+    NaN, an undefined value, becomes None (JSON null): JSON has no NaN.
+    """
+    if math.isnan(x):
+        return None
     return float(_fmt(x))
 
 
@@ -108,7 +114,7 @@ def _write_csv(stream, header: list[str], rows) -> None:
 
 
 def _write_json(stream, payload: dict) -> None:
-    json.dump(payload, stream, indent=2)
+    json.dump(payload, stream, indent=2, allow_nan=False)
     stream.write("\n")
 
 

@@ -24,7 +24,7 @@ functions check the tilt and delegate, so no caller branches on the law.
   of about 1e-3.
 - ``AtomLaw`` (``finite_support``): a law on finitely many atoms, which
   fix its support hull, its endpoint rates ``-log q``, its tilted sums and
-  the CDF its sampler bisects.
+  the CDF its sampler searches.
 - ``FairCoin`` (``BERNOULLI_HALF``): the atom law on {0, 1} with mass 1/2
   each, with closed-form evaluators and an integer sampler.
 
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING
@@ -254,8 +253,16 @@ class AtomLaw(EdgeDistribution):
         return math.fsum(w * (v - mean) ** 2 for w, v in zip(weights, self._values))
 
     def draw(self, rng: np.random.Generator, size: int) -> list[float]:
-        values, cdf = self._values, self._cdf
-        return [values[bisect_right(cdf, x)] for x in rng.random(size).tolist()]
+        # Generator.choice's lookup, on arrays built at the first draw so
+        # that constructing a law does not load numpy.
+        try:
+            values, cdf = self._draw_arrays
+        except AttributeError:
+            import numpy as np
+
+            values, cdf = np.array(self._values), np.array(self._cdf)
+            object.__setattr__(self, "_draw_arrays", (values, cdf))
+        return values[cdf.searchsorted(rng.random(size), side="right")].tolist()
 
 
 class FairCoin(AtomLaw):
@@ -360,10 +367,14 @@ def endpoint_rate(dist: EdgeDistribution) -> tuple[float, float]:
 def bisect(fn, lo: float, hi: float, fn_lo: float, tol: float) -> float:
     """Root of ``fn`` on a sign-changing bracket, to absolute ``tol`` in x.
 
-    ``fn_lo`` is ``fn(lo)``; ``fn`` is evaluated at midpoints only.
+    ``fn_lo`` is ``fn(lo)``; ``fn`` is evaluated at midpoints only.  Stops
+    early once ``lo`` and ``hi`` are adjacent floats, where ``tol`` is
+    below their spacing.
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         fn_mid = fn(mid)
         if fn_mid == 0.0:
             return mid

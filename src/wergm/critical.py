@@ -126,34 +126,42 @@ class CriticalData:
 def find_theta0(p: int) -> CriticalData:
     """Critical tilt and corner coordinates for the uniform(0, 1) law.
 
-    theta0 is the one root of ``kappa3 * B + (p-2) * A**2`` on [0,
-    SCAN_UPPER]: where it falls from >= 0 to < 0, ``n`` peaks and ``g``
-    bottoms out.  A SCAN_POINTS scan must see exactly one sign change,
+    theta0 is the one root of ``kappa3 * B + (p-2) * A**2`` at theta >= 0:
+    where it falls from >= 0 to < 0, ``n`` peaks and ``g`` bottoms out.  A
+    SCAN_POINTS scan of [0, SCAN_UPPER] must see exactly one sign change,
     which bisection refines to REFINE_TOL.  At p = 2 the function is
-    exactly 0 at theta = 0, which is then the root.  Raises
-    ``ThetaCapError`` when the function is still >= 0 at SCAN_UPPER (the
-    root is near p/2 for large p, so from p = 120 on) and
-    ``NonUnimodalError`` when the scan changes sign more than once.
+    exactly 0 at theta = 0, which is then the root.  The root is near p/2
+    for large p; when the function is still >= 0 at SCAN_UPPER (from p =
+    120 on) a second scan covers [SCAN_UPPER, THETA_MAX].  Raises
+    ``ThetaCapError`` when the function is still >= 0 at THETA_MAX and
+    ``NonUnimodalError`` when a scan changes sign more than once.
     """
     p = check_integer(p, 2, name="p", module=_MODULE, operation="find_theta0")
-    step = SCAN_UPPER / (SCAN_POINTS - 1)
-    thetas = [i * step for i in range(SCAN_POINTS)]
-    values = [_phi(p, t) for t in thetas]
-    changes = [
-        i for i in range(1, SCAN_POINTS) if (values[i] >= 0.0) != (values[i - 1] >= 0.0)
-    ]
-    # values[0] = (p-2) * A(0)**2 >= 0, so a lone sign change is a fall.
-    if len(changes) > 1:
-        raise NonUnimodalError(
-            f"the curvature profile changes direction {len(changes)} times on "
-            f"[0, {SCAN_UPPER:g}]; cannot bracket a unique critical tilt",
-            module=_MODULE,
-            operation="find_theta0",
-            offending_parameter="p",
-        )
-    if not changes:
+    for lo, hi in ((0.0, SCAN_UPPER), (SCAN_UPPER, cramer.THETA_MAX)):
+        step = (hi - lo) / (SCAN_POINTS - 1)
+        thetas = [lo + i * step for i in range(SCAN_POINTS)]
+        values = [_phi(p, t) for t in thetas]
+        changes = [
+            i
+            for i in range(1, SCAN_POINTS)
+            if (values[i] >= 0.0) != (values[i - 1] >= 0.0)
+        ]
+        # values[0] >= 0 (it is (p-2) * A(0)**2 in the first scan and the
+        # last value of the first in the second), so a lone change is a fall.
+        if len(changes) > 1:
+            raise NonUnimodalError(
+                f"the curvature profile changes direction {len(changes)} times on "
+                f"[{lo:g}, {hi:g}]; cannot bracket a unique critical tilt",
+                module=_MODULE,
+                operation="find_theta0",
+                offending_parameter="p",
+            )
+        if changes:
+            break
+    else:
         raise ThetaCapError(
-            f"the critical tilt for p = {p} lies beyond the scan edge {SCAN_UPPER:g}",
+            f"the critical tilt for p = {p} lies beyond the evaluation cap "
+            f"{cramer.THETA_MAX:g}",
             module=_MODULE,
             operation="find_theta0",
             offending_parameter="p",

@@ -24,6 +24,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from operator import length_hint
 from typing import TYPE_CHECKING
 
 from . import cramer
@@ -206,11 +207,20 @@ class MetropolisChain:
     ``step`` and ``sweep`` share one update loop, ``_update``, which reads
     the state from Python lists: ``_wl`` mirrors the weight matrix row by
     row and ``_rows`` holds the row sums, since indexing a list costs a
-    fraction of indexing a numpy array.  The numpy matrix is still written
-    on every accept, so ``weights`` stays a live view: the triangle
-    increment reads it as ``w[i] @ w[:, j]``, whose summation order fixes
-    the result's last bits, and the resync and generic densities
-    recompute from it.
+    fraction of indexing a numpy array.  The triangle and generic modes
+    also write the numpy matrix on every accept, because their increments
+    read it (the triangle through row and column views cached at
+    construction, whose strided BLAS dot fixes the result's last bits).
+    The two-star mode keeps the list state only; ``weights`` and the
+    resync copy it into the matrix first.
+
+    A sweep draws its acceptance uniforms as one block, yet consumes the
+    stream as one ``rng.random()`` per step with negative ``log_acc``
+    would: it saves the bit generator's state before the block, then
+    restores it and redraws the uniforms the loop used.  PCG64's
+    ``random(k)`` yields the same doubles as ``k`` scalar calls; an
+    ``advance`` rewind would not do, as it drops the buffered 32-bit half
+    that ``permutation`` and the coin's ``integers`` leave behind.
     """
 
     def __init__(
@@ -250,6 +260,11 @@ class MetropolisChain:
             subgraph, "generic"
         )
         self._graph = WeightedGraph(n, self._w)  # shares the matrix
+        # Row and column views for the triangle increment.  The columns stay
+        # strided: the contiguous row w[j] (equal by symmetry) would take
+        # another BLAS kernel, whose last bits may differ.
+        self._row_views = list(self._w)
+        self._col_views = [self._w[:, j] for j in range(n)]
         self._wl = self._w.tolist()
         self._rows = self._w.sum(axis=1).tolist()
         self._t_edge = float(self._w.sum()) / n**2
@@ -264,8 +279,18 @@ class MetropolisChain:
 
     @property
     def weights(self) -> np.ndarray:
-        """Current weight matrix (live view; do not mutate)."""
+        """Current weight matrix (do not mutate).
+
+        The triangle and generic modes return the chain's live matrix.  The
+        two-star mode updates only its list state, so this refreshes the
+        matrix from it first: an array read earlier goes stale.
+        """
+        self._sync_matrix()
         return self._w
+
+    def _sync_matrix(self) -> None:
+        if self._mode == "two-star":
+            self._w[...] = self._wl
 
     @property
     def t_edge(self) -> float:
@@ -294,17 +319,19 @@ class MetropolisChain:
 
     # -- dynamics ----------------------------------------------------------
 
-    def _update(self, pairs, proposals) -> int:
+    def _update(self, pairs, proposals, uniform) -> int:
         """Metropolis-update each entry (i, j) of ``pairs`` in turn.
 
         Entry (i, j) (mirrored) is offered the matching value of
-        ``proposals``; one uniform is drawn per step whose ``log_acc`` is
-        negative.  Returns the number of accepted steps.
+        ``proposals``; ``uniform()`` is called once per step whose
+        ``log_acc`` is negative.  Returns the number of accepted steps.
         """
         n2, n3 = self.n**2, self.n**3
         beta1, beta2 = self.params.beta1, self.params.beta2
-        random, log = self._rng.random, math.log
+        log = math.log
         mode, w, wl, rows = self._mode, self._w, self._wl, self._rows
+        row_views, col_views = self._row_views, self._col_views
+        write_matrix = mode != "two-star"
         t_edge, t_sub = self._t_edge, self._t_sub
         accepted = 0
         for (i, j), value in zip(pairs, proposals):
@@ -318,7 +345,7 @@ class MetropolisChain:
                 else:
                     d_sub = 2.0 * delta * (rows[i] + rows[j] + delta) / n3
             elif mode == "triangle":
-                sq = float(w[i] @ w[:, j])
+                sq = float(row_views[i].dot(col_views[j]))
                 dd = 3.0 * delta**2
                 if diag:
                     d_sub = (3.0 * delta * sq + dd * wi[i] + delta**3) / n3
@@ -329,12 +356,14 @@ class MetropolisChain:
                 d_sub = hom_density(self.subgraph, self._graph) - t_sub
                 w[i, j] = w[j, i] = wi[j]
             log_acc = n2 * (beta1 * d_edge + beta2 * d_sub)
-            if log_acc >= 0.0 or log(random()) < log_acc:
+            if log_acc >= 0.0 or log(uniform()) < log_acc:
                 # Assign the proposal itself: value + delta arithmetic would
                 # land one ulp off the proposal and (for discrete priors) off
                 # the atom grid.  Row sums and densities still move by
                 # delta, resynced periodically.
-                w[i, j] = w[j, i] = wi[j] = wl[j][i] = value
+                wi[j] = wl[j][i] = value
+                if write_matrix:
+                    w[i, j] = w[j, i] = value
                 rows[i] += delta
                 if not diag:
                     rows[j] += delta
@@ -350,20 +379,30 @@ class MetropolisChain:
         """One Metropolis update of entry (i, j); returns acceptance."""
         if proposal is None:
             proposal = self.params.dist.draw(self._rng, 1)[0]
-        return self._update(((i, j),), (float(proposal),)) == 1
+        return self._update(((i, j),), (float(proposal),), self._rng.random) == 1
 
     def sweep(self) -> int:
         """One full sweep over all distinct entries in random order."""
-        m = len(self._entries)
-        proposals = self.params.dist.draw(self._rng, m)
-        order = self._rng.permutation(m).tolist()
-        accepted = self._update([self._entries[k] for k in order], proposals)
+        rng, m = self._rng, len(self._entries)
+        proposals = self.params.dist.draw(rng, m)
+        order = rng.permutation(m).tolist()
+        saved = rng.bit_generator.state
+        uniforms = iter(rng.random(m).tolist())
+        accepted = self._update(
+            [self._entries[k] for k in order], proposals, uniforms.__next__
+        )
+        # Rewind the block to the uniforms the loop took (see the class doc).
+        used = m - length_hint(uniforms)
+        rng.bit_generator.state = saved
+        if used:
+            rng.random(used)
         self.sweeps_done += 1
         if self.sweeps_done % RESYNC_INTERVAL == 0:
             self._resync()
         return accepted
 
     def _resync(self):
+        self._sync_matrix()
         self._rows = self._w.sum(axis=1).tolist()
         t_edge = float(self._w.sum()) / self.n**2
         t_sub = self._t_sub_scratch()

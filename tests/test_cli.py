@@ -7,6 +7,7 @@ module tests own.
 """
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -135,8 +136,20 @@ class TestCriticalTableCommand:
         assert code == 1
         assert json.loads(err)["offending_parameter"] == "p"
 
+    def test_corner_past_first_scan_edge(self, capsys):
+        # theta0 = p/2 = 60 here, the edge of the first scan.
+        code, out, _ = run_cli(capsys, "critical-table", "--p", "120")
+        assert code == 0
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert row["p"] == "120" and row["theta0"] == "60"
+        # 50-digit mpmath corner.
+        assert abs(float(row["beta1_c"]) - 15.126050420168067) <= 1e-9
+        assert abs(float(row["beta2_c"]) - 0.91591351868930245) <= 1e-9
+
     def test_root_beyond_scan_edge(self, capsys):
-        code, out, err = run_cli(capsys, "critical-table", "--p", "150")
+        # theta0 is about p/2, past the evaluation cap THETA_MAX = 700.
+        code, out, err = run_cli(capsys, "critical-table", "--p", "2000")
         assert code == 1 and out == ""
         assert err.count("\n") == 1
         record = json.loads(err)
@@ -237,6 +250,36 @@ class TestSampleCommand:
         assert payload["mean_t_sub"] == 0.740586419753
         assert payload["acceptance_rate"] == 0.642857142857
         assert payload["targets"] == [[0.904394087649, 0.817928665774]]
+
+    def test_coin_triangle_csv_pinned(self, capsys):
+        # The whole CSV of a coin triangle chain: the coin's integer draws
+        # and the permutation leave a buffered 32-bit half in the bit
+        # generator, which the sweep's uniform block must carry over.
+        code, out, _ = run_cli(
+            capsys, "sample", "--p", "3", "--beta1", "-1", "--beta2", "1",
+            "--n", "12", "--sweeps", "40", "--burn-in", "10", "--seed", "2026",
+            "--dist", "bernoulli-half", "--format", "csv",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cec235e302b4f1b54471ff17494310afd811ff8b4b9f61268d7126ce815cd0e3"
+        )
+
+    def test_single_sweep_json_is_strict(self, capsys):
+        # One recorded sweep has no standard error: JSON null, never NaN.
+        code, out, _ = run_cli(
+            capsys, "sample", "--p", "2", "--beta1", "0", "--beta2", "0",
+            "--n", "5", "--sweeps", "1", "--burn-in", "0", "--seed", "3",
+            "--format", "json",
+        )
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["se_t_edge"] is None and payload["se_t_sub"] is None
+        assert payload["mean_t_edge"] == 0.471283928458
 
     @pytest.mark.parametrize(
         "argv",

@@ -7,7 +7,8 @@ f(B(theta)) = g(theta) must hold pointwise, the one root of
 ``kappa3 * B + (p-2) * A**2`` must sit where n peaks and g bottoms out on a
 grid, and the four-decimal reference values are checked at 5e-4.  The
 root is checked to 1e-11 against 50-digit mpmath values, and the corner
-up to p = 119 (theta0 near p/2, just inside the scan edge 60).
+up to p = 500 (theta0 near p/2: from p = 120 on it lies past the first
+scan's edge 60, and a second scan finds it).
 """
 
 import numpy as np
@@ -47,6 +48,9 @@ MPMATH_LARGE_P = {
     55: (27.500000268410843, 7.0023148089895264, 0.90673503663157301),
     100: (50.000000000000001, 12.626262626262626, 0.91436459309862432),
     119: (59.5, 15.001059322033898, 0.9158484731450701),
+    120: (60.0, 15.126050420168067, 0.91591351868930245),
+    150: (75.0, 18.875838926174497, 0.91746069026212067),
+    500: (250.0, 62.625250501002004, 0.92178351436363342),
 }
 
 
@@ -139,9 +143,9 @@ class TestFindTheta0:
         )
 
     def test_root_beyond_scan_edge_is_a_typed_error(self):
-        # theta0 is about p/2, past SCAN_UPPER = 60 here.
+        # theta0 is about p/2, past the evaluation cap THETA_MAX = 700 here.
         with pytest.raises(ThetaCapError) as excinfo:
-            find_theta0(150)
+            find_theta0(2000)
         record = excinfo.value.record()
         assert record["module"] == "critical"
         assert record["operation"] == "find_theta0"

@@ -16,6 +16,7 @@ from wergm.cramer import BERNOULLI_HALF, UNIFORM01, finite_support
 from wergm.errors import InputValidationError
 from wergm.graphs import (
     EDGE,
+    RESYNC_INTERVAL,
     TRIANGLE,
     TWO_STAR,
     MetropolisChain,
@@ -281,6 +282,51 @@ class TestMetropolisChain:
             assert (a.t_edge, a.t_sub) == (b.t_edge, b.t_sub)
             assert (a.accepted, a.proposed) == (b.accepted, b.proposed)
         assert 0 < a.accepted < a.proposed
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(-1.0, 2.0, 2),
+            ModelParams(-0.5, 0.8, 3),
+            ModelParams(-1.0, 1.5, 2, BERNOULLI_HALF),
+        ],
+        ids=["two-star", "triangle", "coin"],
+    )
+    def test_sweep_leaves_the_stream_where_steps_do(self, params):
+        # A sweep draws its acceptance uniforms as one block and rewinds to
+        # the ones it used: the bit generator must end every sweep in the
+        # state one scalar draw per step leaves, buffered 32-bit half
+        # (which the coin's integer draws fill) included.
+        a = MetropolisChain(params, 7, seed=17)
+        b = MetropolisChain(params, 7, seed=17)
+        entries = [(i, j) for i in range(7) for j in range(i, 7)]
+        m = len(entries)
+        buffered = set()
+        for _ in range(4):
+            a.sweep()
+            proposals = params.dist.draw(b._rng, m)
+            order = b._rng.permutation(m)
+            for idx, k in enumerate(order):
+                b.step(*entries[k], proposals[idx])
+            state = a._rng.bit_generator.state
+            assert state == b._rng.bit_generator.state
+            buffered.add(state["has_uint32"])
+        assert 0 < a.accepted < a.proposed
+        if params.dist is BERNOULLI_HALF:
+            assert 1 in buffered
+
+    def test_two_star_weights_follow_list_state(self):
+        # The two-star chain updates only its list state between resyncs;
+        # `weights` must still show the current matrix.
+        chain = MetropolisChain(ModelParams(-1.0, 2.0, 2), 9, seed=4)
+        iu = np.triu_indices(9)
+        for sweeps in (37, RESYNC_INTERVAL + 7):
+            while chain.sweeps_done < sweeps:
+                chain.sweep()
+            rebuilt = np.zeros((9, 9))
+            rebuilt[iu] = chain.state_key()
+            rebuilt = rebuilt + np.triu(rebuilt, 1).T
+            assert np.array_equal(chain.weights, rebuilt)
 
     def test_free_chain_acceptance_is_total(self):
         # With beta1 = beta2 = 0 every proposal is accepted.
