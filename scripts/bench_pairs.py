@@ -2,19 +2,21 @@
 
 Usage, from the root of a checkout::
 
-    python3 scripts/bench_pairs.py --out BENCH_9.json --workload sampler \\
-        --seeds 5,11 --pairs 10 --seconds 40 --base HEAD
+    python3 scripts/bench_pairs.py --out BENCH_10.json \\
+        --workload phase-diagram,psi-laws,sampler \\
+        --seeds 1,2,3 --pairs 10 --seconds 40 --base HEAD
 
 The base commit's files are exported with ``git archive`` into a temporary
 directory, so the base side runs exactly what that commit holds; the change
-side runs the working tree as it is.  Each pair runs ``perfbench/run.py``
-(unmodified, ``--trace 0``) once on each side, alternating which side goes
-first, and pair ``k`` uses seed ``seeds[k % len(seeds)]``.  The output file
-keeps every run's last-line JSON, each side's median and quartiles of every
-end-to-end metric named in ``BENCHMARK.json``, the number of pairs each side
-won (ties count for neither), whether the change's median beats the base's
-by more than the base's interquartile range, and both sides' ``src/`` line
-counts.
+side runs the working tree as it is.  ``--workload`` takes one workload or a
+comma-separated list.  Pair ``k`` uses seed ``seeds[k % len(seeds)]`` and
+runs ``perfbench/run.py`` (unmodified, ``--trace 0``) once on each side for
+each workload in turn, alternating which side goes first.  The output file
+holds one section per workload under ``workloads``: every run's last-line
+JSON, each side's median and quartiles of every end-to-end metric named in
+``BENCHMARK.json``, the number of pairs each side won (ties count for
+neither), and whether the change's median beats the base's by more than the
+base's interquartile range.  Both sides' ``src/`` line counts are kept once.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def _parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
-    parser.add_argument("--workload", default="sampler")
+    parser.add_argument("--workload", default="sampler",
+                        help="one workload or a comma-separated list")
     parser.add_argument("--seeds", default="1", help="comma-separated workload seeds")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=40.0)
@@ -74,28 +77,8 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def main(argv=None) -> int:
-    args = _parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_root = Path(tmp)
-        commit = _export(args.base, base_root)
-        roots = {"base": base_root, "change": ROOT}
-        runs = []
-        for k in range(args.pairs):
-            seed = seeds[k % len(seeds)]
-            order = ("base", "change") if k % 2 == 0 else ("change", "base")
-            pair = {"pair": k, "seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = _run(roots[side], args.workload, seed, args.seconds)
-                value = pair[side]["metrics"]["wall_s"]["value"]
-                print(f"pair {k} seed {seed} {side:6s} wall_s {value:.4g}", flush=True)
-            runs.append(pair)
-        base_lines = _src_lines(base_root)
-
+def _metrics(runs: list[dict], better: dict[str, str]) -> dict:
+    """Each end-to-end metric's quartiles per side, pairs won and the IQR test."""
     metrics = {}
     for name, direction in better.items():
         sign = 1.0 if direction == "higher" else -1.0
@@ -113,26 +96,59 @@ def main(argv=None) -> int:
             "pairs_won_by_base": lost,
             "median_gap_exceeds_base_iqr": gap > base_s["q3"] - base_s["q1"],
         }
+    return metrics
 
+
+def main(argv=None) -> int:
+    args = _parse_args(argv)
+    names = args.workload.split(",")
+    seeds = [int(s) for s in args.seeds.split(",")]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        base_root = Path(tmp)
+        commit = _export(args.base, base_root)
+        roots = {"base": base_root, "change": ROOT}
+        runs = {name: [] for name in names}
+        for k in range(args.pairs):
+            seed = seeds[k % len(seeds)]
+            order = ("base", "change") if k % 2 == 0 else ("change", "base")
+            for name in names:
+                pair = {"pair": k, "seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = _run(roots[side], name, seed, args.seconds)
+                    value = pair[side]["metrics"]["wall_s"]["value"]
+                    print(f"{name} pair {k} seed {seed} {side:6s} wall_s {value:.4g}",
+                          flush=True)
+                runs[name].append(pair)
+        base_lines = _src_lines(base_root)
+
+    sections = {
+        name: {
+            "all_correct": all(r[s]["correct"] for r in rs for s in ("base", "change")),
+            "metrics": _metrics(rs, better),
+            "runs": rs,
+        }
+        for name, rs in runs.items()
+    }
     result = {
-        "workload": args.workload,
         "seeds": seeds,
         "pairs": args.pairs,
         "seconds": args.seconds,
         "base_commit": commit,
         "change": "working tree",
         "src_lines": {"base": base_lines, "change": _src_lines(ROOT)},
-        "all_correct": all(r[s]["correct"] for r in runs for s in ("base", "change")),
-        "metrics": metrics,
-        "runs": runs,
+        "workloads": sections,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-    for name, m in metrics.items():
-        print(f"{name:12s} base {m['base']['median']:.4g} change {m['change']['median']:.4g}"
-              f"  won {m['pairs_won_by_change']}/{args.pairs}"
-              f"  gap > base IQR: {m['median_gap_exceeds_base_iqr']}")
+    for name, section in sections.items():
+        for metric, m in section["metrics"].items():
+            print(f"{name:13s} {metric:12s} base {m['base']['median']:.4g}"
+                  f" change {m['change']['median']:.4g}"
+                  f"  won {m['pairs_won_by_change']}/{args.pairs}"
+                  f"  gap > base IQR: {m['median_gap_exceeds_base_iqr']}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -16,114 +16,82 @@ term and one ``p``-times-repeated edge ("p-fold") term:
 - ``gaussian_directed``: a directed Gaussian companion model solved in
   closed form, with a Monte Carlo cross-check;
 - ``cli``: a command-line front end emitting CSV/JSON.
+
+The namespace is lazy: ``import wergm`` loads no submodule.  Each exported
+name and each submodule name above is imported on first access, so a
+command loads only the layers it runs.
 """
 
-from .cramer import (
-    BERNOULLI_HALF,
-    UNIFORM01,
-    DualPair,
-    EdgeDistribution,
-    dual_theta,
-    endpoint_rate,
-    finite_support,
-    log_mgf,
-    log_mgf_d1,
-    log_mgf_d2,
-    rate,
-    rate_d1,
-    rate_d2,
-    support_interval,
-)
-from .critical import CriticalData, critical_table, find_theta0
-from .errors import WergmError
-from .gaussian_directed import (
-    GaussianModelParams,
-    directed_stats,
-    psi_inf,
-    psi_n_exact,
-    psi_n_monte_carlo,
-)
-from .graphs import (
-    EDGE,
-    TRIANGLE,
-    TWO_STAR,
-    MetropolisChain,
-    SubgraphSpec,
-    WeightedGraph,
-    concentration_report,
-    enumerate_gibbs,
-    hom_density,
-    run_sampler,
-    sample_prior,
-)
-from .phase_curve import (
-    BoundingPoint,
-    PhaseCurvePoint,
-    bounding_point,
-    jump_profile,
-    r_of_beta1,
-    trace_curve,
-)
-from .variational import (
-    MaximizerSet,
-    ModelParams,
-    PhaseClass,
-    objective,
-    objective_d1,
-    objective_d2,
-    psi_gradient,
-    solve_psi,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BERNOULLI_HALF",
-    "EDGE",
-    "TRIANGLE",
-    "TWO_STAR",
-    "UNIFORM01",
-    "BoundingPoint",
-    "CriticalData",
-    "DualPair",
-    "EdgeDistribution",
-    "GaussianModelParams",
-    "MaximizerSet",
-    "MetropolisChain",
-    "ModelParams",
-    "PhaseClass",
-    "PhaseCurvePoint",
-    "SubgraphSpec",
-    "WeightedGraph",
-    "WergmError",
-    "bounding_point",
-    "concentration_report",
-    "critical_table",
-    "directed_stats",
-    "dual_theta",
-    "endpoint_rate",
-    "enumerate_gibbs",
-    "find_theta0",
-    "finite_support",
-    "hom_density",
-    "jump_profile",
-    "log_mgf",
-    "log_mgf_d1",
-    "log_mgf_d2",
-    "objective",
-    "objective_d1",
-    "objective_d2",
-    "psi_gradient",
-    "psi_inf",
-    "psi_n_exact",
-    "psi_n_monte_carlo",
-    "r_of_beta1",
-    "rate",
-    "rate_d1",
-    "rate_d2",
-    "run_sampler",
-    "sample_prior",
-    "solve_psi",
-    "support_interval",
-    "trace_curve",
-]
+#: Each exported name, mapped to the submodule that defines it.
+_EXPORTS = {
+    "BERNOULLI_HALF": "cramer",
+    "EDGE": "graphs",
+    "TRIANGLE": "graphs",
+    "TWO_STAR": "graphs",
+    "UNIFORM01": "cramer",
+    "BoundingPoint": "phase_curve",
+    "CriticalData": "critical",
+    "DualPair": "cramer",
+    "EdgeDistribution": "cramer",
+    "GaussianModelParams": "gaussian_directed",
+    "MaximizerSet": "variational",
+    "MetropolisChain": "graphs",
+    "ModelParams": "variational",
+    "PhaseClass": "variational",
+    "PhaseCurvePoint": "phase_curve",
+    "SubgraphSpec": "graphs",
+    "WeightedGraph": "graphs",
+    "WergmError": "errors",
+    "bounding_point": "phase_curve",
+    "concentration_report": "graphs",
+    "critical_table": "critical",
+    "directed_stats": "gaussian_directed",
+    "dual_theta": "cramer",
+    "endpoint_rate": "cramer",
+    "enumerate_gibbs": "graphs",
+    "find_theta0": "critical",
+    "finite_support": "cramer",
+    "hom_density": "graphs",
+    "jump_profile": "phase_curve",
+    "log_mgf": "cramer",
+    "log_mgf_d1": "cramer",
+    "log_mgf_d2": "cramer",
+    "objective": "variational",
+    "objective_d1": "variational",
+    "objective_d2": "variational",
+    "psi_gradient": "variational",
+    "psi_inf": "gaussian_directed",
+    "psi_n_exact": "gaussian_directed",
+    "psi_n_monte_carlo": "gaussian_directed",
+    "r_of_beta1": "phase_curve",
+    "rate": "cramer",
+    "rate_d1": "cramer",
+    "rate_d2": "cramer",
+    "run_sampler": "graphs",
+    "sample_prior": "graphs",
+    "solve_psi": "variational",
+    "support_interval": "cramer",
+    "trace_curve": "phase_curve",
+}
+_SUBMODULES = frozenset([*_EXPORTS.values(), "cli"])
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

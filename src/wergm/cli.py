@@ -30,7 +30,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import cramer, critical, gaussian_directed, graphs, phase_curve, variational
+from . import cramer, variational
 from .errors import InputValidationError, WergmError, check_seed
 
 _MODULE = "cli"
@@ -98,12 +98,29 @@ def _parse_dist(args) -> cramer.EdgeDistribution:
 
 
 @contextmanager
-def _open_out(path: str):
-    """Yield a text stream for ``path``, with '-' meaning stdout."""
-    if path == "-":
+def _os_errors(path, operation: str, parameter: str):
+    """Report an OSError on ``path`` as a typed record, not a traceback."""
+    try:
+        yield
+    except OSError as err:
+        raise _invalid(
+            f"cannot write to {str(path)!r}: {err.strerror}", operation, parameter
+        ) from None
+
+
+def _create(path, operation: str, parameter: str):
+    """Open ``path`` for writing as UTF-8 text with LF newlines."""
+    with _os_errors(path, operation, parameter):
+        return open(path, "w", encoding="utf-8", newline="")
+
+
+@contextmanager
+def _open_out(args):
+    """Yield a text stream for ``args.out``, with '-' meaning stdout."""
+    if args.out == "-":
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with _create(args.out, args.command, "out") as handle:
             yield handle
 
 
@@ -129,7 +146,7 @@ def _cmd_rate(args) -> int:
         pair = cramer.dual_theta(dist, u)
         rows.append([_fmt(u), _fmt(cramer.rate_at(dist, pair)), _fmt(pair.theta),
                      _fmt(cramer.rate_d2_at(dist, pair))])
-    with _open_out(args.out) as stream:
+    with _open_out(args) as stream:
         _write_csv(stream, ["u", "rate", "rate_d1", "rate_d2"], rows)
     return 0
 
@@ -146,12 +163,14 @@ def _cmd_psi(args) -> int:
         "classification": solution.classification.value,
         "includes_endpoint": solution.includes_endpoint,
     }
-    with _open_out(args.out) as stream:
+    with _open_out(args) as stream:
         _write_json(stream, payload)
     return 0
 
 
 def _cmd_critical_table(args) -> int:
+    from . import critical
+
     try:
         p_list = [int(chunk) for chunk in args.p.split(",")]
     except ValueError:
@@ -168,12 +187,14 @@ def _cmd_critical_table(args) -> int:
         ])
     header = ["p", "theta0", "n_theta0", "u0", "m_u0", "g_theta0", "f_u0",
               "beta1_c", "beta2_c"]
-    with _open_out(args.out) as stream:
+    with _open_out(args) as stream:
         _write_csv(stream, header, rows)
     return 0
 
 
 def _cmd_phase_curve(args) -> int:
+    from . import phase_curve
+
     grid = _parse_range(args.beta1, "--beta1")
     rows = []
     for beta1 in grid:
@@ -183,7 +204,7 @@ def _cmd_phase_curve(args) -> int:
             _fmt(point.u2_star), _fmt(point.psi),
         ])
     header = ["beta1", "r", "u1_star", "u2_star", "psi"]
-    with _open_out(args.out) as stream:
+    with _open_out(args) as stream:
         _write_csv(stream, header, rows)
     return 0
 
@@ -196,6 +217,8 @@ def _profile_name(p: int, beta1: float, beta2: float) -> str:
 
 
 def _cmd_figures(args) -> int:
+    from . import critical, phase_curve
+
     points = []
     try:
         for chunk in args.points.split(";"):
@@ -212,7 +235,8 @@ def _cmd_figures(args) -> int:
             "figures", "grid_points",
         )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _os_errors(out_dir, "figures", "out_dir"):
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     written = []
     for beta1, beta2 in points:
@@ -224,7 +248,7 @@ def _cmd_figures(args) -> int:
             rows.append([_fmt(u), _fmt(variational.objective_at(params, pair)),
                          _fmt(variational.objective_d1_at(params, pair))])
         path = out_dir / _profile_name(args.p, beta1, beta2)
-        with open(path, "w", encoding="utf-8", newline="") as stream:
+        with _create(path, "figures", "out_dir") as stream:
             _write_csv(stream, ["u", "l", "l_d1"], rows)
         written.append(path.name)
 
@@ -239,7 +263,7 @@ def _cmd_figures(args) -> int:
         point = phase_curve.r_of_beta1(args.p, beta1)
         rows.append([_fmt(beta1), _fmt(bound.m_a), _fmt(bound.m_b), _fmt(point.r)])
     vregion = out_dir / "vregion.csv"
-    with open(vregion, "w", encoding="utf-8", newline="") as stream:
+    with _create(vregion, "figures", "out_dir") as stream:
         _write_csv(stream, ["beta1", "m_a", "m_b", "r"], rows)
     written.append(vregion.name)
 
@@ -248,6 +272,8 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import graphs
+
     check_seed(args.seed, module=_MODULE, operation="sample", name="--seed")
     params = variational.ModelParams(args.beta1, args.beta2, args.p, _parse_dist(args))
     stats = graphs.run_sampler(
@@ -258,7 +284,7 @@ def _cmd_sample(args) -> int:
             [str(k), _fmt(stats.t_edge_series[k]), _fmt(stats.t_sub_series[k])]
             for k in range(stats.sweeps)
         ]
-        with _open_out(args.out) as stream:
+        with _open_out(args) as stream:
             _write_csv(stream, ["sweep", "t_edge", "t_sub"], rows)
         return 0
     report = graphs.concentration_report(stats, params)
@@ -280,12 +306,14 @@ def _cmd_sample(args) -> int:
         "targets": [[_jf(a), _jf(b)] for a, b in report.targets],
         "deviations": [[_jf(a), _jf(b)] for a, b in report.deviations],
     }
-    with _open_out(args.out) as stream:
+    with _open_out(args) as stream:
         _write_json(stream, payload)
     return 0
 
 
 def _cmd_gaussian(args) -> int:
+    from . import gaussian_directed
+
     check_seed(args.seed, module=_MODULE, operation="gaussian", name="--seed")
     params = gaussian_directed.GaussianModelParams(args.beta1, args.beta2)
     exact = gaussian_directed.psi_n_exact(params, args.n)
@@ -296,7 +324,7 @@ def _cmd_gaussian(args) -> int:
     row = [_fmt(args.beta1), _fmt(args.beta2), _fmt(exact), _fmt(limit),
            _fmt(estimate), _fmt(std_error)]
     header = ["beta1", "beta2", "psi_n", "psi_inf", "mc_estimate", "std_error"]
-    with _open_out(args.out) as stream:
+    with _open_out(args) as stream:
         _write_csv(stream, header, [row])
     return 0
 

@@ -173,6 +173,21 @@ class TestPhaseCurveCommand:
         assert code == 1
         assert json.loads(err)["module"] == "phase_curve"
 
+    def test_corner_past_first_scan_edge_cannot_be_traced(self, capsys):
+        # critical-table finds the p = 150 corner (beta1_c ~ -18.876), but the
+        # tie 0.6 below it needs an upper maximum past the tilt window: a
+        # known limit, pinned as a one-line record until it is lifted.
+        code, out, err = run_cli(capsys, "phase-curve", "--p", "150", "--beta1=-19.5")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "module": "phase_curve",
+            "operation": "r_of_beta1",
+            "message": "the tie at beta1 = -19.5 needs an upper maximum beyond "
+                       "the tilt window +-680",
+            "offending_parameter": "beta1",
+        }
+
 
 class TestFiguresCommand:
     def test_profiles_and_vregion(self, capsys, tmp_path):
@@ -210,6 +225,22 @@ class TestFiguresCommand:
         assert code == 1 and out == ""
         assert json.loads(err)["offending_parameter"] == "grid_points"
         assert not out_dir.exists()
+
+    def test_out_dir_under_a_file_is_a_record(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out_dir = blocker / "figs"
+        code, out, err = run_cli(
+            capsys, "figures", "--p", "2", "--points=-5,3.5", "--out-dir", str(out_dir),
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "module": "cli",
+            "operation": "figures",
+            "message": f"cannot write to {str(out_dir)!r}: Not a directory",
+            "offending_parameter": "out_dir",
+        }
 
 
 class TestSampleCommand:
@@ -308,6 +339,28 @@ class TestSampleCommand:
                   "--n", "8", "--sweeps", "12", "--burn-in", "4"])
 
 
+class TestOutputPath:
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--u", "0.5"],
+        ["psi", "--p", "2", "--beta1", "-5", "--beta2", "5"],
+        ["critical-table", "--p", "2"],
+        ["sample", "--p", "2", "--beta1", "0", "--beta2", "0", "--n", "4",
+         "--sweeps", "2", "--burn-in", "0", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_directory_is_a_record(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "module": "cli",
+            "operation": argv[0],
+            "message": f"cannot write to {str(path)!r}: No such file or directory",
+            "offending_parameter": "out",
+        }
+        assert not path.parent.exists()
+
+
 class TestDeterminism:
     def test_sample_reruns_byte_identical(self, capsys):
         argv = ["sample", "--p", "2", "--beta1", "-1", "--beta2", "2",
@@ -368,7 +421,59 @@ print("numpy-free")
 """
 
 
+LOADED_MODULES_SCRIPT = """
+import sys
+
+import wergm
+
+code = 0
+if len(sys.argv) > 1:
+    import wergm.cli
+
+    code = wergm.cli.main(sys.argv[1:])
+print(",".join(sorted(m for m in sys.modules if m.startswith("wergm."))))
+sys.exit(code)
+"""
+
+#: What every command loads: the front end and the layers it imports itself.
+CLI_BASE = {"cli", "cramer", "errors", "variational"}
+
+LOADED_MODULES = [
+    ("import", [], set()),
+    ("rate", ["rate", "--u", "0.3:0.7:3"], CLI_BASE),
+    ("psi", ["psi", "--p", "2", "--beta1", "-5", "--beta2", "5"], CLI_BASE),
+    ("critical-table", ["critical-table", "--p", "2,3"], CLI_BASE | {"critical"}),
+    ("phase-curve", ["phase-curve", "--p", "3", "--beta1", "-3:-2:2"],
+     CLI_BASE | {"critical", "phase_curve"}),
+    ("figures", ["figures", "--p", "2", "--points=-5,5", "--grid-points", "8",
+                 "--beta1", "-5:-4:2", "--out-dir", "{out_dir}"],
+     CLI_BASE | {"critical", "phase_curve"}),
+    ("sample", ["sample", "--p", "2", "--beta1", "0", "--beta2", "0", "--n", "4",
+                "--sweeps", "2", "--burn-in", "0", "--seed", "1"],
+     CLI_BASE | {"graphs"}),
+    ("gaussian", ["gaussian", "--beta1", "1", "--beta2", "0.25", "--n", "3",
+                  "--samples", "100", "--seed", "1"],
+     CLI_BASE | {"gaussian_directed"}),
+]
+
+
 class TestEntryPoint:
+    @pytest.mark.parametrize(
+        "argv, expected", [case[1:] for case in LOADED_MODULES],
+        ids=[case[0] for case in LOADED_MODULES],
+    )
+    def test_each_command_loads_only_its_layers(self, tmp_path, argv, expected):
+        # One fresh interpreter per command: `import wergm` loads no layer,
+        # and each command adds only the layers it runs.
+        argv = [arg.format(out_dir=tmp_path / "figs") for arg in argv]
+        result = subprocess.run(
+            [sys.executable, "-c", LOADED_MODULES_SCRIPT, *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = result.stdout.splitlines()[-1]
+        assert set(filter(None, loaded.split(","))) == {f"wergm.{m}" for m in expected}
+
     def test_theory_commands_do_not_import_numpy(self):
         # numpy is for the finite-graph checks only; the closed-form theory
         # commands must not pay its import.

@@ -1,14 +1,16 @@
 """Tests for the shared argument checks and the records they raise.
 
 Every integer count or order in the package goes through ``check_integer``,
-and the ``graphs`` input checks through one local helper; each call site
-keeps its own module, operation, parameter and message, so the error
-records a caller sees are pinned here site by site.
+and the ``graphs`` input checks through one local helper; an output path
+the CLI cannot write is a typed record too.  Each call site keeps its own
+module, operation, parameter and message, so the error records a caller
+sees are pinned here site by site.
 """
 
 import pytest
 
 from wergm import critical
+from wergm.cli import build_parser
 from wergm.cramer import BERNOULLI_HALF, UNIFORM01
 from wergm.errors import InputValidationError, check_integer
 from wergm.gaussian_directed import GaussianModelParams, psi_n_exact, psi_n_monte_carlo
@@ -89,6 +91,23 @@ GRAPHS_SITES = [
 ]
 
 
+
+def _run_command(*argv):
+    """One CLI command's handler, so that its error propagates as raised."""
+    args = build_parser().parse_args(list(argv))
+    return args.handler(args)
+
+
+OUTPUT_PATH_SITES = [
+    (lambda: _run_command("psi", "--p", "2", "--beta1", "-5", "--beta2", "5",
+                          "--out", "/nonexistent/x"),
+     "cli", "psi", "out", "cannot write to '/nonexistent/x': No such file or directory"),
+    (lambda: _run_command("figures", "--p", "2", "--points=-5,3.5",
+                          "--out-dir", "/dev/null/x"),
+     "cli", "figures", "out_dir", "cannot write to '/dev/null/x': Not a directory"),
+]
+
+
 def _assert_record(call, module, operation, parameter, message):
     with pytest.raises(InputValidationError) as excinfo:
         call()
@@ -122,6 +141,18 @@ class TestGraphsValidation:
         "call, module, operation, parameter, message",
         GRAPHS_SITES,
         ids=[f"{site[2]}-{site[3]}-{i}" for i, site in enumerate(GRAPHS_SITES)],
+    )
+    def test_call_sites_keep_their_records(
+        self, call, module, operation, parameter, message
+    ):
+        _assert_record(call, module, operation, parameter, message)
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize(
+        "call, module, operation, parameter, message",
+        OUTPUT_PATH_SITES,
+        ids=[f"{site[2]}-{site[3]}" for site in OUTPUT_PATH_SITES],
     )
     def test_call_sites_keep_their_records(
         self, call, module, operation, parameter, message

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wergm.critical import f_of_u, find_theta0, m_of_u
-from wergm.errors import InputValidationError, NoTwoPhaseRegionError
+from wergm.errors import InputValidationError, NoTwoPhaseRegionError, ThetaCapError
 from wergm.phase_curve import (
     bounding_point,
     jump_profile,
@@ -20,7 +20,14 @@ from wergm.phase_curve import (
     r_of_beta1,
     trace_curve,
 )
-from wergm.variational import ModelParams, PhaseClass, objective, objective_d1, solve_psi
+from wergm.variational import (
+    THETA_WINDOW,
+    ModelParams,
+    PhaseClass,
+    objective,
+    objective_d1,
+    solve_psi,
+)
 from wergm.cramer import BERNOULLI_HALF
 
 
@@ -123,6 +130,20 @@ class TestROfBeta1:
     def test_rejects_non_uniform_law(self):
         with pytest.raises(InputValidationError):
             r_of_beta1(2, -5.0, BERNOULLI_HALF)
+
+    def test_tie_past_tilt_window_is_a_typed_error(self):
+        # Known limit: the p = 150 corner exists, but 0.6 below it the upper
+        # maximum sits at a tilt past THETA_WINDOW, so the tie cannot be found.
+        assert find_theta0(150).beta1_c > -19.5
+        with pytest.raises(ThetaCapError) as excinfo:
+            r_of_beta1(150, -19.5)
+        assert excinfo.value.record() == {
+            "module": "phase_curve",
+            "operation": "r_of_beta1",
+            "message": "the tie at beta1 = -19.5 needs an upper maximum beyond "
+                       f"the tilt window +-{THETA_WINDOW:g}",
+            "offending_parameter": "beta1",
+        }
 
 
 class TestTraceAndJump:
