@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -112,6 +114,20 @@ def _create(path, operation: str, parameter: str):
     """Open ``path`` for writing as UTF-8 text with LF newlines."""
     with _os_errors(path, operation, parameter):
         return open(path, "w", encoding="utf-8", newline="")
+
+
+def _check_out(args) -> None:
+    """Raise the record opening ``args.out`` would, before any work, unopened."""
+    out = getattr(args, "out", "-")
+    if out == "-":
+        return
+    parent = os.path.dirname(os.path.abspath(out))
+    with _os_errors(out, args.command, "out"):
+        if not os.path.isdir(parent):
+            os.stat(parent)  # a missing directory raises here
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if not os.access(parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
 
 
 @contextmanager
@@ -436,6 +452,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args)
         return args.handler(args)
     except WergmError as err:
         sys.stderr.write(json.dumps(err.record()) + "\n")

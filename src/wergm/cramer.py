@@ -28,8 +28,9 @@ functions check the tilt and delegate, so no caller branches on the law.
 - ``FairCoin`` (``BERNOULLI_HALF``): the atom law on {0, 1} with mass 1/2
   each, with closed-form evaluators and an integer sampler.
 
-All evaluation is capped at |theta| <= THETA_MAX; solves that would need a
-larger tilt fail loudly rather than returning overflowed garbage.
+Every law evaluates at any finite tilt.  ``widen`` grows a bracket outward
+until a function changes sign across it; ``dual_theta`` stops it at
+|theta| = THETA_MAX and fails loudly there rather than searching on.
 """
 
 from __future__ import annotations
@@ -52,8 +53,13 @@ if TYPE_CHECKING:
 
 _MODULE = "cramer"
 
-#: Hard cap on the tilt parameter; exp/sinh stay finite in float64 below it.
+#: Largest |theta| a dual solve searches; means that need a larger tilt
+#: raise ``ThetaCapError``.
 THETA_MAX = 700.0
+
+#: Above this theta/2 the uniform's var and skew drop their sinh terms, which
+#: are below exp(-700) relative there (sinh(x)**2 overflows from x ~ 355).
+_SINH_CUTOFF = 350.0
 
 #: Below this |theta| the uniform evaluators switch to the power series.
 SERIES_RADIUS = 0.5
@@ -96,8 +102,8 @@ def _horner_even(coeffs: tuple[float, ...], s: float) -> float:
 class EdgeDistribution(ABC):
     """An edge-weight law.
 
-    The evaluators take a tilt already checked against ``THETA_MAX``; call
-    the module functions (``log_mgf`` and so on) rather than these.
+    The evaluators take a tilt already checked to be finite; call the
+    module functions (``log_mgf`` and so on) rather than these.
     ``support`` is the convex hull of the support, ``endpoint_rate`` the
     limiting rate values at its two ends, and ``atoms`` the (value,
     probability) pairs, sorted by value, of a law with finite support
@@ -160,22 +166,23 @@ class UniformLaw(EdgeDistribution):
         if theta < SERIES_RADIUS:
             return _horner_even(_A_SERIES, theta * theta)
         half = 0.5 * theta
-        sinh_sq = math.sinh(half) ** 2
-        if not math.isfinite(sinh_sq):
+        if half > _SINH_CUTOFF:
             return 1.0 / (theta * theta)
-        return 1.0 / (theta * theta) - 0.25 / sinh_sq
+        return 1.0 / (theta * theta) - 0.25 / math.sinh(half) ** 2
 
     def skew(self, theta: float) -> float:
         """Third cumulant of the tilted law, the derivative of ``var``.
 
         The closed form's last term is ``cosh / (4 sinh**3)`` of theta/2,
-        written with ``tanh * sinh**2`` so it stays finite up to THETA_MAX.
+        written with ``tanh * sinh**2`` so it stays finite up to the cutoff.
         """
         if abs(theta) < SERIES_RADIUS:
             return theta * _horner_even(_K3_SERIES, theta * theta)
         if theta < 0.0:
             return -self.skew(-theta)
         half = 0.5 * theta
+        if half > _SINH_CUTOFF:
+            return -2.0 / (theta * theta * theta)
         return -2.0 / (theta * theta * theta) + 0.25 / (
             math.tanh(half) * math.sinh(half) ** 2
         )
@@ -325,13 +332,6 @@ def _check_theta(theta: float, operation: str) -> float:
             operation=operation,
             offending_parameter="theta",
         )
-    if abs(theta) > THETA_MAX:
-        raise ThetaCapError(
-            f"|theta| = {abs(theta):g} exceeds the evaluation cap {THETA_MAX:g}",
-            module=_MODULE,
-            operation=operation,
-            offending_parameter="theta",
-        )
     return theta
 
 
@@ -385,11 +385,41 @@ def bisect(fn, lo: float, hi: float, fn_lo: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def widen(fn, inner: float, fn_inner: float, edge: float, *, limit: float = math.inf,
+          message: str = "", operation: str = "widen", parameter: str = "theta"):
+    """Grow a bracket outward from ``inner`` until ``fn`` changes sign on it.
+
+    ``fn_inner`` is ``fn(inner)``, nonzero.  The sign of ``edge`` gives the
+    direction; ``edge`` doubles (its magnitude clamped to ``limit``) until it
+    lies beyond ``inner`` and ``fn(edge)`` is zero or has the other sign.
+    Returns ``(edge, fn(edge))``.  Raises ``ThetaCapError``, with ``message``
+    if given, when ``|edge|`` reaches ``limit`` or overflows, or ``fn``
+    overflows, before the sign changes.
+    """
+    while True:
+        if (edge > inner) == (edge > 0.0):
+            try:
+                fn_edge = fn(edge)
+            except OverflowError:
+                break
+            if fn_edge == 0.0 or (fn_edge > 0.0) != (fn_inner > 0.0):
+                return edge, fn_edge
+        if abs(edge) >= limit or math.isinf(edge):
+            break
+        edge = math.copysign(min(2.0 * abs(edge), limit), edge)
+    raise ThetaCapError(
+        message or f"no sign change between theta = {inner:g} and {edge:g}",
+        module=_MODULE,
+        operation=operation,
+        offending_parameter=parameter,
+    )
+
+
 def dual_theta(dist: EdgeDistribution, u: float, *, tol: float = DUAL_TOL) -> DualPair:
     """Solve ``log_mgf_d1(theta) = u`` for the tilt dual to mean ``u``.
 
-    Safeguarded Newton iteration: the bracket is grown geometrically from
-    the origin, Newton steps that leave it fall back to bisection.  Raises
+    Safeguarded Newton iteration on a bracket that ``widen`` grows from the
+    origin; Newton steps that leave it fall back to bisection.  Raises
     ``SupportError`` if ``u`` is outside the open support interior and
     ``ThetaCapError`` if no tilt within |theta| <= THETA_MAX reaches ``u``.
     """
@@ -406,33 +436,16 @@ def dual_theta(dist: EdgeDistribution, u: float, *, tol: float = DUAL_TOL) -> Du
     def residual(theta: float) -> float:
         return log_mgf_d1(dist, theta) - u
 
-    # Establish a sign-changing bracket, growing geometrically up to the cap.
-    lo, hi = 0.0, 0.0
     r0 = residual(0.0)
     if r0 == 0.0:
         return DualPair(0.0, u)
-    if r0 < 0.0:
-        hi = 1.0
-        while residual(hi) < 0.0:
-            if hi >= THETA_MAX:
-                raise ThetaCapError(
-                    f"mean u = {u:g} needs a tilt beyond the cap {THETA_MAX:g}",
-                    module=_MODULE,
-                    operation="dual_theta",
-                    offending_parameter="u",
-                )
-            hi = min(2.0 * hi, THETA_MAX)
-    else:
-        lo = -1.0
-        while residual(lo) > 0.0:
-            if lo <= -THETA_MAX:
-                raise ThetaCapError(
-                    f"mean u = {u:g} needs a tilt beyond the cap {THETA_MAX:g}",
-                    module=_MODULE,
-                    operation="dual_theta",
-                    offending_parameter="u",
-                )
-            lo = max(2.0 * lo, -THETA_MAX)
+    # Grow a sign-changing bracket geometrically from the origin.
+    edge, _ = widen(
+        residual, 0.0, r0, 1.0 if r0 < 0.0 else -1.0, limit=THETA_MAX,
+        message=f"mean u = {u:g} needs a tilt beyond the cap {THETA_MAX:g}",
+        operation="dual_theta", parameter="u",
+    )
+    lo, hi = (0.0, edge) if r0 < 0.0 else (edge, 0.0)
 
     theta = 0.5 * (lo + hi)
     for _ in range(200):

@@ -132,9 +132,10 @@ def find_theta0(p: int) -> CriticalData:
     which bisection refines to REFINE_TOL.  At p = 2 the function is
     exactly 0 at theta = 0, which is then the root.  The root is near p/2
     for large p; when the function is still >= 0 at SCAN_UPPER (from p =
-    120 on) a second scan covers [SCAN_UPPER, THETA_MAX].  Raises
-    ``ThetaCapError`` when the function is still >= 0 at THETA_MAX and
-    ``NonUnimodalError`` when a scan changes sign more than once.
+    120 on) a second scan covers [SCAN_UPPER, THETA_MAX], the search's
+    finite end.  Raises ``ThetaCapError`` when the function is still >= 0
+    at THETA_MAX (from p of about 1390 on) and ``NonUnimodalError`` when a
+    scan changes sign more than once.
     """
     p = check_integer(p, 2, name="p", module=_MODULE, operation="find_theta0")
     for lo, hi in ((0.0, SCAN_UPPER), (SCAN_UPPER, cramer.THETA_MAX)):
@@ -160,8 +161,8 @@ def find_theta0(p: int) -> CriticalData:
             break
     else:
         raise ThetaCapError(
-            f"the critical tilt for p = {p} lies beyond the evaluation cap "
-            f"{cramer.THETA_MAX:g}",
+            f"the critical tilt for p = {p} lies beyond the scanned tilts "
+            f"[0, {cramer.THETA_MAX:g}]",
             module=_MODULE,
             operation="find_theta0",
             offending_parameter="p",

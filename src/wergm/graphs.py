@@ -168,12 +168,17 @@ def sample_prior(dist: cramer.EdgeDistribution, n: int, seed) -> WeightedGraph:
 
     n = check_integer(n, 2, name="n", module=_MODULE, operation="sample_prior")
     check_seed(seed, module=_MODULE, operation="sample_prior")
-    rng = np.random.default_rng(seed)
+    return WeightedGraph(n, _symmetric_draw(dist, np.random.default_rng(seed), n))
+
+
+def _symmetric_draw(dist: cramer.EdgeDistribution, rng, n: int) -> np.ndarray:
+    """Iid entries from ``dist`` on the upper triangle and diagonal, mirrored."""
+    import numpy as np
+
     iu = np.triu_indices(n)
     weights = np.zeros((n, n))
     weights[iu] = dist.draw(rng, len(iu[0]))
-    weights = weights + np.triu(weights, 1).T
-    return WeightedGraph(n, weights)
+    return weights + np.triu(weights, 1).T
 
 
 @dataclass(frozen=True)
@@ -251,10 +256,7 @@ class MetropolisChain:
         self._rng = np.random.default_rng(seed)
         self._entries = [(i, j) for i in range(n) for j in range(i, n)]
 
-        iu = np.triu_indices(n)
-        weights = np.zeros((n, n))
-        weights[iu] = params.dist.draw(self._rng, len(iu[0]))
-        self._w = weights + np.triu(weights, 1).T
+        self._w = _symmetric_draw(params.dist, self._rng, n)
 
         self._mode = {TWO_STAR: "two-star", TRIANGLE: "triangle"}.get(
             subgraph, "generic"

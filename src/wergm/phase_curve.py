@@ -19,8 +19,9 @@ m(B)``, so with ``a = B(theta_a)`` and ``b = B(theta_b)`` (the tangency
 roots of ``f(u) = -beta1``, since ``f`` composed with B is ``g``) there are
 two local maxima exactly when ``m(b) < beta2 < m(a)``: the V-shaped region
 bounded by the parametric curve ``u -> (-f(u), m(u))``.  The lower maximum
-is the root of ``h = beta2`` on ``(-THETA_WINDOW, theta_a)``, the upper one
-on ``(theta_b, THETA_WINDOW)``.
+is the root of ``h = beta2`` below ``theta_a``, the upper one above
+``theta_b``.  Every bracket that reaches out from a turning tilt starts at
+``+-THETA_WINDOW`` and doubles (``cramer.widen``) until it holds its root.
 
 Inside the region the value gap between the upper and lower maximum
 increases in ``beta2`` (its derivative is ``u2**p - u1**p``) and changes
@@ -35,12 +36,7 @@ import math
 from dataclasses import dataclass
 
 from . import cramer, critical, variational
-from .errors import (
-    InputValidationError,
-    NoTwoPhaseRegionError,
-    ThetaCapError,
-    check_integer,
-)
+from .errors import InputValidationError, NoTwoPhaseRegionError, check_integer
 from .variational import ROOT_TOL, THETA_WINDOW
 
 _MODULE = "phase_curve"
@@ -115,64 +111,45 @@ def _h(p: int, beta1: float, theta: float) -> float:
     return rise / denom
 
 
-def _turning_tilts(
-    p: int, beta1: float, theta0: float, operation: str
-) -> tuple[float, float]:
+def _turning_tilts(p: int, beta1: float, theta0: float) -> tuple[float, float]:
     """The roots ``theta_a < theta0 < theta_b`` of ``g(theta) = -beta1``."""
 
     def resid(theta: float) -> float:
         return critical.g_of_theta(p, theta) + beta1
 
-    r_left = resid(-THETA_WINDOW)
-    if r_left <= 0.0 or resid(THETA_WINDOW) <= 0.0:
-        raise ThetaCapError(
-            f"a tangency root for beta1 = {beta1:g} lies beyond the tilt "
-            f"window +-{THETA_WINDOW:g}",
-            module=_MODULE,
-            operation=operation,
-            offending_parameter="beta1",
-        )
     # resid(theta0) = beta1 - beta1_c < 0: each side brackets one root.
-    theta_a = cramer.bisect(resid, -THETA_WINDOW, theta0, r_left, ROOT_TOL)
-    theta_b = cramer.bisect(resid, theta0, THETA_WINDOW, resid(theta0), ROOT_TOL)
+    r0 = resid(theta0)
+    left, r_left = cramer.widen(resid, theta0, r0, -THETA_WINDOW)
+    right, _ = cramer.widen(resid, theta0, r0, THETA_WINDOW)
+    theta_a = cramer.bisect(resid, left, theta0, r_left, ROOT_TOL)
+    theta_b = cramer.bisect(resid, theta0, right, r0, ROOT_TOL)
     return theta_a, theta_b
 
 
-def _rising_root(resid, lo: float, hi: float, operation: str) -> float:
-    """Root of the increasing ``resid`` on [lo, hi], one end a window edge.
-
-    ``ThetaCapError`` when the root lies past that edge.
-    """
-    r_lo = resid(lo)
-    if r_lo > 0.0 or resid(hi) < 0.0:
-        raise ThetaCapError(
-            "a local maximum lies beyond the tilt window "
-            f"+-{THETA_WINDOW:g}",
-            module=_MODULE,
-            operation=operation,
-            offending_parameter="beta2",
-        )
-    return cramer.bisect(resid, lo, hi, r_lo, ROOT_TOL)
-
-
 def _maxima(
-    p: int, beta1: float, beta2: float, turns: tuple[float, float], operation: str
+    p: int, beta1: float, beta2: float, turns: tuple[float, float]
 ) -> tuple[float, float]:
-    """Tilts of the lower and upper local maximum, for ``m_b < beta2 < m_a``."""
+    """Tilts of the lower and upper local maximum, for ``m_b < beta2 < m_a``.
+
+    ``h - beta2`` is positive at ``theta_a`` and negative at ``theta_b``;
+    each maximum is where it rises through zero, below ``theta_a`` and
+    above ``theta_b``.
+    """
     theta_a, theta_b = turns
 
     def resid(theta: float) -> float:
         return _h(p, beta1, theta) - beta2
 
+    lo, r_lo = cramer.widen(resid, theta_a, resid(theta_a), -THETA_WINDOW)
+    r_b = resid(theta_b)
+    hi, _ = cramer.widen(resid, theta_b, r_b, THETA_WINDOW)
     return (
-        _rising_root(resid, -THETA_WINDOW, theta_a, operation),
-        _rising_root(resid, theta_b, THETA_WINDOW, operation),
+        cramer.bisect(resid, lo, theta_a, r_lo, ROOT_TOL),
+        cramer.bisect(resid, theta_b, hi, r_b, ROOT_TOL),
     )
 
 
-def _gap(
-    params: variational.ModelParams, turns: tuple[float, float], operation: str
-) -> float:
+def _gap(params: variational.ModelParams, turns: tuple[float, float]) -> float:
     """``L(upper max) - L(lower max)``, or +-inf where one of them is absent."""
     p, beta1, beta2 = params.p, params.beta1, params.beta2
     theta_a, theta_b = turns
@@ -180,7 +157,7 @@ def _gap(
         return math.inf
     if beta2 <= _h(p, beta1, theta_b):
         return -math.inf
-    theta1, theta2 = _maxima(p, beta1, beta2, turns, operation)
+    theta1, theta2 = _maxima(p, beta1, beta2, turns)
     return variational.at_tilt(params, theta2).value - variational.at_tilt(params, theta1).value
 
 
@@ -189,14 +166,15 @@ def bounding_point(p: int, beta1: float) -> BoundingPoint:
 
     The roots are ``B`` of the turning tilts, the two roots of
     ``g = f o B = -beta1`` on either side of ``theta0``, each refined by
-    bisection in theta to ROOT_TOL.
+    bisection in theta to ROOT_TOL.  Where ``a**(p-2)`` underflows, ``m_a``
+    exceeds the float range and is returned as inf, the value ``_h(theta_a)``
+    gives there.
     """
     beta1, data = _check_beta1(p, beta1, "bounding_point")
-    theta_a, theta_b = _turning_tilts(p, beta1, data.theta0, "bounding_point")
+    theta_a, theta_b = _turning_tilts(p, beta1, data.theta0)
     a, b = _mean(theta_a), _mean(theta_b)
-    return BoundingPoint(
-        beta1=beta1, a=a, b=b, m_a=critical.m_of_u(p, a), m_b=critical.m_of_u(p, b)
-    )
+    m_a = critical.m_of_u(p, a) if a ** (p - 2) > 0.0 else math.inf
+    return BoundingPoint(beta1=beta1, a=a, b=b, m_a=m_a, m_b=critical.m_of_u(p, b))
 
 
 def maxima_gap(p: int, beta1: float, beta2: float) -> float:
@@ -205,13 +183,11 @@ def maxima_gap(p: int, beta1: float, beta2: float) -> float:
     Returns -inf for ``beta2 <= m_b``, where the upper local maximum does
     not exist, and +inf for ``beta2 >= m_a``, where the lower one does not
     — the sign is what the curve bisection needs, and there is no finite
-    gap to report in either case.  Raises ``ThetaCapError`` when a maximum
-    that exists lies beyond the tilt window.
+    gap to report in either case.
     """
     beta1, data = _check_beta1(p, beta1, "maxima_gap")
     params = variational.ModelParams(beta1, beta2, p)
-    turns = _turning_tilts(p, beta1, data.theta0, "maxima_gap")
-    return _gap(params, turns, "maxima_gap")
+    return _gap(params, _turning_tilts(p, beta1, data.theta0))
 
 
 def r_of_beta1(
@@ -220,10 +196,9 @@ def r_of_beta1(
     """Transition ``beta2`` at the given ``beta1``, with both maximizers.
 
     Bisection of the maxima gap to CURVE_TOL over ``(m_b, m_a)``, where it
-    rises from -inf to +inf.  The upper end is lowered to ``h`` at the tilt
-    window's edge when that is smaller; if the gap is still not positive
-    there, the tie needs an upper maximum beyond the window and
-    ``ThetaCapError`` is raised.
+    rises from -inf to +inf.  The upper end is first lowered to
+    ``min(m_a, h(edge))`` with ``edge = THETA_WINDOW``; while the gap is not
+    positive there, ``edge`` doubles.
     """
     if dist != cramer.UNIFORM01:
         raise InputValidationError(
@@ -233,24 +208,20 @@ def r_of_beta1(
             offending_parameter="dist",
         )
     beta1, data = _check_beta1(p, beta1, "r_of_beta1")
-    turns = _turning_tilts(p, beta1, data.theta0, "r_of_beta1")
+    turns = _turning_tilts(p, beta1, data.theta0)
 
     def gap(beta2: float) -> float:
-        return _gap(variational.ModelParams(beta1, beta2, p), turns, "r_of_beta1")
+        return _gap(variational.ModelParams(beta1, beta2, p), turns)
 
     theta_a, theta_b = turns
     lo = _h(p, beta1, theta_b)
-    hi = min(_h(p, beta1, theta_a), _h(p, beta1, THETA_WINDOW))
-    if gap(hi) <= 0.0:
-        raise ThetaCapError(
-            f"the tie at beta1 = {beta1:g} needs an upper maximum beyond "
-            f"the tilt window +-{THETA_WINDOW:g}",
-            module=_MODULE,
-            operation="r_of_beta1",
-            offending_parameter="beta1",
-        )
+    m_a, edge = _h(p, beta1, theta_a), THETA_WINDOW
+    hi = min(m_a, _h(p, beta1, edge))
+    while gap(hi) <= 0.0:
+        edge *= 2.0
+        hi = min(m_a, _h(p, beta1, edge))
     r = cramer.bisect(gap, lo, hi, gap(lo), CURVE_TOL)
-    theta1, theta2 = _maxima(p, beta1, r, turns, "r_of_beta1")
+    theta1, theta2 = _maxima(p, beta1, r, turns)
     params = variational.ModelParams(beta1, r, p)
     low, high = variational.at_tilt(params, theta1), variational.at_tilt(params, theta2)
     return PhaseCurvePoint(

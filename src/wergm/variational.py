@@ -41,7 +41,6 @@ from .errors import (
     AttractiveRegionError,
     GradientUndefinedError,
     InputValidationError,
-    ThetaCapError,
     check_integer,
 )
 
@@ -50,8 +49,8 @@ _MODULE = "variational"
 #: Number of points in the stationary-point scan grid.
 GRID_POINTS = 2048
 
-#: Every tilt searched for lies in [-THETA_WINDOW, THETA_WINDOW], inside
-#: the evaluation cap ``cramer.THETA_MAX``.
+#: Half-width of the first tilt bracket of every search, which grows past it
+#: only where a root lies outside.
 THETA_WINDOW = 680.0
 
 #: Absolute theta-tolerance of the bisections that refine stationary tilts.
@@ -181,11 +180,10 @@ def objective_d2(params: ModelParams, u: float) -> float:
 def at_tilt(params: ModelParams, theta: float) -> Maximizer:
     """Location ``u = B(theta)`` and objective value ``L(theta)`` there.
 
-    Closed form through ``rate(B(theta)) = theta*B - log M(theta)``.
+    ``theta`` is the dual tilt of ``u``, so no dual solve is needed.
     """
     u = cramer.log_mgf_d1(params.dist, theta)
-    rate = theta * u - cramer.log_mgf(params.dist, theta)
-    return Maximizer(u, params.beta1 * u + params.beta2 * u**params.p - 0.5 * rate)
+    return Maximizer(u, objective_at(params, cramer.DualPair(theta, u)))
 
 
 def _theta_window(params: ModelParams) -> float:
@@ -194,7 +192,7 @@ def _theta_window(params: ModelParams) -> float:
     With ``s`` the largest support magnitude, ``|p*beta2*B**(p-1)|`` is at
     most ``p*beta2*s**(p-1)``, so ``D`` is positive below ``-T`` and
     negative above ``T = 2 * (|beta1| + p*beta2*s**(p-1))``.  Twice that
-    plus slack, capped at THETA_WINDOW.
+    plus slack, at most THETA_WINDOW.
     """
     lo, hi = cramer.support_interval(params.dist)
     s = max(abs(lo), abs(hi))
@@ -205,28 +203,19 @@ def _theta_window(params: ModelParams) -> float:
     )
 
 
-def local_maxima(
-    params: ModelParams, *, grid_points: int = GRID_POINTS
-) -> tuple[Maximizer, ...]:
+def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
     """All interior local maximizers of the objective, in ascending u.
 
-    ``D`` is scanned on a uniform theta-grid over ``[-T, T]`` from
-    ``_theta_window``, positive at the left edge and negative at the right
-    unless the window is capped, and each ``+ -> -`` crossing is bisected
-    in theta to ROOT_TOL.  A crossing whose mean rounds onto a support
-    endpoint is dropped; the endpoint candidate of ``solve_psi`` stands for
-    it.  For a law whose endpoints carry no atom (infinite endpoint rate),
-    a capped window whose edge signs are wrong leaves a maximum beyond it,
-    and ``ThetaCapError`` is raised.  No global filtering is applied;
-    ``solve_psi`` layers tie detection on top.
+    ``D`` is scanned on a uniform theta-grid of GRID_POINTS points over
+    ``[-T, T]`` from ``_theta_window``, and each ``+ -> -`` crossing is
+    bisected in theta to ROOT_TOL.  ``D`` is positive at the left edge and
+    negative at the right unless the window was clipped to THETA_WINDOW;
+    for a law whose endpoints carry no atom (infinite endpoint rate) the
+    window then doubles until the edge signs are right, so no maximum lies
+    beyond it.  A crossing whose mean rounds onto a support endpoint is
+    dropped; the endpoint candidate of ``solve_psi`` stands for it.  No
+    global filtering is applied; ``solve_psi`` layers tie detection on top.
     """
-    if grid_points < 16:
-        raise InputValidationError(
-            f"grid_points must be at least 16, got {grid_points}",
-            module=_MODULE,
-            operation="local_maxima",
-            offending_parameter="grid_points",
-        )
     dist, beta1, beta2, p = params.dist, params.beta1, params.beta2, params.p
 
     def slope(theta: float) -> float:
@@ -235,16 +224,13 @@ def local_maxima(
     window = _theta_window(params)
     e_lo, e_hi = cramer.endpoint_rate(dist)
     d_prev = slope(-window)
-    # The edge signs can be wrong only when the window is capped.
-    if (d_prev <= 0.0 and math.isinf(e_lo)) or (slope(window) >= 0.0 and math.isinf(e_hi)):
-        raise ThetaCapError(
-            f"a maximum lies beyond the tilt window +-{THETA_WINDOW:g}",
-            module=_MODULE,
-            operation="local_maxima",
-            offending_parameter="params",
-        )
-    step = 2.0 * window / (grid_points - 1)
-    grid = [-window + i * step for i in range(1, grid_points - 1)] + [window]
+    while (d_prev <= 0.0 and math.isinf(e_lo)) or (
+        slope(window) >= 0.0 and math.isinf(e_hi)
+    ):
+        window *= 2.0
+        d_prev = slope(-window)
+    step = 2.0 * window / (GRID_POINTS - 1)
+    grid = [-window + i * step for i in range(1, GRID_POINTS - 1)] + [window]
     roots: list[float] = []
     theta_prev = -window
     for theta_here in grid:
@@ -261,9 +247,7 @@ def local_maxima(
     return tuple(m for m in found if s_lo < m.u < s_hi)
 
 
-def solve_psi(
-    params: ModelParams, *, grid_points: int = GRID_POINTS
-) -> MaximizerSet:
+def solve_psi(params: ModelParams) -> MaximizerSet:
     """Maximize the variational integrand and report all global maximizers.
 
     Interior candidates come from ``local_maxima``; support endpoints are
@@ -274,7 +258,7 @@ def solve_psi(
     ``B(T) - B(-T)`` are merged into their best representative: a
     numerically flat optimum is one phase, not two.
     """
-    candidates = list(local_maxima(params, grid_points=grid_points))
+    candidates = list(local_maxima(params))
 
     e_lo, e_hi = cramer.endpoint_rate(params.dist)
     s_lo, s_hi = cramer.support_interval(params.dist)

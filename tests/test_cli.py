@@ -173,20 +173,18 @@ class TestPhaseCurveCommand:
         assert code == 1
         assert json.loads(err)["module"] == "phase_curve"
 
-    def test_corner_past_first_scan_edge_cannot_be_traced(self, capsys):
-        # critical-table finds the p = 150 corner (beta1_c ~ -18.876), but the
-        # tie 0.6 below it needs an upper maximum past the tilt window: a
-        # known limit, pinned as a one-line record until it is lifted.
-        code, out, err = run_cli(capsys, "phase-curve", "--p", "150", "--beta1=-19.5")
-        assert code == 1 and out == ""
-        assert err.count("\n") == 1
-        assert json.loads(err) == {
-            "module": "phase_curve",
-            "operation": "r_of_beta1",
-            "message": "the tie at beta1 = -19.5 needs an upper maximum beyond "
-                       "the tilt window +-680",
-            "offending_parameter": "beta1",
-        }
+    @pytest.mark.parametrize("p,beta1,r", [
+        ("150", "-19.5", 22.0582120586888),
+        ("2", "-1000", 1000.0),
+    ])
+    def test_ties_past_the_tilt_window_are_traced(self, capsys, p, beta1, r):
+        # The p = 150 corner is at beta1_c ~ +18.876; 38.4 below it the upper
+        # maximum sits at theta ~ 6427.  50-digit mpmath reference for r.
+        code, out, err = run_cli(capsys, "phase-curve", "--p", p, f"--beta1={beta1}")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert len(rows) == 1
+        assert abs(float(rows[0][1]) - r) <= 1e-9 * r
 
 
 class TestFiguresCommand:
@@ -359,6 +357,45 @@ class TestOutputPath:
             "offending_parameter": "out",
         }
         assert not path.parent.exists()
+
+    def test_sample_checks_the_path_before_the_chain(self, capsys, tmp_path, monkeypatch):
+        from wergm import graphs
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the chain ran before the output path was checked")
+
+        monkeypatch.setattr(graphs, "run_sampler", fail)
+        path = tmp_path / "missing" / "x"
+        code, out, err = run_cli(
+            capsys, "sample", "--p", "2", "--beta1", "-5", "--beta2", "3.5", "--n", "40",
+            "--sweeps", "300", "--burn-in", "50", "--seed", "1", "--out", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["offending_parameter"] == "out"
+
+    def test_path_record_comes_before_a_parameter_record(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x"
+        code, _, err = run_cli(capsys, "psi", "--p", "1", "--beta1", "0", "--beta2", "0",
+                               "--out", str(path))
+        assert code == 1
+        assert json.loads(err)["offending_parameter"] == "out"
+
+    def test_parent_that_is_a_file_is_a_record(self, capsys, tmp_path):
+        parent = tmp_path / "file"
+        parent.write_text("kept\n", encoding="utf-8")
+        path = parent / "x"
+        code, _, err = run_cli(capsys, "rate", "--u", "0.5", "--out", str(path))
+        assert code == 1
+        assert json.loads(err)["message"] == (
+            f"cannot write to {str(path)!r}: Not a directory"
+        )
+
+    def test_existing_file_survives_a_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "kept.csv"
+        path.write_text("old\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "rate", "--u", "1.5", "--out", str(path))
+        assert code == 1
+        assert json.loads(err)["module"] == "cramer"
+        assert path.read_text(encoding="utf-8") == "old\n"
 
 
 class TestDeterminism:

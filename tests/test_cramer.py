@@ -133,11 +133,73 @@ class TestLogMgf:
         assert 1.0 - 1e-2 < log_mgf_d1(UNIFORM01, 699.0) < 1.0
         assert log_mgf_d2(UNIFORM01, 699.0) > 0.0
 
-    def test_tilt_cap_enforced(self):
-        with pytest.raises(ThetaCapError):
-            log_mgf(UNIFORM01, THETA_MAX + 1.0)
-        with pytest.raises(ThetaCapError):
-            log_mgf_d1(UNIFORM01, -THETA_MAX - 1.0)
+    def test_evaluates_past_the_dual_cap(self):
+        # 50-digit mpmath references at tilts past THETA_MAX, where the sinh
+        # terms of var and skew are below exp(-700) relative.  At -theta,
+        # log M and the mean are computed through theta, so their errors are
+        # absolute: a few ulps of theta and of 1.
+        for theta, log_m, mean, var, skew in (
+            (800.0, 793.3153882723320727, 0.99875, 1.5625e-6, -3.90625e-9),
+            (1500.0, 1492.6867796129096986, 0.99933333333333333333,
+             4.4444444444444444444e-7, -5.9259259259259259259e-10),
+            (1e6, 999986.18448944203573, 0.999999, 1e-12, -2e-18),
+        ):
+            assert theta > THETA_MAX
+            for t, want_log_m, want_mean in (
+                (theta, log_m, mean), (-theta, log_m - theta, 1.0 - mean)
+            ):
+                assert abs(log_mgf(UNIFORM01, t) - want_log_m) <= 1e-15 * theta
+                assert abs(log_mgf_d1(UNIFORM01, t) - want_mean) <= 3e-16
+                assert math.isclose(log_mgf_d2(UNIFORM01, t), var, rel_tol=1e-15)
+            assert math.isclose(UNIFORM01.skew(theta), skew, rel_tol=1e-15)
+            assert UNIFORM01.skew(-theta) == -UNIFORM01.skew(theta)
+
+
+class TestWiden:
+    def test_doubles_the_edge_until_the_sign_changes(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return x - 5.0
+
+        assert cramer.widen(fn, 0.0, -5.0, 1.0) == (8.0, 3.0)
+        assert seen == [1.0, 2.0, 4.0, 8.0]
+
+    def test_edge_short_of_inner_is_doubled_first(self):
+        # -680 lies above inner = -1000, so the first evaluation is at -1360.
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return x + 1200.0
+
+        assert cramer.widen(fn, -1000.0, 200.0, -680.0) == (-1360.0, -160.0)
+        assert seen == [-1360.0]
+
+    def test_limit_record(self):
+        with pytest.raises(ThetaCapError) as excinfo:
+            cramer.widen(lambda x: -1.0, 0.0, -1.0, 1.0, limit=700.0)
+        assert excinfo.value.record() == {
+            "module": "cramer",
+            "operation": "widen",
+            "message": "no sign change between theta = 0 and 700",
+            "offending_parameter": "theta",
+        }
+
+    @pytest.mark.parametrize("fn,edge", [
+        (lambda x: -math.exp(x), "1024"),  # math.exp raises OverflowError
+        (lambda x: -1.0, "inf"),  # the edge itself overflows
+    ], ids=["fn-overflow", "edge-overflow"])
+    def test_overflow_record(self, fn, edge):
+        with pytest.raises(ThetaCapError) as excinfo:
+            cramer.widen(fn, 0.0, -1.0, 1.0)
+        assert excinfo.value.record() == {
+            "module": "cramer",
+            "operation": "widen",
+            "message": f"no sign change between theta = 0 and {edge}",
+            "offending_parameter": "theta",
+        }
 
 
 class TestDualTheta:
@@ -168,6 +230,11 @@ class TestDualTheta:
         np.testing.assert_allclose(
             dual_theta(UNIFORM01, 0.8259).theta, 5.6256, atol=5e-3
         )
+
+    def test_bracket_doubling_sequence_is_pinned(self):
+        # The bracket grows 1, 2, ..., 512 and is clamped to THETA_MAX = 700;
+        # another doubling sequence lands elsewhere in the last digits.
+        assert dual_theta(UNIFORM01, 1.0 / 513.0).theta == -512.9999999999889
 
     def test_unreachable_mean_raises_cap_error(self):
         # The uniform mean 1e-6 needs a tilt of about -1e6, beyond the cap.

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wergm.critical import f_of_u, find_theta0, m_of_u
-from wergm.errors import InputValidationError, NoTwoPhaseRegionError, ThetaCapError
+from wergm.errors import InputValidationError, NoTwoPhaseRegionError
 from wergm.phase_curve import (
     bounding_point,
     jump_profile,
@@ -21,7 +21,6 @@ from wergm.phase_curve import (
     trace_curve,
 )
 from wergm.variational import (
-    THETA_WINDOW,
     ModelParams,
     PhaseClass,
     objective,
@@ -56,6 +55,15 @@ class TestBoundingPoint:
         for beta1 in (-3.0, -2.5, 0.0):
             with pytest.raises(NoTwoPhaseRegionError):
                 bounding_point(2, beta1)
+
+    @pytest.mark.parametrize("p,beta1", [(156, -70.64), (173, -40.963), (181, -34.213)])
+    def test_upper_bound_past_float_range_is_inf(self, p, beta1):
+        # a**(p-2) underflows to 0, so m(a) is above the float range.
+        bound = bounding_point(p, beta1)
+        assert bound.a ** (p - 2) == 0.0
+        assert bound.m_a == np.inf
+        assert bound.m_b == m_of_u(p, bound.b)
+        assert bound.m_b < r_of_beta1(p, beta1).r
 
 
 class TestMaximaGap:
@@ -131,19 +139,18 @@ class TestROfBeta1:
         with pytest.raises(InputValidationError):
             r_of_beta1(2, -5.0, BERNOULLI_HALF)
 
-    def test_tie_past_tilt_window_is_a_typed_error(self):
-        # Known limit: the p = 150 corner exists, but 0.6 below it the upper
-        # maximum sits at a tilt past THETA_WINDOW, so the tie cannot be found.
+    def test_tie_past_tilt_window_matches_reference(self):
+        # Deep ties whose upper maximum (or, at p = 2 and beta1 = -1000, both
+        # maxima) sits at a tilt past THETA_WINDOW; the p = 150 one is at
+        # theta ~ 6427.  50-digit mpmath references for r; p = 2 is exact.
         assert find_theta0(150).beta1_c > -19.5
-        with pytest.raises(ThetaCapError) as excinfo:
-            r_of_beta1(150, -19.5)
-        assert excinfo.value.record() == {
-            "module": "phase_curve",
-            "operation": "r_of_beta1",
-            "message": "the tie at beta1 = -19.5 needs an upper maximum beyond "
-                       f"the tilt window +-{THETA_WINDOW:g}",
-            "offending_parameter": "beta1",
-        }
+        for p, beta1, r in (
+            (150, -19.5, 22.0582120586888),
+            (10, -40.0, 41.110409719084),
+            (100, -10.0, 12.39547089992),
+            (2, -1000.0, 1000.0),
+        ):
+            assert abs(r_of_beta1(p, beta1).r - r) <= 1e-9 * r
 
 
 class TestTraceAndJump:

@@ -7,7 +7,8 @@ of tilts and shapes rather than at a handful of points.  The tie is checked
 over a range of ``beta1`` below each corner.  ``solve_psi``, which works on
 the tilt side too, is checked against the mean-side ``objective`` (through
 the dual solve) for all three laws: psi is the supremum, it is attained at
-every interior maximizer, and it is convex in ``beta1``.  The fair coin's
+every interior maximizer, and it is convex in ``beta1``.  Deep ties, far
+below the corner and up to p = 200, are traced too.  The fair coin's
 closed-form evaluators are checked against the generic atom-law sums for
 the same two atoms, and the uniform law's third cumulant ``skew`` against a
 centred difference of its variance.
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wergm import cramer, critical
-from wergm.phase_curve import bounding_point, r_of_beta1
+from wergm.phase_curve import bounding_point, maxima_gap, r_of_beta1
 from wergm.variational import ModelParams, objective, solve_psi
 
 thetas = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
@@ -66,6 +67,22 @@ def test_tie_inside_region_with_equal_heights(p, depth):
     assert bound.m_b < point.r < bound.m_a
     params = ModelParams(beta1, point.r, p)
     assert abs(objective(params, point.u2_star) - objective(params, point.u1_star)) <= 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    p=st.integers(min_value=2, max_value=200),
+    depth=st.floats(min_value=0.5, max_value=100.0, allow_nan=False),
+)
+def test_deep_ties_are_traced_at_any_p(p, depth):
+    # Deep ties put maxima at tilts far past THETA_WINDOW (and m_a past the
+    # float range for large p); the heights are compared through the gap,
+    # since the dual solve of ``objective`` stops at THETA_MAX.
+    beta1 = critical.find_theta0(p).beta1_c - depth
+    bound = bounding_point(p, beta1)
+    point = r_of_beta1(p, beta1)
+    assert bound.m_b < point.r < bound.m_a
+    assert abs(maxima_gap(p, beta1, point.r)) <= 1e-9 * max(1.0, abs(point.psi))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -110,8 +127,9 @@ def test_coin_closed_forms_match_generic_atom_sums(theta):
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(
-    theta=st.floats(
-        min_value=-0.999 * cramer.THETA_MAX, max_value=0.999 * cramer.THETA_MAX
+    theta=st.one_of(
+        st.floats(min_value=-0.999 * cramer.THETA_MAX, max_value=0.999 * cramer.THETA_MAX),
+        st.floats(min_value=-1e6, max_value=1e6),
     )
 )
 def test_uniform_skew_is_the_derivative_of_the_variance(theta):

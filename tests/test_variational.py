@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 
 from wergm.cramer import BERNOULLI_HALF, UNIFORM01, rate
+from wergm import variational
 from wergm.errors import (
     AttractiveRegionError,
     GradientUndefinedError,
     InputValidationError,
-    ThetaCapError,
 )
 from wergm.variational import (
     ModelParams,
@@ -167,10 +167,11 @@ class TestSolvePsi:
         ]
         assert np.all(np.diff(psis_b2) > 0.0)
 
-    def test_larger_grid_agrees(self):
+    def test_larger_grid_agrees(self, monkeypatch):
         params = ModelParams(-1.2, 2.1, 4)
         a = solve_psi(params)
-        b = solve_psi(params, grid_points=8192)
+        monkeypatch.setattr(variational, "GRID_POINTS", 8192)
+        b = solve_psi(params)
         np.testing.assert_allclose(a.psi, b.psi, atol=1e-11)
         np.testing.assert_allclose(a.maximizers, b.maximizers, atol=1e-9)
 
@@ -217,15 +218,22 @@ class TestSolvePsi:
         np.testing.assert_allclose(solution.maximizers, maximizers, rtol=rtol, atol=atol)
         assert not solution.includes_endpoint
 
-    @pytest.mark.parametrize("beta1,beta2", [(-300.0, 400.0), (0.0, 300.0)])
-    def test_maximum_beyond_tilt_window_raises(self, beta1, beta2):
-        # The uniform law has no endpoint candidate to stand for a maximum
-        # past the window: at (-300, 400) the global one sits at theta ~ 998
-        # (psi ~ 96.5465), at (0, 300) the only one beyond 680.
-        with pytest.raises(ThetaCapError) as info:
-            solve_psi(ModelParams(beta1, beta2, 2))
-        assert info.value.module == "variational"
-        assert info.value.offending_parameter == "params"
+    @pytest.mark.parametrize(
+        "beta1,beta2,psi,u",
+        [
+            (-300.0, 400.0, 96.546523002221355, 0.99899839485942781),
+            (0.0, 300.0, 296.45517008929795, 0.99916597106239791),
+        ],
+        ids=["-300.0-400.0", "0.0-300.0"],
+    )
+    def test_maximum_beyond_tilt_window_is_found(self, beta1, beta2, psi, u):
+        # The global maximum sits past THETA_WINDOW, at theta ~ 998 and
+        # ~ 1199, so the scan window doubles to reach it.  50-digit mpmath
+        # references.
+        solution = solve_psi(ModelParams(beta1, beta2, 2))
+        assert solution.classification is PhaseClass.UNIQUE
+        assert math.isclose(solution.psi, psi, rel_tol=1e-9)
+        assert math.isclose(solution.maximizers[0], u, rel_tol=1e-9)
 
 
 class TestPsiGradient:
