@@ -11,12 +11,22 @@ is a ``git archive`` export of ``--base``; the change side is the working
 tree as it is.  Each side's commands write their files under a temporary
 directory of its own, whose path reads ``<out>`` in stdout and stderr before
 they are compared.  Every command whose exit code, stdout, stderr or written
-files differ is listed, and the exit status is 1 if any does.
+files differ is listed, and the exit status is 1 if any does.  Under each one,
+for stdout, stderr and every written file that differs, come the largest
+absolute and relative difference of each numeric CSV column or JSON field
+that changed, then the changed lines: for a CSV table of unchanged shape,
+each changed row's first cell and its changed cells as ``base→change``;
+otherwise a line diff (``-`` base, ``+`` change).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import difflib
+import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -54,6 +64,84 @@ def _run_side(root: Path, out_root: Path) -> dict:
     return results
 
 
+def _numeric_fields(text: str) -> dict[str, list[float]]:
+    """Numbers of a JSON or CSV text by field or column name, in order."""
+    fields: dict[str, list[float]] = {}
+    try:
+        data = json.loads(text)
+    except ValueError:
+        rows = list(csv.reader(io.StringIO(text)))
+        for row in rows[1:]:
+            for name, cell in zip(rows[0], row):
+                try:
+                    fields.setdefault(name, []).append(float(cell))
+                except ValueError:
+                    pass
+        return fields
+
+    def walk(value, path: str) -> None:
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{path}.{key}" if path else key)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item, f"{path}[]")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            fields.setdefault(path, []).append(float(value))
+
+    walk(data, "")
+    return fields
+
+
+def _describe(label: str, base: str, change: str) -> list[str]:
+    """Per-field largest differences, then the changed lines, of one output."""
+    lines = []
+    base_fields, change_fields = _numeric_fields(base), _numeric_fields(change)
+    for name, old in base_fields.items():
+        new = change_fields.get(name)
+        if new is None or len(new) != len(old):
+            continue
+        diffs = [(abs(c - b), abs(c - b) / abs(b) if b else math.inf)
+                 for b, c in zip(old, new) if c != b]
+        if diffs:
+            lines.append(f"    {label} {name}: max abs {max(d for d, _ in diffs):.3g}, "
+                         f"max rel {max(r for _, r in diffs):.3g} "
+                         f"({len(diffs)} of {len(old)} values)")
+    old_rows = list(csv.reader(io.StringIO(base)))
+    new_rows = list(csv.reader(io.StringIO(change)))
+    if (len(old_rows) == len(new_rows) > 1 and old_rows[0] == new_rows[0]
+            and all(len(row) == len(old_rows[0]) for row in old_rows + new_rows)):
+        # A CSV table of the same shape: each changed row as its changed cells.
+        header = old_rows[0]
+        for old_row, new_row in zip(old_rows[1:], new_rows[1:]):
+            cells = [f"{name} {a}→{b}" for name, a, b in zip(header, old_row, new_row)
+                     if a != b]
+            if cells:
+                lines.append(f"    {label} {header[0]}={old_row[0]}: {', '.join(cells)}")
+        return lines
+    for line in difflib.unified_diff(base.splitlines(), change.splitlines(), n=0,
+                                     lineterm=""):
+        if not line.startswith(("---", "+++", "@@")):
+            lines.append(f"    {label} {line}")
+    return lines
+
+
+def _details(base_result, change_result) -> list[str]:
+    _, base_out, base_err, base_files = base_result
+    _, change_out, change_err, change_files = change_result
+    lines = []
+    for label, old, new in (("stdout", base_out, change_out),
+                            ("stderr", base_err, change_err)):
+        if old != new:
+            lines += _describe(label, old, new)
+    for name in sorted(base_files.keys() | change_files.keys()):
+        old, new = base_files.get(name, b""), change_files.get(name, b"")
+        if old != new:
+            lines += _describe(name, old.decode("utf-8", "replace"),
+                               new.decode("utf-8", "replace"))
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision of the base side")
@@ -74,6 +162,8 @@ def main(argv=None) -> int:
             differing += 1
             name, seed, _ = key
             print(f"DIFFERS ({', '.join(diff)}): {name} seed {seed}: wergm {' '.join(cmd)}")
+            for line in _details(base_result, change_result):
+                print(line)
     print(f"{len(base)} commands, {differing} differ (base {commit[:12]} vs working tree)")
     return 1 if differing else 0
 

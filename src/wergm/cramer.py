@@ -31,6 +31,7 @@ functions check the tilt and delegate, so no caller branches on the law.
 Every law evaluates at any finite tilt.  ``widen`` grows a bracket outward
 until a function changes sign across it; ``dual_theta`` stops it at
 |theta| = THETA_MAX and fails loudly there rather than searching on.
+``bisect`` and the safeguarded ``newton`` find the root inside a bracket.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ class UniformLaw(EdgeDistribution):
             s = theta * theta
             return 0.5 + theta * _horner_even(_B_SERIES, s)
         if theta < 0.0:
-            return 1.0 - self.mean(-theta)
+            # exp/expm1 -> 0 without overflow; 1 - mean(-theta) would cancel.
+            return -1.0 / theta + math.exp(theta) / math.expm1(theta)
         return 1.0 / (-math.expm1(-theta)) - 1.0 / theta
 
     def var(self, theta: float) -> float:
@@ -383,6 +385,43 @@ def bisect(fn, lo: float, hi: float, fn_lo: float, tol: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def newton(fn, lo: float, hi: float, fn_lo: float, start: float | None = None) -> float:
+    """Root of ``fn`` on a sign-changing bracket by safeguarded Newton steps.
+
+    ``fn(x)`` returns the value and the derivative at ``x``; ``fn_lo`` is
+    the value at ``lo``.  Iteration starts at ``start`` (the midpoint if it
+    is None or outside the open bracket), and every evaluation moves one
+    bracket end to it.  A Newton step is taken only when it lands inside the
+    bracket and is at most half as long as the step two iterations before
+    (rtsafe); otherwise, or when the value or derivative is not finite, the
+    bracket is bisected.  A step that rounds to no move goes one float
+    inward.  Stops at an exact zero or once ``lo`` and ``hi`` are adjacent
+    floats, and then returns their rounded midpoint.
+    """
+    x = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
+    step = step_old = hi - lo
+    while True:
+        value, slope = fn(x)
+        if value == 0.0:
+            return x
+        if (value > 0.0) == (fn_lo > 0.0):
+            lo, fn_lo = x, value
+        else:
+            hi = x
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        target = math.nan
+        if math.isfinite(value) and math.isfinite(slope) and slope != 0.0:
+            target = x - value / slope
+            if target == x:
+                target = math.nextafter(x, hi if x == lo else lo)
+        if not (lo < target < hi and abs(target - x) <= 0.5 * abs(step_old)):
+            target = mid
+        step_old, step = step, target - x
+        x = target
 
 
 def widen(fn, inner: float, fn_inner: float, edge: float, *, limit: float = math.inf,

@@ -1,8 +1,10 @@
 """The two-maximizer region and the first-order transition curve.
 
 For the uniform(0, 1) law everything here is solved on the tilt side, in
-closed forms of ``B = log_mgf_d1`` and ``log M``, by bisection alone.  The
-objective ``beta1*u + beta2*u**p - rate(u)/2`` at ``u = B(theta)`` is
+closed forms of ``B = log_mgf_d1`` and ``log M``.  Every root is found by
+``cramer.newton``: safeguarded Newton steps with closed-form derivatives,
+inside a bracket that falls back to bisection.  The objective
+``beta1*u + beta2*u**p - rate(u)/2`` at ``u = B(theta)`` is
 
     L(theta) = beta1*B + beta2*B**p - (theta*B - log M(theta)) / 2,
 
@@ -22,12 +24,15 @@ bounded by the parametric curve ``u -> (-f(u), m(u))``.  The lower maximum
 is the root of ``h = beta2`` below ``theta_a``, the upper one above
 ``theta_b``.  Every bracket that reaches out from a turning tilt starts at
 ``+-THETA_WINDOW`` and doubles (``cramer.widen``) until it holds its root.
+The turning tilts step with ``g' = -phi / (2 (p-1) A**2)`` (``phi`` as in
+``critical``) and the maxima with ``h' = (1/2 - h p (p-1) B**(p-2) A) /
+(p B**(p-1))``.
 
 Inside the region the value gap between the upper and lower maximum
 increases in ``beta2`` (its derivative is ``u2**p - u1**p``) and changes
 sign once; the zero is the first-order transition curve
 ``beta2 = r(beta1)``, where both maximizers are global and of equal height.
-``r_of_beta1`` bisects the gap in ``beta2``.
+``r_of_beta1`` finds it by Newton steps in ``beta2`` with that slope.
 """
 
 from __future__ import annotations
@@ -37,12 +42,9 @@ from dataclasses import dataclass
 
 from . import cramer, critical, variational
 from .errors import InputValidationError, NoTwoPhaseRegionError, check_integer
-from .variational import ROOT_TOL, THETA_WINDOW
+from .variational import THETA_WINDOW
 
 _MODULE = "phase_curve"
-
-#: Absolute beta2 tolerance for the transition-curve bisection.
-CURVE_TOL = 1e-10
 
 #: Tracing stops this far below the critical beta1: at the corner the two
 #: maximizers merge and the tie becomes a degenerate double root.
@@ -101,80 +103,132 @@ def _mean(theta: float) -> float:
     return cramer.log_mgf_d1(cramer.UNIFORM01, theta)
 
 
-def _h(p: int, beta1: float, theta: float) -> float:
-    """The ``beta2`` at which ``u = B(theta)`` is a stationary point."""
+def _h(p: int, beta1: float, theta: float, b: float | None = None) -> float:
+    """The ``beta2`` at which ``u = B(theta)`` is a stationary point.
+
+    ``b`` is ``B(theta)`` when the caller has it.
+    """
     rise = 0.5 * theta - beta1
-    denom = p * _mean(theta) ** (p - 1)
+    denom = p * (_mean(theta) if b is None else b) ** (p - 1)
     if denom == 0.0:
         # B**(p-1) underflows far left for large p; h tends to +-inf there.
         return math.copysign(math.inf, rise)
     return rise / denom
 
 
+def _h_d1(p: int, beta1: float, theta: float) -> tuple[float, float]:
+    """``h`` and its derivative ``(1/2 - h*p*(p-1)*B**(p-2)*A) / (p*B**(p-1))``.
+
+    The derivative is nan where ``h`` is infinite.
+    """
+    b = _mean(theta)
+    h = _h(p, beta1, theta, b)
+    if math.isinf(h):
+        return h, math.nan
+    a = cramer.log_mgf_d2(cramer.UNIFORM01, theta)
+    return h, (0.5 - h * p * (p - 1) * b ** (p - 2) * a) / (p * b ** (p - 1))
+
+
 def _turning_tilts(p: int, beta1: float, theta0: float) -> tuple[float, float]:
-    """The roots ``theta_a < theta0 < theta_b`` of ``g(theta) = -beta1``."""
+    """The roots ``theta_a < theta0 < theta_b`` of ``g(theta) = -beta1``.
+
+    Newton steps use ``g' = -phi / (2 (p-1) A**2)``.
+    """
+
+    def resid_d1(theta: float) -> tuple[float, float]:
+        # critical.g_of_theta and critical._phi, from one evaluation of A, B
+        # and kappa3.
+        a = cramer.log_mgf_d2(cramer.UNIFORM01, theta)
+        b = _mean(theta)
+        phi = cramer.UNIFORM01.skew(theta) * b + (p - 2) * a * a
+        g = b / (2.0 * (p - 1) * a) - 0.5 * theta
+        return g + beta1, -phi / (2.0 * (p - 1) * a * a)
 
     def resid(theta: float) -> float:
-        return critical.g_of_theta(p, theta) + beta1
+        return resid_d1(theta)[0]
 
     # resid(theta0) = beta1 - beta1_c < 0: each side brackets one root.
     r0 = resid(theta0)
     left, r_left = cramer.widen(resid, theta0, r0, -THETA_WINDOW)
     right, _ = cramer.widen(resid, theta0, r0, THETA_WINDOW)
-    theta_a = cramer.bisect(resid, left, theta0, r_left, ROOT_TOL)
-    theta_b = cramer.bisect(resid, theta0, right, r0, ROOT_TOL)
+    theta_a = cramer.newton(resid_d1, left, theta0, r_left)
+    theta_b = cramer.newton(resid_d1, theta0, right, r0)
     return theta_a, theta_b
 
 
 def _maxima(
-    p: int, beta1: float, beta2: float, turns: tuple[float, float]
+    p: int,
+    beta1: float,
+    beta2: float,
+    turns: tuple[float, float],
+    start: tuple[float | None, float | None] = (None, None),
 ) -> tuple[float, float]:
     """Tilts of the lower and upper local maximum, for ``m_b < beta2 < m_a``.
 
     ``h - beta2`` is positive at ``theta_a`` and negative at ``theta_b``;
     each maximum is where it rises through zero, below ``theta_a`` and
-    above ``theta_b``.
+    above ``theta_b``.  The Newton iterations start at ``start`` when given.
     """
     theta_a, theta_b = turns
 
     def resid(theta: float) -> float:
         return _h(p, beta1, theta) - beta2
 
+    def resid_d1(theta: float) -> tuple[float, float]:
+        h, slope = _h_d1(p, beta1, theta)
+        return h - beta2, slope
+
     lo, r_lo = cramer.widen(resid, theta_a, resid(theta_a), -THETA_WINDOW)
     r_b = resid(theta_b)
-    hi, _ = cramer.widen(resid, theta_b, r_b, THETA_WINDOW)
+    hi, r_hi = cramer.widen(resid, theta_b, r_b, THETA_WINDOW)
+    # An edge can be the root itself: r_of_beta1 evaluates at beta2 = h(edge).
     return (
-        cramer.bisect(resid, lo, theta_a, r_lo, ROOT_TOL),
-        cramer.bisect(resid, theta_b, hi, r_b, ROOT_TOL),
+        lo if r_lo == 0.0 else cramer.newton(resid_d1, lo, theta_a, r_lo, start[0]),
+        hi if r_hi == 0.0 else cramer.newton(resid_d1, theta_b, hi, r_b, start[1]),
     )
 
 
-def _gap(params: variational.ModelParams, turns: tuple[float, float]) -> float:
-    """``L(upper max) - L(lower max)``, or +-inf where one of them is absent."""
+def _gap(
+    params: variational.ModelParams,
+    turns: tuple[float, float],
+    start: tuple[float | None, float | None] = (None, None),
+) -> tuple[float, float, tuple[float | None, float | None]]:
+    """``L(upper max) - L(lower max)``, its ``beta2``-derivative and the tilts.
+
+    The derivative is ``u2**p - u1**p`` (envelope theorem).  Where one
+    maximum is absent the gap is +-inf, the derivative nan and the tilts
+    are ``start``.
+    """
     p, beta1, beta2 = params.p, params.beta1, params.beta2
     theta_a, theta_b = turns
     if beta2 >= _h(p, beta1, theta_a):
-        return math.inf
+        return math.inf, math.nan, start
     if beta2 <= _h(p, beta1, theta_b):
-        return -math.inf
-    theta1, theta2 = _maxima(p, beta1, beta2, turns)
-    return variational.at_tilt(params, theta2).value - variational.at_tilt(params, theta1).value
+        return -math.inf, math.nan, start
+    tilts = _maxima(p, beta1, beta2, turns, start)
+    low, high = (variational.at_tilt(params, theta) for theta in tilts)
+    return high.value - low.value, high.u**p - low.u**p, tilts
 
 
 def bounding_point(p: int, beta1: float) -> BoundingPoint:
     """Tangency roots of ``f(u) = -beta1`` and the bounding ``beta2`` pair.
 
     The roots are ``B`` of the turning tilts, the two roots of
-    ``g = f o B = -beta1`` on either side of ``theta0``, each refined by
-    bisection in theta to ROOT_TOL.  Where ``a**(p-2)`` underflows, ``m_a``
-    exceeds the float range and is returned as inf, the value ``_h(theta_a)``
-    gives there.
+    ``g = f o B = -beta1`` on either side of ``theta0``, and the bounds are
+    ``m = 1/n`` at those tilts, so no dual solve is needed.  Where
+    ``a**(p-2)`` underflows, ``n`` does too and ``m_a`` exceeds the float
+    range; it is returned as inf, the value ``_h(theta_a)`` gives there.
     """
     beta1, data = _check_beta1(p, beta1, "bounding_point")
     theta_a, theta_b = _turning_tilts(p, beta1, data.theta0)
-    a, b = _mean(theta_a), _mean(theta_b)
-    m_a = critical.m_of_u(p, a) if a ** (p - 2) > 0.0 else math.inf
-    return BoundingPoint(beta1=beta1, a=a, b=b, m_a=m_a, m_b=critical.m_of_u(p, b))
+    n_a = critical.n_of_theta(p, theta_a)
+    return BoundingPoint(
+        beta1=beta1,
+        a=_mean(theta_a),
+        b=_mean(theta_b),
+        m_a=1.0 / n_a if n_a > 0.0 else math.inf,
+        m_b=1.0 / critical.n_of_theta(p, theta_b),
+    )
 
 
 def maxima_gap(p: int, beta1: float, beta2: float) -> float:
@@ -182,12 +236,12 @@ def maxima_gap(p: int, beta1: float, beta2: float) -> float:
 
     Returns -inf for ``beta2 <= m_b``, where the upper local maximum does
     not exist, and +inf for ``beta2 >= m_a``, where the lower one does not
-    — the sign is what the curve bisection needs, and there is no finite
+    — the sign is what the curve search needs, and there is no finite
     gap to report in either case.
     """
     beta1, data = _check_beta1(p, beta1, "maxima_gap")
     params = variational.ModelParams(beta1, beta2, p)
-    return _gap(params, _turning_tilts(p, beta1, data.theta0))
+    return _gap(params, _turning_tilts(p, beta1, data.theta0))[0]
 
 
 def r_of_beta1(
@@ -195,10 +249,12 @@ def r_of_beta1(
 ) -> PhaseCurvePoint:
     """Transition ``beta2`` at the given ``beta1``, with both maximizers.
 
-    Bisection of the maxima gap to CURVE_TOL over ``(m_b, m_a)``, where it
-    rises from -inf to +inf.  The upper end is first lowered to
-    ``min(m_a, h(edge))`` with ``edge = THETA_WINDOW``; while the gap is not
-    positive there, ``edge`` doubles.
+    The root of the maxima gap over ``(m_b, m_a)``, where it rises from -inf
+    to +inf, found by ``cramer.newton`` in ``beta2`` with the envelope slope
+    ``u2**p - u1**p`` down to adjacent floats.  The upper end is first
+    lowered to ``min(m_a, h(edge))`` with ``edge = THETA_WINDOW``; while the
+    gap is not positive there, ``edge`` doubles.  Each gap evaluation starts
+    the Newton searches for the two maxima at the previous one's tilts.
     """
     if dist != cramer.UNIFORM01:
         raise InputValidationError(
@@ -209,19 +265,23 @@ def r_of_beta1(
         )
     beta1, data = _check_beta1(p, beta1, "r_of_beta1")
     turns = _turning_tilts(p, beta1, data.theta0)
+    tilts = (None, None)
 
-    def gap(beta2: float) -> float:
-        return _gap(variational.ModelParams(beta1, beta2, p), turns)
+    def gap(beta2: float) -> tuple[float, float]:
+        nonlocal tilts
+        value, slope, tilts = _gap(variational.ModelParams(beta1, beta2, p), turns, tilts)
+        return value, slope
 
     theta_a, theta_b = turns
     lo = _h(p, beta1, theta_b)
     m_a, edge = _h(p, beta1, theta_a), THETA_WINDOW
     hi = min(m_a, _h(p, beta1, edge))
-    while gap(hi) <= 0.0:
+    while gap(hi)[0] <= 0.0:
         edge *= 2.0
         hi = min(m_a, _h(p, beta1, edge))
-    r = cramer.bisect(gap, lo, hi, gap(lo), CURVE_TOL)
-    theta1, theta2 = _maxima(p, beta1, r, turns)
+    # The gap is -inf at lo = h(theta_b).
+    r = cramer.newton(gap, lo, hi, -math.inf)
+    theta1, theta2 = _maxima(p, beta1, r, turns, tilts)
     params = variational.ModelParams(beta1, r, p)
     low, high = variational.at_tilt(params, theta1), variational.at_tilt(params, theta2)
     return PhaseCurvePoint(

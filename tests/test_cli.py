@@ -168,6 +168,15 @@ class TestPhaseCurveCommand:
         for row in rows:
             assert abs(float(row[1]) + float(row[0])) <= 1e-6
 
+    def test_straight_line_prints_exactly(self, capsys):
+        # At p = 2 the curve is r = -beta1; every row prints it to its last
+        # printed digit.
+        code, out, _ = run_cli(capsys, "phase-curve", "--p", "2", "--beta1", "-8:-3.1:8")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[1] for row in rows] == ["8", "7.3", "6.6", "5.9", "5.2", "4.5", "3.8", "3.1"]
+        assert all(row[1] == row[0].lstrip("-") for row in rows)
+
     def test_no_region_error(self, capsys):
         code, _, err = run_cli(capsys, "phase-curve", "--p", "2", "--beta1", "-1")
         assert code == 1
@@ -179,12 +188,13 @@ class TestPhaseCurveCommand:
     ])
     def test_ties_past_the_tilt_window_are_traced(self, capsys, p, beta1, r):
         # The p = 150 corner is at beta1_c ~ +18.876; 38.4 below it the upper
-        # maximum sits at theta ~ 6427.  50-digit mpmath reference for r.
+        # maximum sits at theta ~ 6427.  50-digit mpmath reference for r; the
+        # CLI prints 12 significant digits.
         code, out, err = run_cli(capsys, "phase-curve", "--p", p, f"--beta1={beta1}")
         assert code == 0 and err == ""
         _, rows = parse_csv(out)
         assert len(rows) == 1
-        assert abs(float(rows[0][1]) - r) <= 1e-9 * r
+        assert abs(float(rows[0][1]) - r) <= 1e-11 * r
 
 
 class TestFiguresCommand:
@@ -212,6 +222,20 @@ class TestFiguresCommand:
         # Unique-maximizer point: derivative changes sign exactly once.
         signs = np.sign([float(r[2]) for r in rows])
         assert int(np.sum(np.abs(np.diff(signs)) > 0)) == 1
+
+    def test_vregion_of_a_deep_tie(self, capsys, tmp_path):
+        # The tangency roots at beta1 = -1000 need tilts past the dual
+        # solve's cap of 700; the bounds come from the tilts themselves.
+        out_dir = tmp_path / "figs"
+        code, _, err = run_cli(
+            capsys, "figures", "--p", "2", "--points=-5,5", "--out-dir", str(out_dir),
+            "--beta1", "-1000:-999:2",
+        )
+        assert code == 0 and err == ""
+        _, rows = parse_csv((out_dir / "vregion.csv").read_text(encoding="utf-8"))
+        assert [row[3] for row in rows] == ["1000", "999"]
+        for row in rows:
+            assert float(row[2]) < float(row[3]) < float(row[1])
 
     @pytest.mark.parametrize("grid_points", ["0", "-3"])
     def test_empty_profile_rejected(self, capsys, tmp_path, grid_points):

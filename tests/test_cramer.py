@@ -155,6 +155,91 @@ class TestLogMgf:
             assert UNIFORM01.skew(-theta) == -UNIFORM01.skew(theta)
 
 
+    @pytest.mark.parametrize(
+        "theta,mean",
+        [
+            # 50-digit mpmath references for B(theta) = exp/expm1 - 1/theta.
+            (-0.5000001, 0.4585059092330106439),
+            (-5.0, 0.1932163450936957689),
+            (-800.0, 0.00125),
+            (-1e4, 0.0001),
+            (-1e6, 1.0e-6),
+        ],
+    )
+    def test_mean_left_of_the_series_is_relatively_accurate(self, theta, mean):
+        # 1 - mean(-theta) would cancel: 2.9e-11 relative at -1e6.
+        assert math.isclose(log_mgf_d1(UNIFORM01, theta), mean, rel_tol=3e-16)
+
+
+class TestNewton:
+    def test_stops_at_adjacent_floats(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return x * x - 2.0, 2.0 * x
+
+        root = cramer.newton(fn, 0.0, 2.0, -2.0)
+        assert abs(root - math.sqrt(2.0)) <= math.ulp(root)
+        assert len(seen) <= 8
+
+    def test_exact_zero_at_the_start(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return x - 1.0, 1.0
+
+        assert cramer.newton(fn, 0.0, 4.0, -1.0, start=1.0) == 1.0
+        assert seen == [1.0]
+
+    def test_start_outside_the_bracket_is_the_midpoint(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return x - 1.0, 1.0
+
+        assert cramer.newton(fn, 0.0, 4.0, -1.0, start=7.0) == 1.0
+        assert seen == [2.0, 1.0]
+
+    def test_non_finite_derivative_bisects(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return x - 1.0 / 3.0, math.nan
+
+        root = cramer.newton(fn, 0.0, 1.0, -1.0 / 3.0)
+        assert abs(root - 1.0 / 3.0) <= math.ulp(root)
+        # Every evaluation is a midpoint of the current bracket.
+        assert seen[:3] == [0.5, 0.25, 0.375]
+
+    def test_infinite_values_bracket_the_root(self):
+        # Like the maxima gap: -inf at and below 0.1, +inf at and above 0.9.
+        def fn(x):
+            if x <= 0.1:
+                return -math.inf, math.nan
+            if x >= 0.9:
+                return math.inf, math.nan
+            return math.expm1(x - 0.5), math.exp(x - 0.5)
+
+        assert cramer.newton(fn, 0.0, 1.0, -math.inf) == 0.5
+
+    def test_divergent_newton_is_safeguarded(self):
+        # Plain Newton on atan diverges from |x - 0.3| > 1.39.
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return math.atan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)
+
+        root = cramer.newton(fn, -10.0, 10.0, math.atan(-10.3), start=5.0)
+        assert abs(root - 0.3) <= math.ulp(0.3)
+        assert all(-10.0 < x < 10.0 for x in seen)
+        assert len(seen) <= 20
+
+
 class TestWiden:
     def test_doubles_the_edge_until_the_sign_changes(self):
         seen = []
@@ -233,8 +318,10 @@ class TestDualTheta:
 
     def test_bracket_doubling_sequence_is_pinned(self):
         # The bracket grows 1, 2, ..., 512 and is clamped to THETA_MAX = 700;
-        # another doubling sequence lands elsewhere in the last digits.
-        assert dual_theta(UNIFORM01, 1.0 / 513.0).theta == -512.9999999999889
+        # another doubling sequence lands elsewhere in the last digits (a
+        # bracket clamped to 600 or 1000 gives -512.99999999969 or
+        # -512.99999999991).
+        assert dual_theta(UNIFORM01, 1.0 / 513.0).theta == -513.0
 
     def test_unreachable_mean_raises_cap_error(self):
         # The uniform mean 1e-6 needs a tilt of about -1e6, beyond the cap.

@@ -27,21 +27,39 @@ from wergm.variational import (
     objective_d1,
     solve_psi,
 )
-from wergm.cramer import BERNOULLI_HALF
+from wergm.cramer import BERNOULLI_HALF, UniformLaw
 
 
 class TestBoundingPoint:
-    @pytest.mark.parametrize("p,beta1", [(2, -5.0), (2, -8.0), (3, -3.0), (5, -1.0)])
+    #: 50-digit mpmath references for (m_a, m_b): m = 1/n at the roots of
+    #: g = -beta1.
+    BOUNDS = {
+        (2, -5.0): (6.5171151620929480811, 4.5196718561758923516),
+        (2, -8.0): (16.044595637868503561, 6.4953824979094408112),
+        (3, -3.0): (6.4312524781786663922, 2.8109827931687954091),
+        (5, -1.0): (3.4057549186348630812, 1.6386195185789468071),
+    }
+
+    @pytest.mark.parametrize("p,beta1", list(BOUNDS))
     def test_tangency_roots_bracket_u0(self, p, beta1):
+        m_a, m_b = self.BOUNDS[p, beta1]
         data = find_theta0(p)
         bound = bounding_point(p, beta1)
         assert bound.a < data.u0 < bound.b
         # Both roots solve f(u) = -beta1.
         assert abs(f_of_u(p, bound.a) + beta1) <= 1e-9
         assert abs(f_of_u(p, bound.b) + beta1) <= 1e-9
-        assert bound.m_a == m_of_u(p, bound.a)
-        assert bound.m_b == m_of_u(p, bound.b)
+        assert bound.m_a == pytest.approx(m_a, rel=1e-12)
+        assert bound.m_b == pytest.approx(m_b, rel=1e-12)
         assert bound.m_a > bound.m_b
+
+    def test_bounds_of_a_deep_tie(self):
+        # Both tangency roots need tilts past the dual solve's cap of 700;
+        # 50-digit mpmath references.
+        bound = bounding_point(2, -1000.0)
+        assert bound.m_a == pytest.approx(250000.0, rel=1e-12)
+        assert bound.m_b == pytest.approx(522.86626924634504170, rel=1e-12)
+        assert bound.m_b < r_of_beta1(2, -1000.0).r < bound.m_a
 
     def test_bracket_narrows_toward_corner(self):
         wide = bounding_point(2, -8.0)
@@ -62,7 +80,7 @@ class TestBoundingPoint:
         bound = bounding_point(p, beta1)
         assert bound.a ** (p - 2) == 0.0
         assert bound.m_a == np.inf
-        assert bound.m_b == m_of_u(p, bound.b)
+        assert bound.m_b == pytest.approx(m_of_u(p, bound.b), rel=1e-9)
         assert bound.m_b < r_of_beta1(p, beta1).r
 
 
@@ -145,12 +163,65 @@ class TestROfBeta1:
         # theta ~ 6427.  50-digit mpmath references for r; p = 2 is exact.
         assert find_theta0(150).beta1_c > -19.5
         for p, beta1, r in (
-            (150, -19.5, 22.0582120586888),
-            (10, -40.0, 41.110409719084),
-            (100, -10.0, 12.39547089992),
+            (150, -19.5, 22.058212058688786458),
+            (10, -40.0, 41.110409719083955573),
+            (100, -10.0, 12.395470899920000573),
             (2, -1000.0, 1000.0),
         ):
-            assert abs(r_of_beta1(p, beta1).r - r) <= 1e-9 * r
+            assert abs(r_of_beta1(p, beta1).r - r) <= 1e-13 * r
+
+    @pytest.mark.parametrize(
+        "p,beta1,r",
+        [
+            # 50-digit mpmath references: the root in beta2 of the gap
+            # between the two roots of h = beta2.
+            (3, -1.5, 1.955706865157725613),
+            (3, -2.5, 2.9025842657309200987),
+            (3, -5.0, 5.3669795144272964617),
+            (5, -0.5, 1.5101751870045351619),
+            (5, -2.0, 2.8390032110584047254),
+            (5, -6.0, 6.7412749621555447911),
+        ],
+    )
+    def test_matches_high_precision_reference(self, p, beta1, r):
+        assert abs(r_of_beta1(p, beta1).r - r) <= 1e-13 * r
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 10])
+    def test_corner_adjacent_tie_converges(self, p):
+        # The last point trace_curve reaches, where the tie is close to a
+        # double root.
+        beta1 = find_theta0(p).beta1_c - 1e-3
+        bound = bounding_point(p, beta1)
+        point = r_of_beta1(p, beta1)
+        assert bound.m_b < point.r < bound.m_a
+        assert point.u1_star < find_theta0(p).u0 < point.u2_star
+        assert abs(maxima_gap(p, beta1, point.r)) <= 1e-14
+        if p == 2:
+            assert abs(point.r + beta1) <= 1e-13
+
+    def test_underflow_case_converges(self):
+        # B**(p-1) underflows at the left window edge for p = 116.
+        point = r_of_beta1(116, 0.0)
+        assert abs(maxima_gap(116, 0.0, point.r)) <= 1e-14 * max(1.0, abs(point.psi))
+
+    @pytest.mark.parametrize(
+        "p,beta1", [(2, -8.0), (2, -3.1), (3, -3.5), (5, -1.0), (10, -40.0), (150, -19.5)]
+    )
+    def test_uniform_law_evaluations_per_point(self, monkeypatch, p, beta1):
+        # A call count, not a timing: safeguarded Newton needs a few hundred
+        # evaluations per point, a bisection fallback thousands.
+        find_theta0(p)  # cached corner, not part of the point
+        calls = []
+        for name in ("log_mgf", "mean", "var", "skew"):
+            method = getattr(UniformLaw, name)
+
+            def counted(self, theta, _method=method):
+                calls.append(theta)
+                return _method(self, theta)
+
+            monkeypatch.setattr(UniformLaw, name, counted)
+        r_of_beta1(p, beta1)
+        assert 0 < len(calls) <= 600
 
 
 class TestTraceAndJump:

@@ -4,7 +4,8 @@ The tilt-side solve in ``phase_curve`` rests on the identities
 ``m(B(theta)) * n(theta) = 1``, ``f(B(theta)) = g(theta)`` and
 ``rate(B(theta)) = theta*B - log M(theta)``; they are checked over a range
 of tilts and shapes rather than at a handful of points.  The tie is checked
-over a range of ``beta1`` below each corner.  ``solve_psi``, which works on
+over a range of ``beta1`` below each corner, and at p = 2 against the
+exact line ``r = -beta1``.  ``solve_psi``, which works on
 the tilt side too, is checked against the mean-side ``objective`` (through
 the dual solve) for all three laws: psi is the supremum, it is attained at
 every interior maximizer, and it is convex in ``beta1``.  Deep ties, far
@@ -67,6 +68,26 @@ def test_tie_inside_region_with_equal_heights(p, depth):
     assert bound.m_b < point.r < bound.m_a
     params = ModelParams(beta1, point.r, p)
     assert abs(objective(params, point.u2_star) - objective(params, point.u1_star)) <= 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    beta1=st.floats(
+        min_value=-1000.0,
+        max_value=critical.find_theta0(2).beta1_c - 1e-3,
+        allow_nan=False,
+    )
+)
+def test_p2_tie_is_the_straight_line_to_rounding(beta1):
+    # r = -beta1 and u1 + u2 = 1 by the u <-> 1 - u symmetry.  The gap's
+    # slope at the tie is u2**2 - u1**2 = u2 - u1, so rounding in the gap
+    # moves r by about eps / (u2 - u1); the maxima's curvature vanishes
+    # like (u2 - u1)**2 toward the corner, which scales the error in u.
+    # Far from the corner both bounds are a few ulp.
+    point = r_of_beta1(2, beta1)
+    jump = point.u2_star - point.u1_star
+    assert abs(point.r + beta1) <= 4.0 * math.ulp(beta1) / jump
+    assert abs(point.u1_star + point.u2_star - 1.0) <= 16.0 * math.ulp(1.0) / jump**2
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
