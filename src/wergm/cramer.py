@@ -31,7 +31,8 @@ functions check the tilt and delegate, so no caller branches on the law.
 Every law evaluates at any finite tilt.  ``widen`` grows a bracket outward
 until a function changes sign across it; ``dual_theta`` stops it at
 |theta| = THETA_MAX and fails loudly there rather than searching on.
-``bisect`` and the safeguarded ``newton`` find the root inside a bracket.
+The safeguarded ``newton``, the package's one root finder, refines the
+root inside a bracket until it hits an exact zero or adjacent floats.
 """
 
 from __future__ import annotations
@@ -42,12 +43,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .errors import (
-    BracketError,
-    InputValidationError,
-    SupportError,
-    ThetaCapError,
-)
+from .errors import InputValidationError, SupportError, ThetaCapError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,9 +60,6 @@ _SINH_CUTOFF = 350.0
 
 #: Below this |theta| the uniform evaluators switch to the power series.
 SERIES_RADIUS = 0.5
-
-#: Absolute tolerance on |log_mgf_d1(theta) - u| for dual solves.
-DUAL_TOL = 1e-12
 
 # log M(theta) = log((exp(theta) - 1) / theta)
 #             = theta/2 + sum_k B_{2k} / (2k * (2k)!) * theta^(2k)
@@ -366,27 +359,6 @@ def endpoint_rate(dist: EdgeDistribution) -> tuple[float, float]:
     return dist.endpoint_rate
 
 
-def bisect(fn, lo: float, hi: float, fn_lo: float, tol: float) -> float:
-    """Root of ``fn`` on a sign-changing bracket, to absolute ``tol`` in x.
-
-    ``fn_lo`` is ``fn(lo)``; ``fn`` is evaluated at midpoints only.  Stops
-    early once ``lo`` and ``hi`` are adjacent floats, where ``tol`` is
-    below their spacing.
-    """
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        fn_mid = fn(mid)
-        if fn_mid == 0.0:
-            return mid
-        if (fn_mid > 0.0) == (fn_lo > 0.0):
-            lo, fn_lo = mid, fn_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def newton(fn, lo: float, hi: float, fn_lo: float, start: float | None = None) -> float:
     """Root of ``fn`` on a sign-changing bracket by safeguarded Newton steps.
 
@@ -454,11 +426,11 @@ def widen(fn, inner: float, fn_inner: float, edge: float, *, limit: float = math
     )
 
 
-def dual_theta(dist: EdgeDistribution, u: float, *, tol: float = DUAL_TOL) -> DualPair:
+def dual_theta(dist: EdgeDistribution, u: float) -> DualPair:
     """Solve ``log_mgf_d1(theta) = u`` for the tilt dual to mean ``u``.
 
-    Safeguarded Newton iteration on a bracket that ``widen`` grows from the
-    origin; Newton steps that leave it fall back to bisection.  Raises
+    ``newton`` with the slope ``log_mgf_d2``, on a bracket that ``widen``
+    grows from the origin, down to adjacent floats.  Raises
     ``SupportError`` if ``u`` is outside the open support interior and
     ``ThetaCapError`` if no tilt within |theta| <= THETA_MAX reaches ``u``.
     """
@@ -472,42 +444,21 @@ def dual_theta(dist: EdgeDistribution, u: float, *, tol: float = DUAL_TOL) -> Du
             offending_parameter="u",
         )
 
+    # Every tilt tried here is finite, so the law is called unchecked.
     def residual(theta: float) -> float:
-        return log_mgf_d1(dist, theta) - u
+        return dist.mean(theta) - u
 
     r0 = residual(0.0)
     if r0 == 0.0:
         return DualPair(0.0, u)
-    # Grow a sign-changing bracket geometrically from the origin.
-    edge, _ = widen(
+    edge, r_edge = widen(
         residual, 0.0, r0, 1.0 if r0 < 0.0 else -1.0, limit=THETA_MAX,
         message=f"mean u = {u:g} needs a tilt beyond the cap {THETA_MAX:g}",
         operation="dual_theta", parameter="u",
     )
-    lo, hi = (0.0, edge) if r0 < 0.0 else (edge, 0.0)
-
-    theta = 0.5 * (lo + hi)
-    for _ in range(200):
-        r = residual(theta)
-        if abs(r) <= tol:
-            return DualPair(theta, u)
-        if r > 0.0:
-            hi = theta
-        else:
-            lo = theta
-        var = log_mgf_d2(dist, theta)
-        step_ok = var > 0.0 and math.isfinite(var)
-        candidate = theta - r / var if step_ok else math.nan
-        if step_ok and lo < candidate < hi:
-            theta = candidate
-        else:
-            theta = 0.5 * (lo + hi)
-    raise BracketError(
-        f"dual solve for u = {u:g} did not converge",
-        module=_MODULE,
-        operation="dual_theta",
-        offending_parameter="u",
-    )
+    lo, hi, r_lo = (0.0, edge, r0) if r0 < 0.0 else (edge, 0.0, r_edge)
+    theta = newton(lambda t: (dist.mean(t) - u, dist.var(t)), lo, hi, r_lo)
+    return DualPair(theta, u)
 
 
 def rate(dist: EdgeDistribution, u: float) -> float:

@@ -31,6 +31,7 @@ evaluate for any law (uniform by default).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,9 +48,6 @@ _MODULE = "critical"
 #: Scan interval and resolution used to bracket the critical tilt.
 SCAN_UPPER = 60.0
 SCAN_POINTS = 512
-
-#: Absolute theta tolerance of the bisection that refines it.
-REFINE_TOL = 1e-14
 
 
 def n_of_theta(p: int, theta: float) -> float:
@@ -129,13 +127,14 @@ def find_theta0(p: int) -> CriticalData:
     theta0 is the one root of ``kappa3 * B + (p-2) * A**2`` at theta >= 0:
     where it falls from >= 0 to < 0, ``n`` peaks and ``g`` bottoms out.  A
     SCAN_POINTS scan of [0, SCAN_UPPER] must see exactly one sign change,
-    which bisection refines to REFINE_TOL.  At p = 2 the function is
-    exactly 0 at theta = 0, which is then the root.  The root is near p/2
-    for large p; when the function is still >= 0 at SCAN_UPPER (from p =
-    120 on) a second scan covers [SCAN_UPPER, THETA_MAX], the search's
-    finite end.  Raises ``ThetaCapError`` when the function is still >= 0
-    at THETA_MAX (from p of about 1390 on) and ``NonUnimodalError`` when a
-    scan changes sign more than once.
+    which ``cramer.newton`` refines by bisection (it is given no slope) to
+    adjacent floats.  At p = 2 the function is exactly 0 at theta = 0,
+    which is then the root.  The root is near p/2 for large p; when the
+    function is still >= 0 at SCAN_UPPER (from p = 120 on) a second scan
+    covers [SCAN_UPPER, THETA_MAX], the search's finite end.  Raises
+    ``ThetaCapError`` when the function is still >= 0 at THETA_MAX (from p
+    of about 1390 on) and ``NonUnimodalError`` when a scan changes sign
+    more than once.
     """
     p = check_integer(p, 2, name="p", module=_MODULE, operation="find_theta0")
     for lo, hi in ((0.0, SCAN_UPPER), (SCAN_UPPER, cramer.THETA_MAX)):
@@ -171,8 +170,8 @@ def find_theta0(p: int) -> CriticalData:
     if values[k - 1] == 0.0:
         theta0 = thetas[k - 1]
     else:
-        theta0 = cramer.bisect(
-            lambda t: _phi(p, t), thetas[k - 1], thetas[k], values[k - 1], REFINE_TOL
+        theta0 = cramer.newton(
+            lambda t: (_phi(p, t), math.nan), thetas[k - 1], thetas[k], values[k - 1]
         )
     u0 = cramer.log_mgf_d1(cramer.UNIFORM01, theta0)
     f0 = f_of_u(p, u0)

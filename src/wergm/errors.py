@@ -67,10 +67,6 @@ class NonUnimodalError(WergmError):
     """A scan expected to be unimodal shows more than one local maximum."""
 
 
-class BracketError(WergmError):
-    """A root/maximum bracket could not be established or refined (internal)."""
-
-
 class DivergenceError(WergmError):
     """Gaussian normalizing integral diverges (beta2 too close to 1/2)."""
 

@@ -156,20 +156,27 @@ def _turning_tilts(p: int, beta1: float, theta0: float) -> tuple[float, float]:
     return theta_a, theta_b
 
 
+def _turns(p: int, beta1: float, theta0: float) -> tuple[float, float, float, float]:
+    """``(theta_a, theta_b, m_a, m_b)``: the turning tilts and ``h`` there."""
+    theta_a, theta_b = _turning_tilts(p, beta1, theta0)
+    return theta_a, theta_b, _h(p, beta1, theta_a), _h(p, beta1, theta_b)
+
+
 def _maxima(
     p: int,
     beta1: float,
     beta2: float,
-    turns: tuple[float, float],
+    turns: tuple[float, float, float, float],
     start: tuple[float | None, float | None] = (None, None),
 ) -> tuple[float, float]:
     """Tilts of the lower and upper local maximum, for ``m_b < beta2 < m_a``.
 
-    ``h - beta2`` is positive at ``theta_a`` and negative at ``theta_b``;
-    each maximum is where it rises through zero, below ``theta_a`` and
-    above ``theta_b``.  The Newton iterations start at ``start`` when given.
+    ``turns`` is ``_turns``.  ``h - beta2`` is positive at ``theta_a`` and
+    negative at ``theta_b``; each maximum is where it rises through zero,
+    below ``theta_a`` and above ``theta_b``.  The Newton iterations start
+    at ``start`` when given.
     """
-    theta_a, theta_b = turns
+    theta_a, theta_b, m_a, m_b = turns
 
     def resid(theta: float) -> float:
         return _h(p, beta1, theta) - beta2
@@ -178,8 +185,8 @@ def _maxima(
         h, slope = _h_d1(p, beta1, theta)
         return h - beta2, slope
 
-    lo, r_lo = cramer.widen(resid, theta_a, resid(theta_a), -THETA_WINDOW)
-    r_b = resid(theta_b)
+    lo, r_lo = cramer.widen(resid, theta_a, m_a - beta2, -THETA_WINDOW)
+    r_b = m_b - beta2
     hi, r_hi = cramer.widen(resid, theta_b, r_b, THETA_WINDOW)
     # An edge can be the root itself: r_of_beta1 evaluates at beta2 = h(edge).
     return (
@@ -190,7 +197,7 @@ def _maxima(
 
 def _gap(
     params: variational.ModelParams,
-    turns: tuple[float, float],
+    turns: tuple[float, float, float, float],
     start: tuple[float | None, float | None] = (None, None),
 ) -> tuple[float, float, tuple[float | None, float | None]]:
     """``L(upper max) - L(lower max)``, its ``beta2``-derivative and the tilts.
@@ -200,10 +207,10 @@ def _gap(
     are ``start``.
     """
     p, beta1, beta2 = params.p, params.beta1, params.beta2
-    theta_a, theta_b = turns
-    if beta2 >= _h(p, beta1, theta_a):
+    m_a, m_b = turns[2:]
+    if beta2 >= m_a:
         return math.inf, math.nan, start
-    if beta2 <= _h(p, beta1, theta_b):
+    if beta2 <= m_b:
         return -math.inf, math.nan, start
     tilts = _maxima(p, beta1, beta2, turns, start)
     low, high = (variational.at_tilt(params, theta) for theta in tilts)
@@ -241,7 +248,7 @@ def maxima_gap(p: int, beta1: float, beta2: float) -> float:
     """
     beta1, data = _check_beta1(p, beta1, "maxima_gap")
     params = variational.ModelParams(beta1, beta2, p)
-    return _gap(params, _turning_tilts(p, beta1, data.theta0))[0]
+    return _gap(params, _turns(p, beta1, data.theta0))[0]
 
 
 def r_of_beta1(
@@ -264,7 +271,7 @@ def r_of_beta1(
             offending_parameter="dist",
         )
     beta1, data = _check_beta1(p, beta1, "r_of_beta1")
-    turns = _turning_tilts(p, beta1, data.theta0)
+    turns = _turns(p, beta1, data.theta0)
     tilts = (None, None)
 
     def gap(beta2: float) -> tuple[float, float]:
@@ -272,15 +279,14 @@ def r_of_beta1(
         value, slope, tilts = _gap(variational.ModelParams(beta1, beta2, p), turns, tilts)
         return value, slope
 
-    theta_a, theta_b = turns
-    lo = _h(p, beta1, theta_b)
-    m_a, edge = _h(p, beta1, theta_a), THETA_WINDOW
+    m_a, m_b = turns[2:]
+    edge = THETA_WINDOW
     hi = min(m_a, _h(p, beta1, edge))
     while gap(hi)[0] <= 0.0:
         edge *= 2.0
         hi = min(m_a, _h(p, beta1, edge))
-    # The gap is -inf at lo = h(theta_b).
-    r = cramer.newton(gap, lo, hi, -math.inf)
+    # The gap is -inf at m_b.
+    r = cramer.newton(gap, m_b, hi, -math.inf)
     theta1, theta2 = _maxima(p, beta1, r, turns, tilts)
     params = variational.ModelParams(beta1, r, p)
     low, high = variational.at_tilt(params, theta1), variational.at_tilt(params, theta2)

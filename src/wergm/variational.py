@@ -23,8 +23,9 @@ with derivative ``A(theta) * D(theta)``, ``A = log_mgf_d2 > 0`` and
     D(theta) = beta1 + p*beta2*B**(p-1) - theta/2.
 
 The interior local maxima are the ``+ -> -`` crossings of ``D``, found in
-closed forms of ``B`` and ``log M`` and refined by bisection in theta; no
-dual solve is needed.
+closed forms of ``B`` and ``log M`` and refined by ``cramer.newton`` in
+theta with the slope ``D' = p*(p-1)*beta2*B**(p-2)*A - 1/2``; no dual
+solve is needed.
 
 Negative ``beta2`` (the repulsive region) changes the variational form
 and is rejected with ``AttractiveRegionError``.
@@ -52,9 +53,6 @@ GRID_POINTS = 2048
 #: Half-width of the first tilt bracket of every search, which grows past it
 #: only where a root lies outside.
 THETA_WINDOW = 680.0
-
-#: Absolute theta-tolerance of the bisections that refine stationary tilts.
-ROOT_TOL = 1e-11
 
 #: Two candidate values within 1e-9 * max(1, |psi|) count as tied.
 TIE_RTOL = 1e-9
@@ -207,12 +205,12 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
     """All interior local maximizers of the objective, in ascending u.
 
     ``D`` is scanned on a uniform theta-grid of GRID_POINTS points over
-    ``[-T, T]`` from ``_theta_window``, and each ``+ -> -`` crossing is
-    bisected in theta to ROOT_TOL.  ``D`` is positive at the left edge and
-    negative at the right unless the window was clipped to THETA_WINDOW;
-    for a law whose endpoints carry no atom (infinite endpoint rate) the
-    window then doubles until the edge signs are right, so no maximum lies
-    beyond it.  A crossing whose mean rounds onto a support endpoint is
+    ``[-T, T]`` from ``_theta_window``, and ``cramer.newton`` refines each
+    ``+ -> -`` crossing to adjacent floats.  ``D`` is positive at the left
+    edge and negative at the right unless the window was clipped to
+    THETA_WINDOW; for a law whose endpoints carry no atom (infinite endpoint
+    rate) the window then doubles until the edge signs are right, so no
+    maximum lies beyond it.  A crossing whose mean rounds onto a support endpoint is
     dropped; the endpoint candidate of ``solve_psi`` stands for it.  No
     global filtering is applied; ``solve_psi`` layers tie detection on top.
     """
@@ -220,6 +218,11 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
 
     def slope(theta: float) -> float:
         return beta1 + p * beta2 * cramer.log_mgf_d1(dist, theta) ** (p - 1) - 0.5 * theta
+
+    def slope_d1(theta: float) -> tuple[float, float]:
+        b, a = cramer.log_mgf_d1(dist, theta), cramer.log_mgf_d2(dist, theta)
+        d_d1 = p * (p - 1) * beta2 * b ** (p - 2) * a - 0.5
+        return beta1 + p * beta2 * b ** (p - 1) - 0.5 * theta, d_d1
 
     window = _theta_window(params)
     e_lo, e_hi = cramer.endpoint_rate(dist)
@@ -237,7 +240,7 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
         d_here = slope(theta_here)
         # A maximum is a + -> - crossing of D.
         if d_prev > 0.0 and d_here <= 0.0:
-            roots.append(cramer.bisect(slope, theta_prev, theta_here, d_prev, ROOT_TOL))
+            roots.append(cramer.newton(slope_d1, theta_prev, theta_here, d_prev))
         elif d_prev == 0.0 and d_here < 0.0:
             # Grid point landed exactly on a stationary maximum.
             roots.append(theta_prev)

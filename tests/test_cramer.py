@@ -317,11 +317,21 @@ class TestDualTheta:
         )
 
     def test_bracket_doubling_sequence_is_pinned(self):
-        # The bracket grows 1, 2, ..., 512 and is clamped to THETA_MAX = 700;
-        # another doubling sequence lands elsewhere in the last digits (a
-        # bracket clamped to 600 or 1000 gives -512.99999999969 or
-        # -512.99999999991).
+        # The bracket grows 1, 2, ..., 512 and is clamped to THETA_MAX = 700.
+        # B(-513) rounds to 1/513, and the solve ends on that exact zero from
+        # other brackets too (clamped to 600 or 1000, say).
         assert dual_theta(UNIFORM01, 1.0 / 513.0).theta == -513.0
+
+    @pytest.mark.parametrize("u,theta", [
+        (0.00389863547758, -256.500000000187246735695),
+        (0.0352368811501, -28.37935615603523072887515),
+        (0.245264248399, -3.692690653665885347462176),
+    ])
+    def test_tilt_matches_50_digit_reference(self, u, theta):
+        # References from mpmath at 50 digits, solving B(theta) = u for the
+        # binary value of u.  The solve ends at adjacent floats, so only the
+        # rounding of B near u remains.
+        assert abs(dual_theta(UNIFORM01, u).theta - theta) <= 2.0 * math.ulp(theta)
 
     def test_unreachable_mean_raises_cap_error(self):
         # The uniform mean 1e-6 needs a tilt of about -1e6, beyond the cap.

@@ -14,11 +14,12 @@ closed-form evaluators are checked against the generic atom-law sums for
 the same two atoms, and the uniform law's third cumulant ``skew`` against a
 centred difference of its variance.
 
-Tolerances follow from the dual solve's stopping rule ``|B(theta') - u| <=
-DUAL_TOL = 1e-12``: the recovered tilt is off by at most ``1e-12 / A``,
-which moves ``m`` and ``f`` by a relative ``|A'| / A**2 * 1e-12``, at most
-about 6e-11 on |theta| <= 30; ``rate`` is stationary in the tilt, so only
-rounding remains there.
+Tolerances follow from the dual solve, which ends at adjacent floats: the
+recovered tilt is off by the rounding of ``B`` near ``u``, a few ulp of
+``u`` over ``A``, which moves ``m`` and ``f`` by a relative ``|A'| / A**2``
+times that, about 2e-11 at |theta| = 30 and less inside; the 1e-9 bounds
+leave room for the rounding of ``m``, ``n``, ``f`` and ``g`` themselves.
+``rate`` is stationary in the tilt, so only rounding remains there.
 """
 
 import math

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from wergm.cramer import BERNOULLI_HALF, UNIFORM01, rate
+from wergm.cramer import BERNOULLI_HALF, UNIFORM01, finite_support, rate
 from wergm import variational
 from wergm.errors import (
     AttractiveRegionError,
@@ -234,6 +234,33 @@ class TestSolvePsi:
         assert solution.classification is PhaseClass.UNIQUE
         assert math.isclose(solution.psi, psi, rel_tol=1e-9)
         assert math.isclose(solution.maximizers[0], u, rel_tol=1e-9)
+
+    @pytest.mark.parametrize(
+        "params,u",
+        [
+            (
+                ModelParams(-3.240501668341455, 3.579218250263246, 3),
+                0.1672598422794949915972741,
+            ),
+            (
+                ModelParams(
+                    -1.4405035314976795,
+                    0.9589601238507757,
+                    2,
+                    finite_support([(0.2, 0.3), (0.5, 0.4), (0.8, 0.3)]),
+                ),
+                0.435819369837497541948007,
+            ),
+        ],
+        ids=["uniform-p3", "three-atoms-p2"],
+    )
+    def test_maximizer_matches_50_digit_reference(self, params, u):
+        # B at the root of D(theta), computed with mpmath at 50 digits for
+        # the binary values of the parameters and atoms.  The root ends at
+        # adjacent floats, so only the rounding of B and D remains.
+        solution = solve_psi(params)
+        assert len(solution.maximizers) == 1
+        assert abs(solution.maximizers[0] - u) <= 2.0 * math.ulp(u)
 
 
 class TestPsiGradient:
