@@ -7,8 +7,10 @@ Usage, from the root of a checkout::
         --seeds 1,2,3 --pairs 10 --seconds 40 --base HEAD
 
 The base commit's files are exported with ``git archive`` into a temporary
-directory, so the base side runs exactly what that commit holds; the change
-side runs the working tree as it is.  ``--workload`` takes one workload or a
+directory, so the base side runs exactly what that commit holds.  The change
+side runs a copy, in another temporary directory, of the working tree's files
+that git tracks or would add, so neither side starts with the bytecode
+(``__pycache__``) of an earlier run.  ``--workload`` takes one workload or a
 comma-separated list.  Pair ``k`` uses seed ``seeds[k % len(seeds)]`` and
 runs ``perfbench/run.py`` (unmodified, ``--trace 0``) once on each side for
 each workload in turn, alternating which side goes first.  The output file
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -55,6 +58,17 @@ def _export(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return commit
+
+
+def _copy_worktree(dest: Path) -> None:
+    """Copy the working tree's tracked and unignored files under ``dest``."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True, text=True).stdout.split("\0")
+    for name in filter(None, names):
+        if (ROOT / name).is_file():  # a deleted file stays listed until staged
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def _src_lines(root: Path) -> int:
@@ -106,10 +120,12 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_root = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change_tmp:
+        base_root, change_root = Path(tmp), Path(change_tmp)
         commit = _export(args.base, base_root)
-        roots = {"base": base_root, "change": ROOT}
+        _copy_worktree(change_root)
+        roots = {"base": base_root, "change": change_root}
         runs = {name: [] for name in names}
         for k in range(args.pairs):
             seed = seeds[k % len(seeds)]
@@ -122,7 +138,7 @@ def main(argv=None) -> int:
                     print(f"{name} pair {k} seed {seed} {side:6s} wall_s {value:.4g}",
                           flush=True)
                 runs[name].append(pair)
-        base_lines = _src_lines(base_root)
+        base_lines, change_lines = _src_lines(base_root), _src_lines(change_root)
 
     sections = {
         name: {
@@ -138,7 +154,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "base_commit": commit,
         "change": "working tree",
-        "src_lines": {"base": base_lines, "change": _src_lines(ROOT)},
+        "src_lines": {"base": base_lines, "change": change_lines},
         "workloads": sections,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")

@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputValidationError, SupportError, ThetaCapError
 
@@ -103,11 +102,34 @@ class EdgeDistribution(ABC):
     probability) pairs, sorted by value, of a law with finite support
     (empty otherwise).  Use ``UNIFORM01``, ``BERNOULLI_HALF`` or
     ``finite_support`` rather than the law types.
+
+    Laws are immutable: assigning or deleting an attribute raises
+    ``AttributeError``, so a law stores what it derives with
+    ``object.__setattr__``.  Two laws are equal, and hash alike, when they
+    have the same type and atoms.
     """
 
     support: tuple[float, float]
     endpoint_rate: tuple[float, float]
     atoms: tuple[tuple[float, float], ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.atoms == other.atoms
+
+    def __hash__(self):
+        return hash(self.atoms)
+
+    def __repr__(self):
+        fields = f"atoms={self.atoms!r}" if self.atoms else ""
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @abstractmethod
     def log_mgf(self, theta: float) -> float:
@@ -130,7 +152,6 @@ class EdgeDistribution(ABC):
         """
 
 
-@dataclass(frozen=True)
 class UniformLaw(EdgeDistribution):
     """The standard uniform law on (0, 1)."""
 
@@ -196,7 +217,6 @@ def _require_atoms(ok: bool, message: str) -> None:
         )
 
 
-@dataclass(frozen=True)
 class AtomLaw(EdgeDistribution):
     """A law on finitely many atoms.
 
@@ -205,9 +225,8 @@ class AtomLaw(EdgeDistribution):
     and summing to one.
     """
 
-    atoms: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
+    def __init__(self, atoms: tuple[tuple[float, float], ...]):
+        object.__setattr__(self, "atoms", atoms)
         _require_atoms(
             len(self.atoms) >= 2, "a finite-support law needs at least two atoms"
         )
@@ -223,8 +242,7 @@ class AtomLaw(EdgeDistribution):
         _require_atoms(
             abs(total - 1.0) <= 1e-12, f"atom probabilities sum to {total!r}, expected 1"
         )
-        # Derived once; not dataclass fields, so equality and hashing see
-        # only the atoms.
+        # Derived once; equality and hashing see only the atoms.
         log_q = tuple(math.log(q) for q in probs)
         object.__setattr__(self, "support", (values[0], values[-1]))
         object.__setattr__(self, "endpoint_rate", (-log_q[0], -log_q[-1]))
@@ -305,8 +323,7 @@ def finite_support(atoms) -> EdgeDistribution:
     return AtomLaw(normalized)
 
 
-@dataclass(frozen=True)
-class DualPair:
+class DualPair(NamedTuple):
     """A tilt and the mean it induces: ``log_mgf_d1(theta) == u``."""
 
     theta: float

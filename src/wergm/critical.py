@@ -32,8 +32,8 @@ evaluate for any law (uniform by default).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import cramer
 from .errors import (
@@ -105,8 +105,7 @@ def _phi(p: int, theta: float) -> float:
     return cramer.UNIFORM01.skew(theta) * b + (p - 2) * a * a
 
 
-@dataclass(frozen=True)
-class CriticalData:
+class CriticalData(NamedTuple):
     """Critical corner of the phase diagram and its defining scalars."""
 
     p: int

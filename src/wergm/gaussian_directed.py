@@ -31,7 +31,7 @@ wergm`` does not pay for loading it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DivergenceError,
@@ -48,16 +48,18 @@ BETA2_MAX = 0.5 - 1e-9
 _LOG_HALF = math.log(0.5)
 
 
-@dataclass(frozen=True)
-class GaussianModelParams:
-    """Edge and out-two-star parameters of the directed Gaussian model."""
-
+class _GaussianFields(NamedTuple):
     beta1: float
     beta2: float
 
-    def __post_init__(self):
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
+
+class GaussianModelParams(_GaussianFields):
+    """Edge and out-two-star parameters of the directed Gaussian model."""
+
+    __slots__ = ()
+
+    def __new__(cls, beta1, beta2):
+        for name, value in (("beta1", beta1), ("beta2", beta2)):
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise InputValidationError(
                     f"{name} must be a finite real, got {value!r}",
@@ -65,15 +67,16 @@ class GaussianModelParams:
                     operation="GaussianModelParams",
                     offending_parameter=name,
                 )
-            object.__setattr__(self, name, float(value))
-        if self.beta2 > BETA2_MAX:
+        beta1, beta2 = float(beta1), float(beta2)
+        if beta2 > BETA2_MAX:
             raise DivergenceError(
-                f"beta2 = {self.beta2:g} makes the Gaussian integral diverge "
+                f"beta2 = {beta2:g} makes the Gaussian integral diverge "
                 f"(needs beta2 <= {BETA2_MAX})",
                 module=_MODULE,
                 operation="GaussianModelParams",
                 offending_parameter="beta2",
             )
+        return super().__new__(cls, beta1, beta2)
 
 
 def directed_stats(weights) -> tuple[float, float]:

@@ -23,9 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from operator import length_hint
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import cramer
 from .errors import InputValidationError, check_integer, check_seed
@@ -48,28 +47,29 @@ def _require(ok: bool, message: str, operation: str, parameter: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SubgraphSpec:
-    """A finite simple graph on vertices 1..k, given by its edge list."""
-
+class _SubgraphFields(NamedTuple):
     k: int
     edges: tuple[tuple[int, int], ...]
     name: str
 
-    def __post_init__(self):
-        _require(
-            self.k >= 1, f"vertex count must be >= 1, got {self.k}", "SubgraphSpec", "k"
-        )
+
+class SubgraphSpec(_SubgraphFields):
+    """A finite simple graph on vertices 1..k, given by its edge list."""
+
+    __slots__ = ()
+
+    def __new__(cls, k, edges, name):
+        _require(k >= 1, f"vertex count must be >= 1, got {k}", "SubgraphSpec", "k")
         seen = set()
         normalized = []
-        for pair in self.edges:
+        for pair in edges:
             i, j = pair
             _require(
                 i != j, f"self-loop {pair} is not allowed", "SubgraphSpec", "edges"
             )
             _require(
-                1 <= i <= self.k and 1 <= j <= self.k,
-                f"edge {pair} uses vertices outside 1..{self.k}",
+                1 <= i <= k and 1 <= j <= k,
+                f"edge {pair} uses vertices outside 1..{k}",
                 "SubgraphSpec",
                 "edges",
             )
@@ -77,7 +77,7 @@ class SubgraphSpec:
             _require(key not in seen, f"duplicate edge {pair}", "SubgraphSpec", "edges")
             seen.add(key)
             normalized.append(key)
-        object.__setattr__(self, "edges", tuple(normalized))
+        return super().__new__(cls, k, tuple(normalized), name)
 
     @property
     def edge_count(self) -> int:
@@ -101,17 +101,14 @@ def _default_subgraph(p: int, operation: str) -> SubgraphSpec:
     return subgraph
 
 
-@dataclass
 class WeightedGraph:
     """Symmetric weight matrix on ``n`` vertices, diagonal included."""
 
-    n: int
-    weights: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, n: int, weights: np.ndarray):
         import numpy as np
 
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.n = n
+        self.weights = np.asarray(weights, dtype=float)
         _require(
             self.n >= 2,
             f"need at least 2 vertices, got n = {self.n}",
@@ -181,8 +178,7 @@ def _symmetric_draw(dist: cramer.EdgeDistribution, rng, n: int) -> np.ndarray:
     return weights + np.triu(weights, 1).T
 
 
-@dataclass(frozen=True)
-class TrajectoryStats:
+class TrajectoryStats(NamedTuple):
     """Recorded density trajectories of one chain run."""
 
     sweeps: int
@@ -469,8 +465,7 @@ def run_sampler(
     )
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
+class ConcentrationReport(NamedTuple):
     """Deviation of trajectory means from the predicted concentration targets.
 
     One target pair ``(u*, u***p)`` per global maximizer; with two global

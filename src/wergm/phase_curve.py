@@ -38,7 +38,7 @@ sign once; the zero is the first-order transition curve
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cramer, critical, variational
 from .errors import InputValidationError, NoTwoPhaseRegionError, check_integer
@@ -51,8 +51,7 @@ _MODULE = "phase_curve"
 CORNER_MARGIN = 1e-3
 
 
-@dataclass(frozen=True)
-class BoundingPoint:
+class BoundingPoint(NamedTuple):
     """Bounding data of the two-maximizer region at one ``beta1``.
 
     ``a`` and ``b`` are the tangency roots of ``f(u) = -beta1`` below and
@@ -67,8 +66,7 @@ class BoundingPoint:
     m_b: float
 
 
-@dataclass(frozen=True)
-class PhaseCurvePoint:
+class PhaseCurvePoint(NamedTuple):
     """One point of the transition curve: tie location and maximizers."""
 
     beta1: float

@@ -34,8 +34,8 @@ and is rejected with ``AttractiveRegionError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from . import cramer
 from .errors import (
@@ -69,8 +69,14 @@ class PhaseClass(Enum):
     TWO_GLOBAL = "two-global"
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _ModelFields(NamedTuple):
+    beta1: float
+    beta2: float
+    p: int
+    dist: cramer.EdgeDistribution
+
+
+class ModelParams(_ModelFields):
     """Parameters of the two-term model.
 
     ``beta1`` weighs the mean edge weight, ``beta2 >= 0`` weighs the
@@ -79,21 +85,17 @@ class ModelParams:
     hypothesis ``beta2 >= 0`` under which the variational formula holds.
     """
 
-    beta1: float
-    beta2: float
-    p: int
-    dist: cramer.EdgeDistribution = field(default=cramer.UNIFORM01)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.dist, cramer.EdgeDistribution):
+    def __new__(cls, beta1, beta2, p, dist=cramer.UNIFORM01):
+        if not isinstance(dist, cramer.EdgeDistribution):
             raise InputValidationError(
-                f"dist must be an EdgeDistribution, got {type(self.dist).__name__}",
+                f"dist must be an EdgeDistribution, got {type(dist).__name__}",
                 module=_MODULE,
                 operation="ModelParams",
                 offending_parameter="dist",
             )
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
+        for name, value in (("beta1", beta1), ("beta2", beta2)):
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise InputValidationError(
                     f"{name} must be a finite real, got {value!r}",
@@ -101,21 +103,20 @@ class ModelParams:
                     operation="ModelParams",
                     offending_parameter=name,
                 )
-            object.__setattr__(self, name, float(value))
-        if self.beta2 < 0.0:
+        beta1, beta2 = float(beta1), float(beta2)
+        if beta2 < 0.0:
             raise AttractiveRegionError(
-                f"beta2 = {self.beta2:g} is repulsive; the variational formula "
+                f"beta2 = {beta2:g} is repulsive; the variational formula "
                 "requires beta2 >= 0",
                 module=_MODULE,
                 operation="ModelParams",
                 offending_parameter="beta2",
             )
-        p = check_integer(self.p, 2, name="p", module=_MODULE, operation="ModelParams")
-        object.__setattr__(self, "p", p)
+        p = check_integer(p, 2, name="p", module=_MODULE, operation="ModelParams")
+        return super().__new__(cls, beta1, beta2, p, dist)
 
 
-@dataclass(frozen=True)
-class Maximizer:
+class Maximizer(NamedTuple):
     """One local maximizer: location, objective value, endpoint flag."""
 
     u: float
@@ -123,8 +124,7 @@ class Maximizer:
     is_endpoint: bool = False
 
 
-@dataclass(frozen=True)
-class MaximizerSet:
+class MaximizerSet(NamedTuple):
     """Result of ``solve_psi``.
 
     ``psi`` is the optimum value, ``maximizers`` the distinct global

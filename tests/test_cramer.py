@@ -485,3 +485,39 @@ class TestAtomLawDraw:
         draws = law.draw(np.random.default_rng(3), 5)
         assert type(draws) is list
         assert all(type(x) is float for x in draws)
+
+
+class TestLawRecords:
+    @pytest.mark.parametrize(
+        "record, name",
+        [
+            (UNIFORM01, "support"),
+            (UNIFORM01, "new_name"),
+            (BERNOULLI_HALF, "atoms"),
+            (THREE_ATOMS, "atoms"),
+            (THREE_ATOMS, "endpoint_rate"),
+            (dual_theta(UNIFORM01, 0.3), "theta"),
+        ],
+        ids=["uniform", "uniform-new-name", "coin", "three-atoms",
+             "three-atoms-derived", "dual-pair"],
+    )
+    def test_fields_are_read_only(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+    def test_equal_atoms_equal_laws(self):
+        again = finite_support([(0.9, 0.25), (0.2, 0.25), (0.5, 0.5)])
+        assert again == THREE_ATOMS
+        assert hash(again) == hash(THREE_ATOMS)
+        assert cramer.UniformLaw() == UNIFORM01
+        assert hash(cramer.UniformLaw()) == hash(UNIFORM01)
+        assert finite_support([(0.2, 0.5), (0.9, 0.5)]) != THREE_ATOMS
+
+    def test_the_coin_is_not_an_atom_law(self):
+        # Equality compares the law's type as well as its atoms.
+        atoms = cramer.AtomLaw(((0.0, 0.5), (1.0, 0.5)))
+        assert BERNOULLI_HALF != atoms
+        assert BERNOULLI_HALF == cramer.FairCoin(((0.0, 0.5), (1.0, 0.5)))
+        assert UNIFORM01 != atoms

@@ -160,6 +160,12 @@ class TestFindTheta0:
         with pytest.raises(InputValidationError):
             find_theta0(1)
 
+    def test_cached_record_is_read_only(self):
+        data = find_theta0(3)
+        with pytest.raises(AttributeError):
+            data.u0 = 0.0
+        assert find_theta0(3) is data
+
     def test_table_order_preserved(self):
         rows = critical_table([5, 2, 10])
         assert [row.p for row in rows] == [5, 2, 10]

@@ -109,6 +109,12 @@ class TestClosedForm:
         with pytest.raises(InputValidationError):
             GaussianModelParams(math.nan, 0.0)
 
+    def test_params_coerce_to_float_and_are_read_only(self):
+        params = GaussianModelParams(1, 0)
+        assert type(params.beta1) is float and type(params.beta2) is float
+        with pytest.raises(AttributeError):
+            params.beta2 = 1.0
+
 
 class TestMonteCarlo:
     def test_matches_closed_form_at_tame_point(self):

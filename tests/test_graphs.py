@@ -442,3 +442,27 @@ class TestSubgraphSpecValidation:
         spec = SubgraphSpec(3, ((3, 1), (2, 1)), "rev")
         assert spec.edges == ((1, 3), (1, 2))
         assert spec.edge_count == 2
+
+
+class TestRecords:
+    def test_fields_are_read_only(self):
+        stats = run_sampler(FREE, 4, 2, 0, 1)
+        report = concentration_report(stats, FREE)
+        for record, name in ((TWO_STAR, "k"), (stats, "seed"), (report, "mean_t_edge")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+    def test_equal_spec_takes_the_two_star_update(self):
+        # The chain picks its closed-form update by looking the subgraph up
+        # in a dict: a spec equal to TWO_STAR must hash like it and run the
+        # default two-star chain exactly.
+        spec = SubgraphSpec(3, ((2, 1), (3, 1)), "two-star")
+        assert spec == TWO_STAR
+        assert hash(spec) == hash(TWO_STAR)
+        params = ModelParams(-1.0, 2.0, 2)
+        assert MetropolisChain(params, 7, seed=17, subgraph=spec)._mode == "two-star"
+        ours = run_sampler(params, 7, 30, 5, 17, spec)
+        default = run_sampler(params, 7, 30, 5, 17)
+        assert np.array_equal(ours.t_edge_series, default.t_edge_series)
+        assert np.array_equal(ours.t_sub_series, default.t_sub_series)
+        assert ours.acceptance_rate == default.acceptance_rate

@@ -237,6 +237,12 @@ class TestTraceAndJump:
         assert np.all(np.diff(jumps) < 0.0)
         assert all(jump > 0.0 for jump in jumps)
 
+    def test_records_are_read_only(self):
+        point = trace_curve(2, -5.0, -4.0, 2)[0]
+        for record, name in ((point, "r"), (bounding_point(2, -5.0), "m_a")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+
     def test_trace_clamps_at_corner_margin(self):
         corner = find_theta0(2).beta1_c
         points = trace_curve(2, -4.0, corner, 5)

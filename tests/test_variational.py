@@ -84,6 +84,47 @@ class TestModelParamsValidation:
         with pytest.raises(InputValidationError):
             ModelParams(0.0, math.inf, 2)
 
+    def test_coerces_betas_to_float_and_p_to_int(self):
+        params = ModelParams(-5, 5, 2.0)
+        assert params == (-5.0, 5.0, 2, UNIFORM01)
+        assert type(params.beta1) is float and type(params.beta2) is float
+        assert type(params.p) is int
+
+    @pytest.mark.parametrize(
+        "args, error, parameter, message",
+        [
+            ((math.nan, -1.0, 1, "uniform"), InputValidationError, "dist",
+             "dist must be an EdgeDistribution, got str"),
+            ((math.nan, -1.0, 1), InputValidationError, "beta1",
+             "beta1 must be a finite real, got nan"),
+            (("x", -2, 0), InputValidationError, "beta1",
+             "beta1 must be a finite real, got 'x'"),
+            ((0.0, math.inf, 1.5), InputValidationError, "beta2",
+             "beta2 must be a finite real, got inf"),
+            ((1, -0.5, 2.5), AttractiveRegionError, "beta2",
+             "beta2 = -0.5 is repulsive; the variational formula requires beta2 >= 0"),
+        ],
+        ids=["dist", "beta1-nan", "beta1-str", "beta2-inf", "beta2-sign"],
+    )
+    def test_first_bad_field_is_the_one_reported(self, args, error, parameter, message):
+        # The checks run in a fixed order: dist, beta1, beta2, its sign, p.
+        with pytest.raises(error) as excinfo:
+            ModelParams(*args)
+        assert excinfo.value.record() == {
+            "module": "variational",
+            "operation": "ModelParams",
+            "message": message,
+            "offending_parameter": parameter,
+        }
+
+    def test_records_are_read_only(self):
+        params = ModelParams(-5.0, 5.0, 2)
+        solution = solve_psi(params)
+        maximizer = local_maxima(params)[0]
+        for record, name in ((params, "beta2"), (solution, "psi"), (maximizer, "u")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+
 
 class TestSolvePsi:
     def test_free_case_concentrates_at_half(self):
