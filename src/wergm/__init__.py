@@ -22,8 +22,6 @@ name and each submodule name above is imported on first access, so a
 command loads only the layers it runs.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 #: Each exported name, mapped to the submodule that defines it.
@@ -83,10 +81,11 @@ __all__ = list(_EXPORTS)
 
 
 def __getattr__(name):
+    # __import__, unlike importlib.import_module, is timed by -X importtime.
     if name in _SUBMODULES:
-        value = importlib.import_module(f".{name}", __name__)
+        value = __import__(f"{__name__}.{name}", fromlist=[name])
     elif name in _EXPORTS:
-        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+        value = getattr(__import__(f"{__name__}.{_EXPORTS[name]}", fromlist=[name]), name)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value

@@ -18,15 +18,17 @@ minimizing ``g``).  With ``kappa3`` the third derivative of ``log M``,
     g'(theta) = -phi(theta) / (2 (p-1) A**2)
     phi       = kappa3 * B + (p-2) * A**2
 
-so ``theta0`` is one root of ``kappa3 B + (p-2) A**2``, where it falls
-through zero.  The corner's coordinates are
+so ``theta0`` is one root of ``g'``, where it rises through zero.  ``g``
+and ``g'`` have one evaluator, ``g_d1``, which the transition curve's
+turning tilts use too.  The corner is read off the tilt side, with no dual
+solve, and equals ``(-f(u0), m(u0))`` with u0 = B(theta0):
 
-    beta2_c = m(u0) = 1 / n(theta0),   beta1_c = -f(u0) = -g(theta0)
+    beta2_c = 1 / n(theta0),   beta1_c = -g(theta0).
 
-with u0 = B(theta0).  The tilt-side profiles ``n`` and ``g`` are specific
-to the uniform(0, 1) law, whose closed forms they were derived from, and
-take no distribution argument; the mean-side profiles ``m`` and ``f``
-evaluate for any law (uniform by default).
+The tilt-side profiles ``n`` and ``g`` are specific to the uniform(0, 1)
+law, whose closed forms they were derived from, and take no distribution
+argument; the mean-side profiles ``m`` and ``f`` evaluate for any law
+(uniform by default).
 """
 
 from __future__ import annotations
@@ -93,16 +95,19 @@ def g_of_theta(p: int, theta: float) -> float:
     Uniform(0, 1) law only.
     """
     p = check_integer(p, 2, name="p", module=_MODULE, operation="g_of_theta")
-    a = cramer.log_mgf_d2(cramer.UNIFORM01, theta)
-    b = cramer.log_mgf_d1(cramer.UNIFORM01, theta)
-    return b / (2.0 * (p - 1) * a) - 0.5 * theta
+    return g_d1(p, theta)[0]
 
 
-def _phi(p: int, theta: float) -> float:
-    """``kappa3 * B + (p-2) * A**2``, which has the sign of ``n'`` and of ``-g'``."""
+def g_d1(p: int, theta: float) -> tuple[float, float]:
+    """``g`` and ``g' = -(kappa3 * B + (p-2) * A**2) / (2 (p-1) A**2)``.
+
+    Both come from one evaluation of B, A and kappa3.  Uniform(0, 1) law
+    only; ``p`` is not checked.
+    """
     a = cramer.log_mgf_d2(cramer.UNIFORM01, theta)
     b = cramer.log_mgf_d1(cramer.UNIFORM01, theta)
-    return cramer.UNIFORM01.skew(theta) * b + (p - 2) * a * a
+    phi = cramer.UNIFORM01.skew(theta) * b + (p - 2) * a * a
+    return b / (2.0 * (p - 1) * a) - 0.5 * theta, -phi / (2.0 * (p - 1) * a * a)
 
 
 class CriticalData(NamedTuple):
@@ -123,30 +128,31 @@ class CriticalData(NamedTuple):
 def find_theta0(p: int) -> CriticalData:
     """Critical tilt and corner coordinates for the uniform(0, 1) law.
 
-    theta0 is the one root of ``kappa3 * B + (p-2) * A**2`` at theta >= 0:
-    where it falls from >= 0 to < 0, ``n`` peaks and ``g`` bottoms out.  A
-    SCAN_POINTS scan of [0, SCAN_UPPER] must see exactly one sign change,
-    which ``cramer.newton`` refines by bisection (it is given no slope) to
-    adjacent floats.  At p = 2 the function is exactly 0 at theta = 0,
-    which is then the root.  The root is near p/2 for large p; when the
-    function is still >= 0 at SCAN_UPPER (from p = 120 on) a second scan
-    covers [SCAN_UPPER, THETA_MAX], the search's finite end.  Raises
-    ``ThetaCapError`` when the function is still >= 0 at THETA_MAX (from p
-    of about 1390 on) and ``NonUnimodalError`` when a scan changes sign
-    more than once.
+    theta0 is the one root of ``g'`` at theta >= 0: where it rises from
+    <= 0 to > 0, ``g`` bottoms out and ``n`` peaks.  A SCAN_POINTS scan of
+    [0, SCAN_UPPER] must see exactly one sign change, which
+    ``cramer.newton`` refines by bisection (it is given no slope) to
+    adjacent floats.  At p = 2 ``g'`` is exactly 0 at theta = 0, which is
+    then the root.  The root is near p/2 for large p; when ``g'`` is still
+    <= 0 at SCAN_UPPER (from p = 120 on) a second scan covers [SCAN_UPPER,
+    THETA_MAX], the search's finite end.  Raises ``ThetaCapError`` when
+    ``g'`` is still <= 0 at THETA_MAX (from p of about 1390 on) and
+    ``NonUnimodalError`` when a scan changes sign more than once.  The
+    corner is ``(-g, 1/n)`` at theta0, so ``m_u0`` and ``f_u0`` equal
+    ``beta2_c`` and ``-beta1_c`` by construction.
     """
     p = check_integer(p, 2, name="p", module=_MODULE, operation="find_theta0")
     for lo, hi in ((0.0, SCAN_UPPER), (SCAN_UPPER, cramer.THETA_MAX)):
         step = (hi - lo) / (SCAN_POINTS - 1)
         thetas = [lo + i * step for i in range(SCAN_POINTS)]
-        values = [_phi(p, t) for t in thetas]
+        values = [g_d1(p, t)[1] for t in thetas]
         changes = [
             i
             for i in range(1, SCAN_POINTS)
-            if (values[i] >= 0.0) != (values[i - 1] >= 0.0)
+            if (values[i] <= 0.0) != (values[i - 1] <= 0.0)
         ]
-        # values[0] >= 0 (it is (p-2) * A(0)**2 in the first scan and the
-        # last value of the first in the second), so a lone change is a fall.
+        # values[0] <= 0 (it is -(p-2) / (2 (p-1)) in the first scan and the
+        # last value of the first in the second), so a lone change is a rise.
         if len(changes) > 1:
             raise NonUnimodalError(
                 f"the curvature profile changes direction {len(changes)} times on "
@@ -170,21 +176,20 @@ def find_theta0(p: int) -> CriticalData:
         theta0 = thetas[k - 1]
     else:
         theta0 = cramer.newton(
-            lambda t: (_phi(p, t), math.nan), thetas[k - 1], thetas[k], values[k - 1]
+            lambda t: (g_d1(p, t)[1], math.nan), thetas[k - 1], thetas[k], values[k - 1]
         )
-    u0 = cramer.log_mgf_d1(cramer.UNIFORM01, theta0)
-    f0 = f_of_u(p, u0)
-    m0 = m_of_u(p, u0)
+    n0 = n_of_theta(p, theta0)
+    g0 = g_of_theta(p, theta0)
     return CriticalData(
         p=p,
         theta0=theta0,
-        u0=u0,
-        n_theta0=n_of_theta(p, theta0),
-        m_u0=m0,
-        g_theta0=g_of_theta(p, theta0),
-        f_u0=f0,
-        beta1_c=-f0,
-        beta2_c=m0,
+        u0=cramer.log_mgf_d1(cramer.UNIFORM01, theta0),
+        n_theta0=n0,
+        m_u0=1.0 / n0,
+        g_theta0=g0,
+        f_u0=g0,
+        beta1_c=-g0,
+        beta2_c=1.0 / n0,
     )
 
 

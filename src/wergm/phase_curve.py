@@ -8,25 +8,25 @@ inside a bracket that falls back to bisection.  The objective
 
     L(theta) = beta1*B + beta2*B**p - (theta*B - log M(theta)) / 2,
 
-with derivative ``A(theta) * p*B**(p-1) * (beta2 - h(theta))``, where
+with derivative ``A(theta) * D(theta)``, ``D`` being ``variational``'s
 
-    h(theta) = (theta/2 - beta1) / (p * B(theta)**(p-1))
+    D(theta) = beta1 + p*beta2*B**(p-1) - theta/2 = p*B**(p-1) * (beta2 - h),
+    h(theta) = (theta/2 - beta1) / (p * B(theta)**(p-1)),
 
-is the ``beta2`` at which ``B(theta)`` is stationary.  Local maxima are
-therefore where ``h`` crosses ``beta2`` upwards.  ``h`` rises where
-``g(theta) > -beta1`` (``critical.g_of_theta``) and falls between the two
-roots ``theta_a < theta0 < theta_b`` of ``g = -beta1``, which exist for
-``beta1`` below the critical value.  At those turning points ``h = 1/n =
-m(B)``, so with ``a = B(theta_a)`` and ``b = B(theta_b)`` (the tangency
-roots of ``f(u) = -beta1``, since ``f`` composed with B is ``g``) there are
-two local maxima exactly when ``m(b) < beta2 < m(a)``: the V-shaped region
-bounded by the parametric curve ``u -> (-f(u), m(u))``.  The lower maximum
-is the root of ``h = beta2`` below ``theta_a``, the upper one above
-``theta_b``.  Every bracket that reaches out from a turning tilt starts at
-``+-THETA_WINDOW`` and doubles (``cramer.widen``) until it holds its root.
-The turning tilts step with ``g' = -phi / (2 (p-1) A**2)`` (``phi`` as in
-``critical``) and the maxima with ``h' = (1/2 - h p (p-1) B**(p-2) A) /
-(p B**(p-1))``.
+the ``beta2`` at which ``B(theta)`` is stationary.  Local maxima are the
+falls of ``D`` through zero, where ``h`` crosses ``beta2`` upwards.  ``h``
+rises where ``g(theta) > -beta1`` (``critical.g_of_theta``) and falls
+between the two roots ``theta_a < theta0 < theta_b`` of ``g = -beta1``,
+which exist for ``beta1`` below the critical value.  At those turning
+points ``h = 1/n = m(B)``, so with ``a = B(theta_a)`` and ``b =
+B(theta_b)`` (the tangency roots of ``f(u) = -beta1``, since ``f`` composed
+with B is ``g``) there are two local maxima exactly when ``m(b) < beta2 <
+m(a)``: the V-shaped region bounded by the parametric curve ``u -> (-f(u),
+m(u))``.  The lower maximum is the fall of ``D`` below ``theta_a``, the
+upper one above ``theta_b``.  Every bracket that reaches out from a turning
+tilt starts at ``+-THETA_WINDOW`` and doubles (``cramer.widen``) until it
+holds its root.  The turning tilts step with ``g'`` from ``critical.g_d1``,
+the maxima with ``D'`` from ``variational.stationarity``.
 
 Inside the region the value gap between the upper and lower maximum
 increases in ``beta2`` (its derivative is ``u2**p - u1**p``) and changes
@@ -101,46 +101,26 @@ def _mean(theta: float) -> float:
     return cramer.log_mgf_d1(cramer.UNIFORM01, theta)
 
 
-def _h(p: int, beta1: float, theta: float, b: float | None = None) -> float:
-    """The ``beta2`` at which ``u = B(theta)`` is a stationary point.
-
-    ``b`` is ``B(theta)`` when the caller has it.
-    """
+def _h(p: int, beta1: float, theta: float) -> float:
+    """The ``beta2`` at which ``u = B(theta)`` is a stationary point."""
     rise = 0.5 * theta - beta1
-    denom = p * (_mean(theta) if b is None else b) ** (p - 1)
+    denom = p * _mean(theta) ** (p - 1)
     if denom == 0.0:
         # B**(p-1) underflows far left for large p; h tends to +-inf there.
         return math.copysign(math.inf, rise)
     return rise / denom
 
 
-def _h_d1(p: int, beta1: float, theta: float) -> tuple[float, float]:
-    """``h`` and its derivative ``(1/2 - h*p*(p-1)*B**(p-2)*A) / (p*B**(p-1))``.
+def _turns(p: int, beta1: float, theta0: float) -> tuple[float, float, float, float]:
+    """``(theta_a, theta_b, m_a, m_b)``: the turning tilts and ``h`` there.
 
-    The derivative is nan where ``h`` is infinite.
-    """
-    b = _mean(theta)
-    h = _h(p, beta1, theta, b)
-    if math.isinf(h):
-        return h, math.nan
-    a = cramer.log_mgf_d2(cramer.UNIFORM01, theta)
-    return h, (0.5 - h * p * (p - 1) * b ** (p - 2) * a) / (p * b ** (p - 1))
-
-
-def _turning_tilts(p: int, beta1: float, theta0: float) -> tuple[float, float]:
-    """The roots ``theta_a < theta0 < theta_b`` of ``g(theta) = -beta1``.
-
-    Newton steps use ``g' = -phi / (2 (p-1) A**2)``.
+    The turning tilts are the roots ``theta_a < theta0 < theta_b`` of
+    ``g(theta) = -beta1``.
     """
 
     def resid_d1(theta: float) -> tuple[float, float]:
-        # critical.g_of_theta and critical._phi, from one evaluation of A, B
-        # and kappa3.
-        a = cramer.log_mgf_d2(cramer.UNIFORM01, theta)
-        b = _mean(theta)
-        phi = cramer.UNIFORM01.skew(theta) * b + (p - 2) * a * a
-        g = b / (2.0 * (p - 1) * a) - 0.5 * theta
-        return g + beta1, -phi / (2.0 * (p - 1) * a * a)
+        g, slope = critical.g_d1(p, theta)
+        return g + beta1, slope
 
     def resid(theta: float) -> float:
         return resid_d1(theta)[0]
@@ -151,45 +131,31 @@ def _turning_tilts(p: int, beta1: float, theta0: float) -> tuple[float, float]:
     right, _ = cramer.widen(resid, theta0, r0, THETA_WINDOW)
     theta_a = cramer.newton(resid_d1, left, theta0, r_left)
     theta_b = cramer.newton(resid_d1, theta0, right, r0)
-    return theta_a, theta_b
-
-
-def _turns(p: int, beta1: float, theta0: float) -> tuple[float, float, float, float]:
-    """``(theta_a, theta_b, m_a, m_b)``: the turning tilts and ``h`` there."""
-    theta_a, theta_b = _turning_tilts(p, beta1, theta0)
     return theta_a, theta_b, _h(p, beta1, theta_a), _h(p, beta1, theta_b)
 
 
 def _maxima(
-    p: int,
-    beta1: float,
-    beta2: float,
+    params: variational.ModelParams,
     turns: tuple[float, float, float, float],
     start: tuple[float | None, float | None] = (None, None),
 ) -> tuple[float, float]:
     """Tilts of the lower and upper local maximum, for ``m_b < beta2 < m_a``.
 
-    ``turns`` is ``_turns``.  ``h - beta2`` is positive at ``theta_a`` and
-    negative at ``theta_b``; each maximum is where it rises through zero,
-    below ``theta_a`` and above ``theta_b``.  The Newton iterations start
-    at ``start`` when given.
+    ``turns`` is ``_turns``.  Each maximum is where ``variational``'s ``D``
+    falls through zero, below ``theta_a`` and above ``theta_b``.  ``D =
+    p*B**(p-1) * (beta2 - h)`` has the sign of ``beta2 - m_a < 0`` at
+    ``theta_a`` and of ``beta2 - m_b > 0`` at ``theta_b``.  The Newton
+    iterations start at ``start`` when given.
     """
     theta_a, theta_b, m_a, m_b = turns
-
-    def resid(theta: float) -> float:
-        return _h(p, beta1, theta) - beta2
-
-    def resid_d1(theta: float) -> tuple[float, float]:
-        h, slope = _h_d1(p, beta1, theta)
-        return h - beta2, slope
-
-    lo, r_lo = cramer.widen(resid, theta_a, m_a - beta2, -THETA_WINDOW)
-    r_b = m_b - beta2
-    hi, r_hi = cramer.widen(resid, theta_b, r_b, THETA_WINDOW)
+    slope, slope_d1 = variational.stationarity(params)
+    lo, d_lo = cramer.widen(slope, theta_a, params.beta2 - m_a, -THETA_WINDOW)
+    d_b = params.beta2 - m_b
+    hi, d_hi = cramer.widen(slope, theta_b, d_b, THETA_WINDOW)
     # An edge can be the root itself: r_of_beta1 evaluates at beta2 = h(edge).
     return (
-        lo if r_lo == 0.0 else cramer.newton(resid_d1, lo, theta_a, r_lo, start[0]),
-        hi if r_hi == 0.0 else cramer.newton(resid_d1, theta_b, hi, r_b, start[1]),
+        lo if d_lo == 0.0 else cramer.newton(slope_d1, lo, theta_a, d_lo, start[0]),
+        hi if d_hi == 0.0 else cramer.newton(slope_d1, theta_b, hi, d_b, start[1]),
     )
 
 
@@ -204,15 +170,14 @@ def _gap(
     maximum is absent the gap is +-inf, the derivative nan and the tilts
     are ``start``.
     """
-    p, beta1, beta2 = params.p, params.beta1, params.beta2
     m_a, m_b = turns[2:]
-    if beta2 >= m_a:
+    if params.beta2 >= m_a:
         return math.inf, math.nan, start
-    if beta2 <= m_b:
+    if params.beta2 <= m_b:
         return -math.inf, math.nan, start
-    tilts = _maxima(p, beta1, beta2, turns, start)
+    tilts = _maxima(params, turns, start)
     low, high = (variational.at_tilt(params, theta) for theta in tilts)
-    return high.value - low.value, high.u**p - low.u**p, tilts
+    return high.value - low.value, high.u**params.p - low.u**params.p, tilts
 
 
 def bounding_point(p: int, beta1: float) -> BoundingPoint:
@@ -220,20 +185,13 @@ def bounding_point(p: int, beta1: float) -> BoundingPoint:
 
     The roots are ``B`` of the turning tilts, the two roots of
     ``g = f o B = -beta1`` on either side of ``theta0``, and the bounds are
-    ``m = 1/n`` at those tilts, so no dual solve is needed.  Where
-    ``a**(p-2)`` underflows, ``n`` does too and ``m_a`` exceeds the float
-    range; it is returned as inf, the value ``_h(theta_a)`` gives there.
+    ``h = 1/n`` at those tilts, so no dual solve is needed.  Where
+    ``a**(p-1)`` underflows, ``m_a`` exceeds the float range and is
+    returned as inf.
     """
     beta1, data = _check_beta1(p, beta1, "bounding_point")
-    theta_a, theta_b = _turning_tilts(p, beta1, data.theta0)
-    n_a = critical.n_of_theta(p, theta_a)
-    return BoundingPoint(
-        beta1=beta1,
-        a=_mean(theta_a),
-        b=_mean(theta_b),
-        m_a=1.0 / n_a if n_a > 0.0 else math.inf,
-        m_b=1.0 / critical.n_of_theta(p, theta_b),
-    )
+    theta_a, theta_b, m_a, m_b = _turns(p, beta1, data.theta0)
+    return BoundingPoint(beta1, _mean(theta_a), _mean(theta_b), m_a, m_b)
 
 
 def maxima_gap(p: int, beta1: float, beta2: float) -> float:
@@ -285,8 +243,8 @@ def r_of_beta1(
         hi = min(m_a, _h(p, beta1, edge))
     # The gap is -inf at m_b.
     r = cramer.newton(gap, m_b, hi, -math.inf)
-    theta1, theta2 = _maxima(p, beta1, r, turns, tilts)
     params = variational.ModelParams(beta1, r, p)
+    theta1, theta2 = _maxima(params, turns, tilts)
     low, high = variational.at_tilt(params, theta1), variational.at_tilt(params, theta2)
     return PhaseCurvePoint(
         beta1=beta1, r=r, u1_star=low.u, u2_star=high.u, psi=max(low.value, high.value)

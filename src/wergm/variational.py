@@ -25,7 +25,8 @@ with derivative ``A(theta) * D(theta)``, ``A = log_mgf_d2 > 0`` and
 The interior local maxima are the ``+ -> -`` crossings of ``D``, found in
 closed forms of ``B`` and ``log M`` and refined by ``cramer.newton`` in
 theta with the slope ``D' = p*(p-1)*beta2*B**(p-2)*A - 1/2``; no dual
-solve is needed.
+solve is needed.  ``stationarity`` is the one home of ``D`` and ``D'``:
+``phase_curve`` finds the two maxima of the transition curve with it too.
 
 Negative ``beta2`` (the repulsive region) changes the variational form
 and is rejected with ``AttractiveRegionError``.
@@ -184,6 +185,26 @@ def at_tilt(params: ModelParams, theta: float) -> Maximizer:
     return Maximizer(u, objective_at(params, cramer.DualPair(theta, u)))
 
 
+def stationarity(params: ModelParams):
+    """The slope ``D`` of the objective in theta, and ``(D, D')``, as functions.
+
+    ``D(theta) = beta1 + p*beta2*B**(p-1) - theta/2`` has the sign of
+    ``L'(theta)``, and ``D' = p*(p-1)*beta2*B**(p-2)*A - 1/2``.  The second
+    function evaluates ``B`` once for both.
+    """
+    beta1, beta2, p, dist = params
+
+    def slope(theta: float) -> float:
+        return beta1 + p * beta2 * cramer.log_mgf_d1(dist, theta) ** (p - 1) - 0.5 * theta
+
+    def slope_d1(theta: float) -> tuple[float, float]:
+        b, a = cramer.log_mgf_d1(dist, theta), cramer.log_mgf_d2(dist, theta)
+        d_d1 = p * (p - 1) * beta2 * b ** (p - 2) * a - 0.5
+        return beta1 + p * beta2 * b ** (p - 1) - 0.5 * theta, d_d1
+
+    return slope, slope_d1
+
+
 def _theta_window(params: ModelParams) -> float:
     """Half-width of the tilt interval that holds every interior maximum.
 
@@ -214,18 +235,9 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
     dropped; the endpoint candidate of ``solve_psi`` stands for it.  No
     global filtering is applied; ``solve_psi`` layers tie detection on top.
     """
-    dist, beta1, beta2, p = params.dist, params.beta1, params.beta2, params.p
-
-    def slope(theta: float) -> float:
-        return beta1 + p * beta2 * cramer.log_mgf_d1(dist, theta) ** (p - 1) - 0.5 * theta
-
-    def slope_d1(theta: float) -> tuple[float, float]:
-        b, a = cramer.log_mgf_d1(dist, theta), cramer.log_mgf_d2(dist, theta)
-        d_d1 = p * (p - 1) * beta2 * b ** (p - 2) * a - 0.5
-        return beta1 + p * beta2 * b ** (p - 1) - 0.5 * theta, d_d1
-
+    slope, slope_d1 = stationarity(params)
     window = _theta_window(params)
-    e_lo, e_hi = cramer.endpoint_rate(dist)
+    e_lo, e_hi = cramer.endpoint_rate(params.dist)
     d_prev = slope(-window)
     while (d_prev <= 0.0 and math.isinf(e_lo)) or (
         slope(window) >= 0.0 and math.isinf(e_hi)
@@ -245,7 +257,7 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
             # Grid point landed exactly on a stationary maximum.
             roots.append(theta_prev)
         theta_prev, d_prev = theta_here, d_here
-    s_lo, s_hi = cramer.support_interval(dist)
+    s_lo, s_hi = cramer.support_interval(params.dist)
     found = (at_tilt(params, theta) for theta in roots)
     return tuple(m for m in found if s_lo < m.u < s_hi)
 

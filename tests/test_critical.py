@@ -7,8 +7,9 @@ f(B(theta)) = g(theta) must hold pointwise, the one root of
 ``kappa3 * B + (p-2) * A**2`` must sit where n peaks and g bottoms out on a
 grid, and the four-decimal reference values are checked at 5e-4.  The
 root is checked to 1e-11 against 50-digit mpmath values, and the corner
-up to p = 500 (theta0 near p/2: from p = 120 on it lies past the first
-scan's edge 60, and a second scan finds it).
+(beta1_c, beta2_c) to 1e-13 up to p = 10 and to 1e-9 up to p = 500
+(theta0 near p/2: from p = 120 on it lies past the first scan's edge 60,
+and a second scan finds it).
 """
 
 import numpy as np
@@ -33,13 +34,18 @@ REFERENCE = {
     10: (5.6256, 1.0894, 0.8259, 0.9180, -1.1723),
 }
 
-# 50-digit mpmath roots: p -> (theta0, u0).
+# 50-digit mpmath roots and corners: p -> (theta0, u0, beta1_c, beta2_c).
 MPMATH_ROOTS = {
-    3: (1.3251039247294337, 0.60732315407479402),
-    4: (2.2525074860628187, 0.67353764067116137),
-    5: (2.9869343576681699, 0.71832995469162378),
-    7: (4.1685955793167362, 0.77582823814537187),
-    10: (5.6256328702686598, 0.82585954100561651),
+    3: (1.3251039247294337, 0.60732315407479402, -1.3222360441768347,
+        1.7937139865795507),
+    4: (2.2525074860628187, 0.67353764067116137, -0.57974988536187894,
+        1.3958358401509737),
+    5: (2.9869343576681699, 0.71832995469162378, -0.10589126752373784,
+        1.2013786107254535),
+    7: (4.1685955793167362, 0.77582823814537187, 0.52950033767609769,
+        1.0185498372564133),
+    10: (5.6256328702686598, 0.82585954100561651, 1.1722975792353615,
+         0.91796370931443764),
 }
 
 # 50-digit mpmath corners at large p: p -> (theta0, beta1_c, beta2_c).
@@ -130,10 +136,12 @@ class TestFindTheta0:
 
     @pytest.mark.parametrize("p", sorted(MPMATH_ROOTS))
     def test_root_matches_mpmath(self, p):
-        theta0, u0 = MPMATH_ROOTS[p]
+        theta0, u0, beta1_c, beta2_c = MPMATH_ROOTS[p]
         data = find_theta0(p)
         assert abs(data.theta0 - theta0) <= 1e-11
         assert abs(data.u0 - u0) <= 1e-11
+        np.testing.assert_allclose((data.beta1_c, data.beta2_c), (beta1_c, beta2_c),
+                                   rtol=1e-13)
 
     @pytest.mark.parametrize("p", sorted(MPMATH_LARGE_P))
     def test_large_p_corner_matches_mpmath(self, p):

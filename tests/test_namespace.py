@@ -8,6 +8,8 @@ binds them all, and the benchmark tracer can reach every layer.
 """
 
 import importlib
+import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,3 +111,27 @@ def test_tracer_builds_in_a_fresh_interpreter():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "resolved\n"
+
+
+def test_importtime_lists_the_lazily_loaded_layers():
+    # cli's ``from . import cramer, variational`` goes through the module
+    # __getattr__; each layer it loads there must show on its own line.
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import wergm.cli"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    for module in ("wergm.cramer", "wergm.variational"):
+        assert re.search(rf"\|\s+{re.escape(module)}$", result.stderr, re.M), module
+
+
+def test_every_traced_name_resolves():
+    # The benchmark's traced run wraps each of these by name, so deleting
+    # one breaks it; load the tracer without putting perfbench on sys.path.
+    spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.PUBLIC.items():
+        for name in names:
+            assert callable(getattr(getattr(wergm, layer), name)), f"{layer}.{name}"
+    assert callable(wergm.graphs.MetropolisChain.sweep)

@@ -11,7 +11,8 @@ side, bracket geometry, and monotone trends along the curve.
 import numpy as np
 import pytest
 
-from wergm.critical import f_of_u, find_theta0, m_of_u
+from wergm import cramer
+from wergm.critical import critical_table, f_of_u, find_theta0, m_of_u
 from wergm.errors import InputValidationError, NoTwoPhaseRegionError
 from wergm.phase_curve import (
     bounding_point,
@@ -82,6 +83,22 @@ class TestBoundingPoint:
         assert bound.m_a == np.inf
         assert bound.m_b == pytest.approx(m_of_u(p, bound.b), rel=1e-9)
         assert bound.m_b < r_of_beta1(p, beta1).r
+
+
+def test_corner_and_curve_make_no_dual_solve(monkeypatch):
+    # The corner is read off n and g at theta0, and the curve and its bounds
+    # off the turning tilts, so no mean is ever mapped back to its tilt.
+    def refuse(dist, u):
+        raise AssertionError(f"dual solve at u = {u!r}")
+
+    monkeypatch.setattr(cramer, "dual_theta", refuse)
+    find_theta0.cache_clear()
+    try:
+        critical_table([2, 3, 5, 10, 150])
+        assert len(trace_curve(3, -4.0, -1.5, 4)) == 4
+        bounding_point(3, -2.0)
+    finally:
+        find_theta0.cache_clear()
 
 
 class TestMaximaGap:
