@@ -38,18 +38,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import cramer
-from .errors import (
-    GradientUndefinedError,
-    NonUnimodalError,
-    ThetaCapError,
-    check_integer,
-)
+from .errors import GradientUndefinedError, ThetaCapError, check_integer
 
 _MODULE = "critical"
-
-#: Scan interval and resolution used to bracket the critical tilt.
-SCAN_UPPER = 60.0
-SCAN_POINTS = 512
 
 
 def n_of_theta(p: int, theta: float) -> float:
@@ -129,55 +120,31 @@ def find_theta0(p: int) -> CriticalData:
     """Critical tilt and corner coordinates for the uniform(0, 1) law.
 
     theta0 is the one root of ``g'`` at theta >= 0: where it rises from
-    <= 0 to > 0, ``g`` bottoms out and ``n`` peaks.  A SCAN_POINTS scan of
-    [0, SCAN_UPPER] must see exactly one sign change, which
-    ``cramer.newton`` refines by bisection (it is given no slope) to
-    adjacent floats.  At p = 2 ``g'`` is exactly 0 at theta = 0, which is
-    then the root.  The root is near p/2 for large p; when ``g'`` is still
-    <= 0 at SCAN_UPPER (from p = 120 on) a second scan covers [SCAN_UPPER,
-    THETA_MAX], the search's finite end.  Raises ``ThetaCapError`` when
-    ``g'`` is still <= 0 at THETA_MAX (from p of about 1390 on) and
-    ``NonUnimodalError`` when a scan changes sign more than once.  The
-    corner is ``(-g, 1/n)`` at theta0, so ``m_u0`` and ``f_u0`` equal
-    ``beta2_c`` and ``-beta1_c`` by construction.
+    <= 0 to > 0, ``g`` bottoms out and ``n`` peaks.  ``g'(0) = -(p-2) /
+    (2 (p-1))``, so at p = 2 the root is theta = 0.  Otherwise
+    ``cramer.widen`` doubles the bracket's right end from 1 until ``g' >=
+    0`` there, and ``cramer.newton`` refines the root by bisection (it is
+    given no slope) to adjacent floats.  The root is near p/2 for large p;
+    raises ``ThetaCapError`` when ``g'`` is still < 0 at THETA_MAX (from p
+    of about 1390 on).  The corner is ``(-g, 1/n)`` at theta0, so ``m_u0``
+    and ``f_u0`` equal ``beta2_c`` and ``-beta1_c`` by construction.
     """
     p = check_integer(p, 2, name="p", module=_MODULE, operation="find_theta0")
-    for lo, hi in ((0.0, SCAN_UPPER), (SCAN_UPPER, cramer.THETA_MAX)):
-        step = (hi - lo) / (SCAN_POINTS - 1)
-        thetas = [lo + i * step for i in range(SCAN_POINTS)]
-        values = [g_d1(p, t)[1] for t in thetas]
-        changes = [
-            i
-            for i in range(1, SCAN_POINTS)
-            if (values[i] <= 0.0) != (values[i - 1] <= 0.0)
-        ]
-        # values[0] <= 0 (it is -(p-2) / (2 (p-1)) in the first scan and the
-        # last value of the first in the second), so a lone change is a rise.
-        if len(changes) > 1:
-            raise NonUnimodalError(
-                f"the curvature profile changes direction {len(changes)} times on "
-                f"[{lo:g}, {hi:g}]; cannot bracket a unique critical tilt",
+    theta0, slope0 = 0.0, g_d1(p, 0.0)[1]
+    if slope0 < 0.0:
+        try:
+            edge, _ = cramer.widen(
+                lambda t: g_d1(p, t)[1], 0.0, slope0, 1.0, limit=cramer.THETA_MAX
+            )
+        except ThetaCapError:
+            raise ThetaCapError(
+                f"the critical tilt for p = {p} lies beyond the searched tilts "
+                f"[0, {cramer.THETA_MAX:g}]",
                 module=_MODULE,
                 operation="find_theta0",
                 offending_parameter="p",
-            )
-        if changes:
-            break
-    else:
-        raise ThetaCapError(
-            f"the critical tilt for p = {p} lies beyond the scanned tilts "
-            f"[0, {cramer.THETA_MAX:g}]",
-            module=_MODULE,
-            operation="find_theta0",
-            offending_parameter="p",
-        )
-    k = changes[0]
-    if values[k - 1] == 0.0:
-        theta0 = thetas[k - 1]
-    else:
-        theta0 = cramer.newton(
-            lambda t: (g_d1(p, t)[1], math.nan), thetas[k - 1], thetas[k], values[k - 1]
-        )
+            ) from None
+        theta0 = cramer.newton(lambda t: (g_d1(p, t)[1], math.nan), 0.0, edge, slope0)
     n0 = n_of_theta(p, theta0)
     g0 = g_of_theta(p, theta0)
     return CriticalData(

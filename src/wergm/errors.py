@@ -63,10 +63,6 @@ class NoTwoPhaseRegionError(WergmError):
     """beta1 is not below its critical value, so no two-maximum region exists."""
 
 
-class NonUnimodalError(WergmError):
-    """A scan expected to be unimodal shows more than one local maximum."""
-
-
 class DivergenceError(WergmError):
     """Gaussian normalizing integral diverges (beta2 too close to 1/2)."""
 

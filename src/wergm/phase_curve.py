@@ -41,7 +41,12 @@ import math
 from typing import NamedTuple
 
 from . import cramer, critical, variational
-from .errors import InputValidationError, NoTwoPhaseRegionError, check_integer
+from .errors import (
+    InputValidationError,
+    NoTwoPhaseRegionError,
+    ThetaCapError,
+    check_integer,
+)
 from .variational import THETA_WINDOW
 
 _MODULE = "phase_curve"
@@ -111,11 +116,15 @@ def _h(p: int, beta1: float, theta: float) -> float:
     return rise / denom
 
 
-def _turns(p: int, beta1: float, theta0: float) -> tuple[float, float, float, float]:
+def _turns(
+    p: int, beta1: float, theta0: float, operation: str
+) -> tuple[float, float, float, float]:
     """``(theta_a, theta_b, m_a, m_b)``: the turning tilts and ``h`` there.
 
     The turning tilts are the roots ``theta_a < theta0 < theta_b`` of
-    ``g(theta) = -beta1``.
+    ``g(theta) = -beta1``.  Raises ``ThetaCapError``, naming ``operation``
+    and ``beta1``, where a bracket cannot reach a root: from |beta1| of
+    about 1e81 on, ``A**2`` underflows in ``g'`` before it does.
     """
 
     def resid_d1(theta: float) -> tuple[float, float]:
@@ -127,8 +136,17 @@ def _turns(p: int, beta1: float, theta0: float) -> tuple[float, float, float, fl
 
     # resid(theta0) = beta1 - beta1_c < 0: each side brackets one root.
     r0 = resid(theta0)
-    left, r_left = cramer.widen(resid, theta0, r0, -THETA_WINDOW)
-    right, _ = cramer.widen(resid, theta0, r0, THETA_WINDOW)
+    try:
+        left, r_left = cramer.widen(resid, theta0, r0, -THETA_WINDOW)
+        right, _ = cramer.widen(resid, theta0, r0, THETA_WINDOW)
+    except ZeroDivisionError:
+        raise ThetaCapError(
+            f"the turning tilts for p = {p} at beta1 = {beta1:g} cannot be "
+            "bracketed in floating point",
+            module=_MODULE,
+            operation=operation,
+            offending_parameter="beta1",
+        ) from None
     theta_a = cramer.newton(resid_d1, left, theta0, r_left)
     theta_b = cramer.newton(resid_d1, theta0, right, r0)
     return theta_a, theta_b, _h(p, beta1, theta_a), _h(p, beta1, theta_b)
@@ -190,7 +208,7 @@ def bounding_point(p: int, beta1: float) -> BoundingPoint:
     returned as inf.
     """
     beta1, data = _check_beta1(p, beta1, "bounding_point")
-    theta_a, theta_b, m_a, m_b = _turns(p, beta1, data.theta0)
+    theta_a, theta_b, m_a, m_b = _turns(p, beta1, data.theta0, "bounding_point")
     return BoundingPoint(beta1, _mean(theta_a), _mean(theta_b), m_a, m_b)
 
 
@@ -204,7 +222,7 @@ def maxima_gap(p: int, beta1: float, beta2: float) -> float:
     """
     beta1, data = _check_beta1(p, beta1, "maxima_gap")
     params = variational.ModelParams(beta1, beta2, p)
-    return _gap(params, _turns(p, beta1, data.theta0))[0]
+    return _gap(params, _turns(p, beta1, data.theta0, "maxima_gap"))[0]
 
 
 def r_of_beta1(
@@ -227,7 +245,7 @@ def r_of_beta1(
             offending_parameter="dist",
         )
     beta1, data = _check_beta1(p, beta1, "r_of_beta1")
-    turns = _turns(p, beta1, data.theta0)
+    turns = _turns(p, beta1, data.theta0, "r_of_beta1")
     tilts = (None, None)
 
     def gap(beta2: float) -> tuple[float, float]:

@@ -23,10 +23,13 @@ with derivative ``A(theta) * D(theta)``, ``A = log_mgf_d2 > 0`` and
     D(theta) = beta1 + p*beta2*B**(p-1) - theta/2.
 
 The interior local maxima are the ``+ -> -`` crossings of ``D``, found in
-closed forms of ``B`` and ``log M`` and refined by ``cramer.newton`` in
-theta with the slope ``D' = p*(p-1)*beta2*B**(p-2)*A - 1/2``; no dual
-solve is needed.  ``stationarity`` is the one home of ``D`` and ``D'``:
-``phase_curve`` finds the two maxima of the transition curve with it too.
+closed forms of ``B`` and ``log M`` on a grid over the tilt interval where
+the bound ``|B| <= max|support|`` puts every root of ``D`` (finely inside
+``|theta| <= THETA_WINDOW``, outside it only where a root must lie), and
+refined by ``cramer.newton`` in theta with the slope
+``D' = p*(p-1)*beta2*B**(p-2)*A - 1/2``; no dual solve is needed.
+``stationarity`` is the one home of ``D`` and ``D'``: ``phase_curve``
+finds the two maxima of the transition curve with it too.
 
 Negative ``beta2`` (the repulsive region) changes the variational form
 and is rejected with ``AttractiveRegionError``.
@@ -43,6 +46,7 @@ from .errors import (
     AttractiveRegionError,
     GradientUndefinedError,
     InputValidationError,
+    ThetaCapError,
     check_integer,
 )
 
@@ -51,14 +55,16 @@ _MODULE = "variational"
 #: Number of points in the stationary-point scan grid.
 GRID_POINTS = 2048
 
-#: Half-width of the first tilt bracket of every search, which grows past it
-#: only where a root lies outside.
+#: Half-width of the tilt window that every search covers first: the
+#: maxima scan puts its finest grid there, and the transition curve's
+#: brackets start on its edges.  Each goes past it only where a root lies
+#: outside.
 THETA_WINDOW = 680.0
 
 #: Two candidate values within 1e-9 * max(1, |psi|) count as tied.
 TIE_RTOL = 1e-9
 
-#: Tied maximizers closer than this fraction of the scanned u-span are
+#: Tied maximizers closer than this fraction of the support's width are
 #: treated as one flat optimum, not genuine coexistence.
 MERGE_SPAN_FRACTION = 1e-3
 
@@ -205,50 +211,67 @@ def stationarity(params: ModelParams):
     return slope, slope_d1
 
 
-def _theta_window(params: ModelParams) -> float:
-    """Half-width of the tilt interval that holds every interior maximum.
+def _root_interval(params: ModelParams) -> tuple[float, float]:
+    """A tilt interval outside which ``D`` has no root, for every law.
 
     With ``s`` the largest support magnitude, ``|p*beta2*B**(p-1)|`` is at
-    most ``p*beta2*s**(p-1)``, so ``D`` is positive below ``-T`` and
-    negative above ``T = 2 * (|beta1| + p*beta2*s**(p-1))``.  Twice that
-    plus slack, at most THETA_WINDOW.
+    most ``c = p*beta2*s**(p-1)``, so ``D`` is positive below
+    ``2*(beta1 - c)`` and negative above ``2*(beta1 + c)``.  Each end is
+    padded by ``1 + 1e-9*(|beta1| + c)``, far more than the rounding of
+    ``D``.  Raises ``ThetaCapError`` when ``c`` or an end overflows.
     """
-    lo, hi = cramer.support_interval(params.dist)
-    s = max(abs(lo), abs(hi))
-    return min(
-        4.0 * (abs(params.beta1) + params.p * params.beta2 * s ** (params.p - 1))
-        + 50.0,
-        THETA_WINDOW,
+    beta1, beta2, p, dist = params
+    s = max(map(abs, cramer.support_interval(dist)))
+    try:
+        c = p * beta2 * s ** (p - 1)
+        pad = 1.0 + 1e-9 * (abs(beta1) + c)
+        lo, hi = 2.0 * (beta1 - c) - pad, 2.0 * (beta1 + c) + pad
+        if math.isfinite(hi - lo):
+            return lo, hi
+    except OverflowError:
+        pass
+    raise ThetaCapError(
+        f"the stationary tilts at beta1 = {beta1:g}, beta2 = {beta2:g}, p = {p} "
+        "are bounded only beyond the float range",
+        module=_MODULE,
+        operation="local_maxima",
+        offending_parameter="params",
     )
 
 
 def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
     """All interior local maximizers of the objective, in ascending u.
 
-    ``D`` is scanned on a uniform theta-grid of GRID_POINTS points over
-    ``[-T, T]`` from ``_theta_window``, and ``cramer.newton`` refines each
-    ``+ -> -`` crossing to adjacent floats.  ``D`` is positive at the left
-    edge and negative at the right unless the window was clipped to
-    THETA_WINDOW; for a law whose endpoints carry no atom (infinite endpoint
-    rate) the window then doubles until the edge signs are right, so no
-    maximum lies beyond it.  A crossing whose mean rounds onto a support endpoint is
-    dropped; the endpoint candidate of ``solve_psi`` stands for it.  No
-    global filtering is applied; ``solve_psi`` layers tie detection on top.
+    ``D`` is positive at the left end of the interval from
+    ``_root_interval`` and negative at its right end.  GRID_POINTS points
+    scan the part of it inside ``|theta| <= THETA_WINDOW``, and as many
+    again each part outside where ``D`` at the window's edge has the sign
+    of the far end, so that a crossing lies out there; ``cramer.newton``
+    refines each ``+ -> -`` crossing to adjacent floats.  A crossing whose
+    mean rounds onto a support endpoint of finite rate (an endpoint atom)
+    is dropped, since the endpoint candidate of ``solve_psi`` stands for
+    it; at an endpoint of infinite rate it is kept.  No global filtering
+    is applied; ``solve_psi`` layers tie detection on top.
     """
     slope, slope_d1 = stationarity(params)
-    window = _theta_window(params)
-    e_lo, e_hi = cramer.endpoint_rate(params.dist)
-    d_prev = slope(-window)
-    while (d_prev <= 0.0 and math.isinf(e_lo)) or (
-        slope(window) >= 0.0 and math.isinf(e_hi)
-    ):
-        window *= 2.0
-        d_prev = slope(-window)
-    step = 2.0 * window / (GRID_POINTS - 1)
-    grid = [-window + i * step for i in range(1, GRID_POINTS - 1)] + [window]
+    lo, hi = _root_interval(params)
+    left, right = min(hi, -THETA_WINDOW), max(lo, THETA_WINDOW)
+    pieces = []
+    if lo < left and slope(left) <= 0.0:
+        pieces.append((lo, left))
+    if max(lo, -THETA_WINDOW) < min(hi, THETA_WINDOW):
+        pieces.append((max(lo, -THETA_WINDOW), min(hi, THETA_WINDOW)))
+    if right < hi and slope(right) >= 0.0:
+        pieces.append((right, hi))
+    # The pieces are adjacent, and D > 0 where the first one starts.
+    grid = []
+    for start, end in pieces:
+        step = (end - start) / (GRID_POINTS - 1)
+        grid += [start + i * step for i in range(GRID_POINTS - 1)]
+    grid.append(pieces[-1][1])
     roots: list[float] = []
-    theta_prev = -window
-    for theta_here in grid:
+    theta_prev, d_prev = grid[0], slope(grid[0])
+    for theta_here in grid[1:]:
         d_here = slope(theta_here)
         # A maximum is a + -> - crossing of D.
         if d_prev > 0.0 and d_here <= 0.0:
@@ -258,8 +281,12 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
             roots.append(theta_prev)
         theta_prev, d_prev = theta_here, d_here
     s_lo, s_hi = cramer.support_interval(params.dist)
+    e_lo, e_hi = cramer.endpoint_rate(params.dist)
     found = (at_tilt(params, theta) for theta in roots)
-    return tuple(m for m in found if s_lo < m.u < s_hi)
+    return tuple(
+        m for m in found
+        if (m.u > s_lo or math.isinf(e_lo)) and (m.u < s_hi or math.isinf(e_hi))
+    )
 
 
 def solve_psi(params: ModelParams) -> MaximizerSet:
@@ -269,30 +296,18 @@ def solve_psi(params: ModelParams) -> MaximizerSet:
     added as candidates when they carry finite rate (laws with endpoint
     atoms), since the objective stays finite there.  Every candidate tied
     with the best within ``TIE_RTOL`` is kept, then tied maximizers
-    separated by less than ``MERGE_SPAN_FRACTION`` of the scanned u-span
-    ``B(T) - B(-T)`` are merged into their best representative: a
-    numerically flat optimum is one phase, not two.
+    separated by less than ``MERGE_SPAN_FRACTION`` of the support's width
+    are merged into their best representative: a numerically flat optimum
+    is one phase, not two.
     """
+    beta1, beta2, p, dist = params
     candidates = list(local_maxima(params))
-
-    e_lo, e_hi = cramer.endpoint_rate(params.dist)
-    s_lo, s_hi = cramer.support_interval(params.dist)
-    if math.isfinite(e_lo):
-        candidates.append(
-            Maximizer(
-                s_lo,
-                params.beta1 * s_lo + params.beta2 * s_lo**params.p - 0.5 * e_lo,
-                is_endpoint=True,
+    support = cramer.support_interval(dist)
+    for u, e in zip(support, cramer.endpoint_rate(dist)):
+        if math.isfinite(e):
+            candidates.append(
+                Maximizer(u, beta1 * u + beta2 * u**p - 0.5 * e, is_endpoint=True)
             )
-        )
-    if math.isfinite(e_hi):
-        candidates.append(
-            Maximizer(
-                s_hi,
-                params.beta1 * s_hi + params.beta2 * s_hi**params.p - 0.5 * e_hi,
-                is_endpoint=True,
-            )
-        )
 
     psi = max(c.value for c in candidates)
     tie_tol = TIE_RTOL * max(1.0, abs(psi))
@@ -300,10 +315,7 @@ def solve_psi(params: ModelParams) -> MaximizerSet:
         (c for c in candidates if c.value >= psi - tie_tol), key=lambda c: c.u
     )
 
-    window = _theta_window(params)
-    merge_gap = MERGE_SPAN_FRACTION * (
-        cramer.log_mgf_d1(params.dist, window) - cramer.log_mgf_d1(params.dist, -window)
-    )
+    merge_gap = MERGE_SPAN_FRACTION * (support[1] - support[0])
     merged: list[Maximizer] = []
     for c in tied:
         if merged and c.u - merged[-1].u < merge_gap:

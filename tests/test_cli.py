@@ -137,7 +137,7 @@ class TestCriticalTableCommand:
         assert json.loads(err)["offending_parameter"] == "p"
 
     def test_corner_past_first_scan_edge(self, capsys):
-        # theta0 = p/2 = 60 here, the edge of the first scan.
+        # theta0 = p/2 = 60 here.
         code, out, _ = run_cli(capsys, "critical-table", "--p", "120")
         assert code == 0
         header, rows = parse_csv(out)
@@ -448,6 +448,38 @@ class TestDeterminism:
         data = out.read_bytes()
         assert b"\r" not in data
         assert data.decode("utf-8").endswith("\n")
+
+
+class TestExtremeInputs:
+    @pytest.mark.parametrize("argv", [
+        # Uniform maxima whose mean rounds onto the support's end.
+        ["psi", "--p", "2", "--beta1", "0", "--beta2", "1e16"],
+        ["psi", "--p", "2", "--beta1", "1e16", "--beta2", "0"],
+        # The bound on the stationary tilts overflows.
+        ["psi", "--p", "2000", "--beta1", "0", "--beta2", "1",
+         "--atoms", "0=0.5,2=0.5"],
+        # A*A underflows in the turning-tilt search.
+        ["phase-curve", "--p", "3", "--beta1=-1e100"],
+        ["phase-curve", "--p", "2", "--beta1=-1e200"],
+    ], ids=["psi-beta2-1e16", "psi-beta1-1e16", "psi-p2000-atoms",
+            "curve-p3-1e100", "curve-p2-1e200"])
+    def test_finite_output_or_one_record(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        if code == 0:
+            assert err == ""
+            if argv[0] == "psi":
+                payload = json.loads(out)
+                values = [payload["psi"], *payload["maximizers"]]
+            else:
+                _, rows = parse_csv(out)
+                values = [float(cell) for row in rows for cell in row]
+            assert values and all(np.isfinite(values))
+        else:
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1
+            assert set(json.loads(err)) == {
+                "module", "operation", "message", "offending_parameter"
+            }
 
 
 NUMPY_FREE_SCRIPT = """

@@ -8,8 +8,8 @@ f(B(theta)) = g(theta) must hold pointwise, the one root of
 grid, and the four-decimal reference values are checked at 5e-4.  The
 root is checked to 1e-11 against 50-digit mpmath values, and the corner
 (beta1_c, beta2_c) to 1e-13 up to p = 10 and to 1e-9 up to p = 500
-(theta0 near p/2: from p = 120 on it lies past the first scan's edge 60,
-and a second scan finds it).
+(theta0 near p/2, where the bracket's right end has doubled from 1 past
+it).
 """
 
 import numpy as np

@@ -13,7 +13,7 @@ import pytest
 
 from wergm import cramer
 from wergm.critical import critical_table, f_of_u, find_theta0, m_of_u
-from wergm.errors import InputValidationError, NoTwoPhaseRegionError
+from wergm.errors import InputValidationError, NoTwoPhaseRegionError, ThetaCapError
 from wergm.phase_curve import (
     bounding_point,
     jump_profile,
@@ -83,6 +83,19 @@ class TestBoundingPoint:
         assert bound.m_a == np.inf
         assert bound.m_b == pytest.approx(m_of_u(p, bound.b), rel=1e-9)
         assert bound.m_b < r_of_beta1(p, beta1).r
+
+    @pytest.mark.parametrize(
+        "fn", [bounding_point, r_of_beta1], ids=lambda fn: fn.__name__
+    )
+    @pytest.mark.parametrize("p,beta1", [(3, -1e100), (2, -1e200)])
+    def test_turning_tilts_out_of_float_reach_name_the_caller(self, fn, p, beta1):
+        # The left turning tilt lies near theta = -1e100 (-1e200), where
+        # A**2 underflows in g' before widen reaches it.
+        with pytest.raises(ThetaCapError) as excinfo:
+            fn(p, beta1)
+        record = excinfo.value.record()
+        assert (record["module"], record["operation"]) == ("phase_curve", fn.__name__)
+        assert record["offending_parameter"] == "beta1"
 
 
 def test_corner_and_curve_make_no_dual_solve(monkeypatch):

@@ -25,7 +25,9 @@ from wergm.errors import (
     AttractiveRegionError,
     GradientUndefinedError,
     InputValidationError,
+    ThetaCapError,
 )
+from wergm.phase_curve import bounding_point
 from wergm.variational import (
     ModelParams,
     PhaseClass,
@@ -268,9 +270,11 @@ class TestSolvePsi:
         ids=["-300.0-400.0", "0.0-300.0"],
     )
     def test_maximum_beyond_tilt_window_is_found(self, beta1, beta2, psi, u):
-        # The global maximum sits past THETA_WINDOW, at theta ~ 998 and
-        # ~ 1199, so the scan window doubles to reach it.  50-digit mpmath
-        # references.
+        # The global maximum sits at theta ~ 998 and ~ 1199, past
+        # THETA_WINDOW.  The bound |2*beta2*B| <= 2*beta2 puts every root of
+        # D in [2*(beta1 - 2*beta2), 2*(beta1 + 2*beta2)], and D > 0 at the
+        # window's right edge, so the part of that interval beyond it is
+        # scanned too.  50-digit mpmath references.
         solution = solve_psi(ModelParams(beta1, beta2, 2))
         assert solution.classification is PhaseClass.UNIQUE
         assert math.isclose(solution.psi, psi, rel_tol=1e-9)
@@ -302,6 +306,78 @@ class TestSolvePsi:
         solution = solve_psi(params)
         assert len(solution.maximizers) == 1
         assert abs(solution.maximizers[0] - u) <= 2.0 * math.ulp(u)
+
+
+class TestLocalMaxima:
+    @pytest.mark.parametrize("p,beta1", [(2, -5.0), (3, -2.5), (5, -1.5)])
+    @pytest.mark.parametrize("side", ["m_b", "m_a"])
+    def test_both_maxima_at_the_v_region_edges(self, p, beta1, side):
+        # 1e-3 of the V-region's width inside either bound, one maximum is
+        # close to merging with the local minimum; the scan must still
+        # bracket both crossings of D.
+        bound = bounding_point(p, beta1)
+        width = bound.m_a - bound.m_b
+        beta2 = bound.m_b + 1e-3 * width if side == "m_b" else bound.m_a - 1e-3 * width
+        assert len(local_maxima(ModelParams(beta1, beta2, p))) == 2
+
+    @pytest.mark.parametrize("beta1,beta2", [(0.0, 1e16), (1e16, 0.0)])
+    def test_uniform_maximum_rounding_onto_the_support_end(self, beta1, beta2):
+        # B at the stationary tilt (~ 4e16 and 2e16) rounds to 1.0; the
+        # uniform has no endpoint candidate, so the crossing itself stands.
+        solution = solve_psi(ModelParams(beta1, beta2, 2))
+        assert solution.maximizers == (1.0,)
+        assert solution.classification is PhaseClass.UNIQUE
+        assert not solution.includes_endpoint
+        np.testing.assert_allclose(solution.psi, 1e16, rtol=1e-12)
+
+    def test_wide_negative_support_finds_both_maxima(self):
+        # The root interval is about +-1e5 wide, yet the global maximum
+        # (theta ~ -0.011) and a second one (theta ~ 7.99) share one
+        # window-sized stretch.  50-digit mpmath references.
+        law = finite_support([(-10.0, 0.1), (0.0, 0.45), (1.0, 0.45)])
+        params = ModelParams(-1.0, 1.0, 5, law)
+        found = local_maxima(params)
+        np.testing.assert_allclose(
+            [m.u for m in found], [-0.66781070899551160751, 0.99966006272268116665],
+            rtol=1e-12,
+        )
+        solution = solve_psi(params)
+        assert solution.classification is PhaseClass.UNIQUE
+        assert math.isclose(solution.psi, 0.53465795516462694471, rel_tol=1e-12)
+        assert math.isclose(solution.maximizers[0], found[0].u, rel_tol=0.0)
+
+    def test_interior_maximum_beside_a_far_atom(self):
+        # The atom at 10 widens the root interval to about +-1e5; the
+        # maximum at theta ~ -10 sits next to the atom at 0.  50-digit
+        # mpmath reference.
+        law = finite_support([(0.0, 0.45), (1.0, 0.45), (10.0, 0.1)])
+        found = local_maxima(ModelParams(-5.0, 1.0, 5, law))
+        assert len(found) == 1
+        assert math.isclose(found[0].u, 4.5397868702434396433e-05, rel_tol=1e-12)
+        assert math.isclose(found[0].value, -0.39923114865927736066, rel_tol=1e-12)
+
+    def test_maximum_past_the_window_on_an_atom_law(self):
+        # D changes sign beyond -THETA_WINDOW, so that piece is scanned too:
+        # the global maximum sits at theta ~ -700, between the atoms at 0
+        # and 1e-3, above the endpoint value log(0.5)/2.  50-digit mpmath
+        # references.
+        law = finite_support([(0.0, 0.5), (0.001, 0.3), (1.0, 0.2)])
+        solution = solve_psi(ModelParams(-350.0, 1.0, 3, law))
+        assert not solution.includes_endpoint
+        assert math.isclose(solution.psi, -0.21618008645943611051, rel_tol=1e-12)
+        assert math.isclose(
+            solution.maximizers[0], 2.2955499899867003327e-4, rel_tol=1e-12
+        )
+
+    def test_root_interval_past_the_float_range_is_a_typed_error(self):
+        # p * beta2 * 2**(p-1) overflows at p = 2000.
+        params = ModelParams(0.0, 1.0, 2000, finite_support([(0.0, 0.5), (2.0, 0.5)]))
+        with pytest.raises(ThetaCapError) as excinfo:
+            local_maxima(params)
+        record = excinfo.value.record()
+        assert record["module"] == "variational"
+        assert record["operation"] == "local_maxima"
+        assert record["offending_parameter"] == "params"
 
 
 class TestPsiGradient:
