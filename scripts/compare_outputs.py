@@ -6,16 +6,20 @@ Usage, from the root of a checkout::
 
 Every command of the three benchmark workloads (``perfbench/workloads.py``)
 at seeds 1, 2 and 3 runs once on each side, as ``python -m wergm`` in a
-fresh interpreter with that side's ``src`` on ``PYTHONPATH``.  The base side
+fresh interpreter with that side's ``src`` on ``PYTHONPATH``, and so does
+each malformed command of ``BAD_INPUTS``, whose error record is its
+stderr, so that a changed record shows as a difference.  The base side
 is a ``git archive`` export of ``--base``; the change side is the working
 tree as it is.  Each side's commands write their files under a temporary
-directory of its own, whose path reads ``<out>`` in stdout and stderr before
-they are compared.  Every command whose exit code, stdout, stderr or written
-files differ is listed, and the exit status is 1 if any does.  Under each one,
-for stdout, stderr and every written file that differs, come the largest
-absolute and relative difference of each numeric CSV column or JSON field
-that changed, then the changed lines: for a CSV table of unchanged shape,
-each changed row's first cell and its changed cells as ``base→change``;
+directory of its own, whose path reads ``<out>``, and the side's root
+``<root>``, in stdout and stderr before they are compared.  Every command
+whose exit code, stdout, stderr or written files differ is listed, the
+workload commands and the bad inputs are counted apart, and the exit
+status is 1 if any differs.  Under each one, for stdout, stderr and every
+written file that differs, come the largest absolute and relative
+difference of each numeric CSV column or JSON field that changed, then the
+changed lines: for a CSV table of unchanged shape, each changed row's
+first cell and its changed cells as ``base→change``;
 otherwise a line diff (``-`` base, ``+`` change).
 """
 
@@ -41,6 +45,38 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
 
+#: An integer beyond the float range, as a command-line count or order.
+HUGE = "1" + "0" * 400
+
+#: Malformed commands by name, each of which must end in one error record
+#: (``tests/test_cli.py`` runs them too).  A count that is large but still
+#: finite as a float would build its grid or chain before failing.
+BAD_INPUTS = {
+    "psi-p": ["psi", "--p", HUGE, "--beta1", "0", "--beta2", "0"],
+    "critical-table-p": ["critical-table", "--p", HUGE],
+    "sample-n": ["sample", "--p", "2", "--beta1", "0", "--beta2", "0", "--n", HUGE,
+                 "--sweeps", "1", "--burn-in", "0", "--seed", "1"],
+    "gaussian-samples": ["gaussian", "--beta1", "0", "--beta2", "0", "--n", "2",
+                         "--samples", HUGE, "--seed", "1"],
+    "rate-count": ["rate", "--u", f"0.1:0.9:{HUGE}"],
+    "rate-nan": ["rate", "--u", "nan"],
+    "psi-beta1-nan": ["psi", "--p", "2", "--beta1", "nan", "--beta2", "0"],
+}
+
+
+def _run(root: Path, env: dict, argv: list[str], out: Path) -> tuple:
+    """One command: (argv, code, stdout, stderr, files), with ``out`` as <out>."""
+    proc = subprocess.run([sys.executable, "-m", "wergm", *argv],
+                          cwd=root, env=env, capture_output=True, text=True)
+    files = {str(p.relative_to(out)): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def mask(text: str) -> str:
+        return (text.replace(str(out), "<out>").replace(str(root), "<root>")
+                .replace(HUGE, "<401-digit integer>"))
+
+    return [mask(a) for a in argv], proc.returncode, mask(proc.stdout), mask(proc.stderr), files
+
 
 def _run_side(root: Path, out_root: Path) -> dict:
     """Run every command on one side; key -> (argv, code, stdout, stderr, files)."""
@@ -50,17 +86,9 @@ def _run_side(root: Path, out_root: Path) -> dict:
         for seed in SEEDS:
             out = out_root / f"{name}-{seed}"
             for index, command in enumerate(workloads.build(name, seed, out)):
-                proc = subprocess.run([sys.executable, "-m", "wergm", *command.argv],
-                                      cwd=root, env=env, capture_output=True, text=True)
-                files = {str(p.relative_to(out)): p.read_bytes()
-                         for p in sorted(out.rglob("*")) if p.is_file()}
-                results[(name, seed, index)] = (
-                    [a.replace(str(out), "<out>") for a in command.argv],
-                    proc.returncode,
-                    proc.stdout.replace(str(out), "<out>"),
-                    proc.stderr.replace(str(out), "<out>"),
-                    files,
-                )
+                results[(name, seed, index)] = _run(root, env, command.argv, out)
+    for name, argv in BAD_INPUTS.items():
+        results[(name, None, 0)] = _run(root, env, argv, out_root / "bad")
     return results
 
 
@@ -154,17 +182,21 @@ def main(argv=None) -> int:
         change = _run_side(ROOT, tmp / "change-out")
 
     parts = ("exit code", "stdout", "stderr", "files")
-    differing = 0
+    differing = []
     for key, (cmd, *base_result) in base.items():
         _, *change_result = change[key]
         diff = [part for part, b, c in zip(parts, base_result, change_result) if b != c]
         if diff:
-            differing += 1
             name, seed, _ = key
-            print(f"DIFFERS ({', '.join(diff)}): {name} seed {seed}: wergm {' '.join(cmd)}")
+            differing.append(seed is None)
+            where = f"bad input {name}" if seed is None else f"{name} seed {seed}"
+            print(f"DIFFERS ({', '.join(diff)}): {where}: wergm {' '.join(cmd)}")
             for line in _details(base_result, change_result):
                 print(line)
-    print(f"{len(base)} commands, {differing} differ (base {commit[:12]} vs working tree)")
+    bad = sum(differing)
+    print(f"{len(base) - len(BAD_INPUTS)} commands, {len(differing) - bad} differ; "
+          f"{len(BAD_INPUTS)} bad inputs, {bad} differ "
+          f"(base {commit[:12]} vs working tree)")
     return 1 if differing else 0
 
 

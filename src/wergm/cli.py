@@ -75,7 +75,7 @@ def _parse_range(text: str, flag: str) -> list[float]:
             step = (hi - lo) / (count - 1)
             return [lo + k * step for k in range(count)]
         raise ValueError
-    except ValueError:
+    except (ValueError, OverflowError):
         raise _invalid(
             f"{flag} expects a number or lo:hi:count, got {text!r}", "parse_range", flag
         ) from None

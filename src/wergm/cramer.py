@@ -11,10 +11,11 @@ the support we solve ``log_mgf_d1(theta) = u`` and use
     rate_d1(u) = theta
     rate_d2(u) = 1 / log_mgf_d2(theta)
 
-A weight law is an ``EdgeDistribution`` that owns its evaluators
-(``log_mgf``, ``mean``, ``var`` at an already checked tilt), its support
-hull, its endpoint rates and its sampler ``draw(rng, size)``; the module
-functions check the tilt and delegate, so no caller branches on the law.
+A weight law is an ``EdgeDistribution`` that owns its evaluators (``log_mgf``,
+``mean``, ``var``), its support hull, its endpoint rates and its sampler
+``draw(rng, size)``, so no caller branches on the law.  The module functions
+are the checked public boundary; library code calls the law directly at the
+tilts it computes, except ``rate_at``/``rate_d2_at``, which check theirs.
 
 - ``UniformLaw`` (``UNIFORM01``): the uniform on (0, 1).  Its closed forms
   are 0/0 at theta = 0; a wide even power series (radius well inside the
@@ -42,7 +43,7 @@ from abc import ABC, abstractmethod
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InputValidationError, SupportError, ThetaCapError
+from .errors import InputValidationError, SupportError, ThetaCapError, check_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,8 +96,8 @@ def _horner_even(coeffs: tuple[float, ...], s: float) -> float:
 class EdgeDistribution(ABC):
     """An edge-weight law.
 
-    The evaluators take a tilt already checked to be finite; call the
-    module functions (``log_mgf`` and so on) rather than these.
+    The evaluators take a finite tilt unchecked, for library code; the
+    checked module functions (``log_mgf`` and so on) are the public entry.
     ``support`` is the convex hull of the support, ``endpoint_rate`` the
     limiting rate values at its two ends, and ``atoms`` the (value,
     probability) pairs, sorted by value, of a law with finite support
@@ -220,9 +221,9 @@ def _require_atoms(ok: bool, message: str) -> None:
 class AtomLaw(EdgeDistribution):
     """A law on finitely many atoms.
 
-    ``atoms`` is a tuple of (value, probability) pairs: at least two,
-    values finite and strictly increasing, probabilities finite, positive
-    and summing to one.
+    ``atoms`` is a tuple of (value, probability) pairs of finite reals, as
+    ``finite_support`` checks them: at least two, values strictly
+    increasing, probabilities positive and summing to one.
     """
 
     def __init__(self, atoms: tuple[tuple[float, float], ...]):
@@ -232,11 +233,9 @@ class AtomLaw(EdgeDistribution):
         )
         values = tuple(float(v) for v, _ in self.atoms)
         probs = tuple(q for _, q in self.atoms)
-        _require_atoms(all(map(math.isfinite, values)), "atom values must be finite")
         _require_atoms(
             sorted(set(values)) == list(values), "atom values must be strictly increasing"
         )
-        _require_atoms(all(map(math.isfinite, probs)), "atom probabilities must be finite")
         _require_atoms(all(q > 0.0 for q in probs), "atom probabilities must be positive")
         total = math.fsum(probs)
         _require_atoms(
@@ -318,9 +317,10 @@ NAMED_LAWS = {"uniform01": UNIFORM01, "bernoulli-half": BERNOULLI_HALF}
 
 
 def finite_support(atoms) -> EdgeDistribution:
-    """Build a finite-support law from (value, probability) pairs."""
-    normalized = tuple(sorted((float(v), float(q)) for v, q in atoms))
-    return AtomLaw(normalized)
+    """Build a finite-support law from (value, probability) pairs of finite reals."""
+    def real(value) -> float:
+        return check_real(value, name="atoms", module=_MODULE, operation="EdgeDistribution")
+    return AtomLaw(tuple(sorted((real(v), real(q)) for v, q in atoms)))
 
 
 class DualPair(NamedTuple):
@@ -335,31 +335,22 @@ class DualPair(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _check_theta(theta: float, operation: str) -> float:
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise InputValidationError(
-            f"theta must be finite, got {theta!r}",
-            module=_MODULE,
-            operation=operation,
-            offending_parameter="theta",
-        )
-    return theta
-
-
 def log_mgf(dist: EdgeDistribution, theta: float) -> float:
     """log of the moment generating function at tilt ``theta``."""
-    return dist.log_mgf(_check_theta(theta, "log_mgf"))
+    theta = check_real(theta, name="theta", module=_MODULE, operation="log_mgf")
+    return dist.log_mgf(theta)
 
 
 def log_mgf_d1(dist: EdgeDistribution, theta: float) -> float:
     """Tilted mean: first derivative of ``log_mgf`` in ``theta``."""
-    return dist.mean(_check_theta(theta, "log_mgf_d1"))
+    theta = check_real(theta, name="theta", module=_MODULE, operation="log_mgf_d1")
+    return dist.mean(theta)
 
 
 def log_mgf_d2(dist: EdgeDistribution, theta: float) -> float:
     """Tilted variance: second derivative of ``log_mgf`` in ``theta``."""
-    return dist.var(_check_theta(theta, "log_mgf_d2"))
+    theta = check_real(theta, name="theta", module=_MODULE, operation="log_mgf_d2")
+    return dist.var(theta)
 
 
 def support_interval(dist: EdgeDistribution) -> tuple[float, float]:
@@ -421,10 +412,10 @@ def widen(fn, inner: float, fn_inner: float, edge: float, *, limit: float = math
     direction; ``edge`` doubles (its magnitude clamped to ``limit``) until it
     lies beyond ``inner`` and ``fn(edge)`` is zero or has the other sign.
     Returns ``(edge, fn(edge))``.  Raises ``ThetaCapError``, with ``message``
-    if given, when ``|edge|`` reaches ``limit`` or overflows, or ``fn``
-    overflows, before the sign changes.
+    if given, when ``|edge|`` reaches ``limit`` or ``fn`` overflows before the
+    sign changes, or ``edge`` overflows (``fn`` is never called at +-inf).
     """
-    while True:
+    while math.isfinite(edge):
         if (edge > inner) == (edge > 0.0):
             try:
                 fn_edge = fn(edge)
@@ -432,7 +423,7 @@ def widen(fn, inner: float, fn_inner: float, edge: float, *, limit: float = math
                 break
             if fn_edge == 0.0 or (fn_edge > 0.0) != (fn_inner > 0.0):
                 return edge, fn_edge
-        if abs(edge) >= limit or math.isinf(edge):
+        if abs(edge) >= limit:
             break
         edge = math.copysign(min(2.0 * abs(edge), limit), edge)
     raise ThetaCapError(
@@ -447,13 +438,13 @@ def dual_theta(dist: EdgeDistribution, u: float) -> DualPair:
     """Solve ``log_mgf_d1(theta) = u`` for the tilt dual to mean ``u``.
 
     ``newton`` with the slope ``log_mgf_d2``, on a bracket that ``widen``
-    grows from the origin, down to adjacent floats.  Raises
-    ``SupportError`` if ``u`` is outside the open support interior and
+    grows from the origin, down to adjacent floats.  Raises ``SupportError``
+    if ``u`` (a finite real) is outside the open support interior and
     ``ThetaCapError`` if no tilt within |theta| <= THETA_MAX reaches ``u``.
     """
-    u = float(u)
+    u = check_real(u, name="u", module=_MODULE, operation="dual_theta")
     lo_u, hi_u = support_interval(dist)
-    if not math.isfinite(u) or not lo_u < u < hi_u:
+    if not lo_u < u < hi_u:
         raise SupportError(
             f"u = {u!r} is outside the open support interval ({lo_u:g}, {hi_u:g})",
             module=_MODULE,

@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import cramer
-from .errors import GradientUndefinedError, ThetaCapError, check_integer
+from .errors import GradientUndefinedError, ThetaCapError, check_integer, check_real
 
 _MODULE = "critical"
 
@@ -49,8 +49,8 @@ def n_of_theta(p: int, theta: float) -> float:
     Uniform(0, 1) law only.
     """
     p = check_integer(p, 2, name="p", module=_MODULE, operation="n_of_theta")
-    a = cramer.log_mgf_d2(cramer.UNIFORM01, theta)
-    b = cramer.log_mgf_d1(cramer.UNIFORM01, theta)
+    theta = check_real(theta, name="theta", module=_MODULE, operation="n_of_theta")
+    a, b = cramer.UNIFORM01.var(theta), cramer.UNIFORM01.mean(theta)
     return 2.0 * p * (p - 1) * a * b ** (p - 2)
 
 
@@ -59,6 +59,7 @@ def m_of_u(
 ) -> float:
     """Mean-side curvature profile, reciprocal to ``n_of_theta`` under duality."""
     p = check_integer(p, 2, name="p", module=_MODULE, operation="m_of_u")
+    u = check_real(u, name="u", module=_MODULE, operation="m_of_u")
     denom = 2.0 * p * (p - 1) * u ** (p - 2)
     if denom == 0.0:
         raise GradientUndefinedError(
@@ -86,6 +87,7 @@ def g_of_theta(p: int, theta: float) -> float:
     Uniform(0, 1) law only.
     """
     p = check_integer(p, 2, name="p", module=_MODULE, operation="g_of_theta")
+    theta = check_real(theta, name="theta", module=_MODULE, operation="g_of_theta")
     return g_d1(p, theta)[0]
 
 
@@ -93,10 +95,10 @@ def g_d1(p: int, theta: float) -> tuple[float, float]:
     """``g`` and ``g' = -(kappa3 * B + (p-2) * A**2) / (2 (p-1) A**2)``.
 
     Both come from one evaluation of B, A and kappa3.  Uniform(0, 1) law
-    only; ``p`` is not checked.
+    only.  Neither argument is checked: this is the evaluator for tilts the
+    library computed itself; ``g_of_theta`` is the checked entry.
     """
-    a = cramer.log_mgf_d2(cramer.UNIFORM01, theta)
-    b = cramer.log_mgf_d1(cramer.UNIFORM01, theta)
+    b, a = cramer.UNIFORM01.mean(theta), cramer.UNIFORM01.var(theta)
     phi = cramer.UNIFORM01.skew(theta) * b + (p - 2) * a * a
     return b / (2.0 * (p - 1) * a) - 0.5 * theta, -phi / (2.0 * (p - 1) * a * a)
 
@@ -146,11 +148,11 @@ def find_theta0(p: int) -> CriticalData:
             ) from None
         theta0 = cramer.newton(lambda t: (g_d1(p, t)[1], math.nan), 0.0, edge, slope0)
     n0 = n_of_theta(p, theta0)
-    g0 = g_of_theta(p, theta0)
+    g0 = g_d1(p, theta0)[0]
     return CriticalData(
         p=p,
         theta0=theta0,
-        u0=cramer.log_mgf_d1(cramer.UNIFORM01, theta0),
+        u0=cramer.UNIFORM01.mean(theta0),
         n_theta0=n0,
         m_u0=1.0 / n0,
         g_theta0=g0,

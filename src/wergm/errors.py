@@ -3,14 +3,15 @@
 Every error raised by the numerical modules names the module that owns the
 violated precondition, the operation that raised, and (when meaningful) the
 offending parameter, so callers -- the CLI in particular -- can serialize a
-machine-readable record without parsing message strings.  ``check_seed``
-is the one seed check shared by every entry point that takes a seed, and
-``check_integer`` the one check of an integer count or order.
+machine-readable record without parsing message strings.  ``check_real``,
+``check_integer`` and ``check_seed`` check each public real, integer and
+seed argument once, where it enters the package.
 """
 
 from __future__ import annotations
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class WergmError(Exception):
@@ -67,27 +68,51 @@ class DivergenceError(WergmError):
     """Gaussian normalizing integral diverges (beta2 too close to 1/2)."""
 
 
+def check_real(value, *, name: str, module: str, operation: str) -> float:
+    """Return ``value`` as a float if it is a ``numbers.Real`` with a finite float.
+
+    Anything else -- str, None, a container, complex, NaN, +-inf, an int
+    beyond the float range, and also a ``Decimal``, a 0-d array or an object
+    with only ``__float__`` -- raises ``InputValidationError`` naming ``name``.
+    """
+    try:
+        # float and int first: they pass without the ABC's slower check.
+        if isinstance(value, (float, int, Real)) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise InputValidationError(
+        f"{name} must be a finite real, got {value!r}",
+        module=module,
+        operation=operation,
+        offending_parameter=name,
+    )
+
+
 def check_integer(
     value, minimum: int, *, name: str, module: str, operation: str
 ) -> int:
     """Return ``value`` as an int if it is an integer >= ``minimum``.
 
     Any value ``float`` accepts with an integral value passes (``3.0``
-    does).  Otherwise raises ``InputValidationError`` naming ``name``; the
-    message asks for "a nonnegative integer" at minimum 0, "a positive
+    does).  Anything else raises ``InputValidationError`` naming ``name``;
+    the message asks for "a nonnegative integer" at minimum 0, "a positive
     integer" at 1 and "an integer >= minimum" above.
     """
-    if not float(value).is_integer() or int(value) < minimum:
-        wanted = {0: "a nonnegative integer", 1: "a positive integer"}.get(
-            minimum, f"an integer >= {minimum}"
-        )
-        raise InputValidationError(
-            f"{name} must be {wanted}, got {value!r}",
-            module=module,
-            operation=operation,
-            offending_parameter=name,
-        )
-    return int(value)
+    try:
+        if float(value).is_integer() and int(value) >= minimum:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    wanted = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+        minimum, f"an integer >= {minimum}"
+    )
+    raise InputValidationError(
+        f"{name} must be {wanted}, got {value!r}",
+        module=module,
+        operation=operation,
+        offending_parameter=name,
+    )
 
 
 def check_seed(seed, *, module: str, operation: str, name: str = "seed") -> None:

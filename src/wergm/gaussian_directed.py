@@ -37,6 +37,7 @@ from .errors import (
     DivergenceError,
     InputValidationError,
     check_integer,
+    check_real,
     check_seed,
 )
 
@@ -59,15 +60,10 @@ class GaussianModelParams(_GaussianFields):
     __slots__ = ()
 
     def __new__(cls, beta1, beta2):
-        for name, value in (("beta1", beta1), ("beta2", beta2)):
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise InputValidationError(
-                    f"{name} must be a finite real, got {value!r}",
-                    module=_MODULE,
-                    operation="GaussianModelParams",
-                    offending_parameter=name,
-                )
-        beta1, beta2 = float(beta1), float(beta2)
+        beta1, beta2 = (
+            check_real(value, name=name, module=_MODULE, operation="GaussianModelParams")
+            for name, value in (("beta1", beta1), ("beta2", beta2))
+        )
         if beta2 > BETA2_MAX:
             raise DivergenceError(
                 f"beta2 = {beta2:g} makes the Gaussian integral diverge "

@@ -46,6 +46,7 @@ from .errors import (
     NoTwoPhaseRegionError,
     ThetaCapError,
     check_integer,
+    check_real,
 )
 from .variational import THETA_WINDOW
 
@@ -82,14 +83,7 @@ class PhaseCurvePoint(NamedTuple):
 
 
 def _check_beta1(p: int, beta1: float, operation: str) -> tuple[float, critical.CriticalData]:
-    beta1 = float(beta1)
-    if not math.isfinite(beta1):
-        raise InputValidationError(
-            f"beta1 must be finite, got {beta1!r}",
-            module=_MODULE,
-            operation=operation,
-            offending_parameter="beta1",
-        )
+    beta1 = check_real(beta1, name="beta1", module=_MODULE, operation=operation)
     data = critical.find_theta0(p)
     if beta1 >= data.beta1_c:
         raise NoTwoPhaseRegionError(
@@ -103,7 +97,7 @@ def _check_beta1(p: int, beta1: float, operation: str) -> tuple[float, critical.
 
 
 def _mean(theta: float) -> float:
-    return cramer.log_mgf_d1(cramer.UNIFORM01, theta)
+    return cramer.UNIFORM01.mean(theta)
 
 
 def _h(p: int, beta1: float, theta: float) -> float:
@@ -281,6 +275,8 @@ def trace_curve(
     steps = check_integer(
         steps, 2, name="steps", module=_MODULE, operation="trace_curve"
     )
+    beta1_lo = check_real(beta1_lo, name="beta1_lo", module=_MODULE, operation="trace_curve")
+    beta1_hi = check_real(beta1_hi, name="beta1_hi", module=_MODULE, operation="trace_curve")
     data = critical.find_theta0(p)
     if beta1_hi > data.beta1_c:
         raise InputValidationError(
@@ -290,7 +286,7 @@ def trace_curve(
             operation="trace_curve",
             offending_parameter="beta1_hi",
         )
-    hi_eff = min(float(beta1_hi), data.beta1_c - CORNER_MARGIN)
+    hi_eff = min(beta1_hi, data.beta1_c - CORNER_MARGIN)
     if not beta1_lo < hi_eff:
         raise InputValidationError(
             f"empty tracing range: [{beta1_lo:g}, {hi_eff:g}]",

@@ -48,6 +48,7 @@ from .errors import (
     InputValidationError,
     ThetaCapError,
     check_integer,
+    check_real,
 )
 
 _MODULE = "variational"
@@ -102,15 +103,8 @@ class ModelParams(_ModelFields):
                 operation="ModelParams",
                 offending_parameter="dist",
             )
-        for name, value in (("beta1", beta1), ("beta2", beta2)):
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise InputValidationError(
-                    f"{name} must be a finite real, got {value!r}",
-                    module=_MODULE,
-                    operation="ModelParams",
-                    offending_parameter=name,
-                )
-        beta1, beta2 = float(beta1), float(beta2)
+        beta1 = check_real(beta1, name="beta1", module=_MODULE, operation="ModelParams")
+        beta2 = check_real(beta2, name="beta2", module=_MODULE, operation="ModelParams")
         if beta2 < 0.0:
             raise AttractiveRegionError(
                 f"beta2 = {beta2:g} is repulsive; the variational formula "
@@ -185,9 +179,10 @@ def objective_d2(params: ModelParams, u: float) -> float:
 def at_tilt(params: ModelParams, theta: float) -> Maximizer:
     """Location ``u = B(theta)`` and objective value ``L(theta)`` there.
 
-    ``theta`` is the dual tilt of ``u``, so no dual solve is needed.
+    ``theta`` is the dual tilt of ``u``, so no dual solve is needed.  It is
+    not checked: this is for tilts the library computed itself.
     """
-    u = cramer.log_mgf_d1(params.dist, theta)
+    u = params.dist.mean(theta)
     return Maximizer(u, objective_at(params, cramer.DualPair(theta, u)))
 
 
@@ -201,10 +196,10 @@ def stationarity(params: ModelParams):
     beta1, beta2, p, dist = params
 
     def slope(theta: float) -> float:
-        return beta1 + p * beta2 * cramer.log_mgf_d1(dist, theta) ** (p - 1) - 0.5 * theta
+        return beta1 + p * beta2 * dist.mean(theta) ** (p - 1) - 0.5 * theta
 
     def slope_d1(theta: float) -> tuple[float, float]:
-        b, a = cramer.log_mgf_d1(dist, theta), cramer.log_mgf_d2(dist, theta)
+        b, a = dist.mean(theta), dist.var(theta)
         d_d1 = p * (p - 1) * beta2 * b ** (p - 2) * a - 0.5
         return beta1 + p * beta2 * b ** (p - 1) - 0.5 * theta, d_d1
 

@@ -8,15 +8,37 @@ module tests own.
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wergm.cli import main
+
+
+def _bad_inputs():
+    """``scripts/compare_outputs.py``'s malformed commands, one list for both.
+
+    Loading the script puts ``scripts`` and ``perfbench`` on ``sys.path``;
+    the path is restored so that no test imports from them by accident.
+    """
+    path = Path(__file__).resolve().parent.parent / "scripts" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    script = importlib.util.module_from_spec(spec)
+    saved = sys.path[:]
+    try:
+        spec.loader.exec_module(script)
+    finally:
+        sys.path[:] = saved
+    return script.BAD_INPUTS
+
+
+BAD_INPUTS = _bad_inputs()
 
 
 def run_cli(capsys, *argv):
@@ -480,6 +502,15 @@ class TestExtremeInputs:
             assert set(json.loads(err)) == {
                 "module", "operation", "message", "offending_parameter"
             }
+
+    @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_malformed_number_is_one_record(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert set(json.loads(err)) == {
+            "module", "operation", "message", "offending_parameter"
+        }
 
 
 NUMPY_FREE_SCRIPT = """

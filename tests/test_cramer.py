@@ -286,6 +286,19 @@ class TestWiden:
             "offending_parameter": "theta",
         }
 
+    def test_stops_before_the_infinite_edge(self):
+        # Library code calls the laws unchecked, so widen itself must not
+        # evaluate fn at an edge that has overflowed to inf.
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return -1.0 if math.isfinite(x) else 1.0
+
+        with pytest.raises(ThetaCapError):
+            cramer.widen(fn, 0.0, -1.0, 1.0)
+        assert all(map(math.isfinite, seen))
+
 
 class TestDualTheta:
     def test_round_trip_across_support(self):

@@ -1,18 +1,24 @@
 """Tests for the shared argument checks and the records they raise.
 
-Every integer count or order in the package goes through ``check_integer``,
-and the ``graphs`` input checks through one local helper; an output path
-the CLI cannot write is a typed record too.  Each call site keeps its own
-module, operation, parameter and message, so the error records a caller
-sees are pinned here site by site.
+Every real parameter in the package goes through ``check_real``, every
+integer count or order through ``check_integer``, and the ``graphs`` input
+checks through one local helper; an output path the CLI cannot write is a
+typed record too.  Each call site keeps its own module, operation,
+parameter and message, so the error records a caller sees are pinned here
+site by site, and a sweep of the public numeric arguments checks that each
+malformed number raises an ``InputValidationError`` naming the module and
+parameter where it entered.
 """
 
+import math
+
+import numpy as np
 import pytest
 
-from wergm import critical
+from wergm import cramer, critical, phase_curve, variational
 from wergm.cli import build_parser
 from wergm.cramer import BERNOULLI_HALF, UNIFORM01
-from wergm.errors import InputValidationError, check_integer
+from wergm.errors import InputValidationError, check_integer, check_real
 from wergm.gaussian_directed import GaussianModelParams, psi_n_exact, psi_n_monte_carlo
 from wergm.graphs import (
     TRIANGLE,
@@ -135,6 +141,15 @@ class TestCheckInteger:
             result = check_integer(value, 2, name="p", module="m", operation="o")
             assert result == 3 and type(result) is int
 
+    @pytest.mark.parametrize(
+        "value", [None, "x", [1.0], 10**400], ids=["none", "str", "list", "int-1e400"]
+    )
+    def test_values_float_refuses_are_a_record(self, value):
+        _assert_record(
+            lambda: check_integer(value, 2, name="p", module="m", operation="o"),
+            "m", "o", "p", f"p must be an integer >= 2, got {value!r}",
+        )
+
 
 class TestGraphsValidation:
     @pytest.mark.parametrize(
@@ -158,3 +173,125 @@ class TestOutputPaths:
         self, call, module, operation, parameter, message
     ):
         _assert_record(call, module, operation, parameter, message)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize(
+        "value", [True, 3, -2.5, np.float32(0.25), np.int64(7), 10**300],
+        ids=["bool", "int", "float", "float32", "int64", "int-1e300"],
+    )
+    def test_finite_reals_pass_as_float(self, value):
+        result = check_real(value, name="beta1", module="m", operation="o")
+        assert result == float(value) and type(result) is float
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(None, "None"), ("1.5", "'1.5'"), ([1.0], "[1.0]"), (1j, "1j"),
+         (math.nan, "nan"), (-math.inf, "-inf"), (10**400, str(10**400))],
+        ids=["none", "str", "list", "complex", "nan", "-inf", "int-1e400"],
+    )
+    def test_everything_else_is_a_record(self, value, shown):
+        _assert_record(
+            lambda: check_real(value, name="beta1", module="m", operation="o"),
+            "m", "o", "beta1", f"beta1 must be a finite real, got {shown}",
+        )
+
+
+FREE_COIN = ModelParams(0.0, 0.0, 2, BERNOULLI_HALF)
+
+#: One public call per numeric argument, with the argument as ``x``, and the
+#: module and parameter its record names: where the bad number enters.
+BOUNDARY_SITES = {
+    "log_mgf": ("cramer", "theta", lambda x: cramer.log_mgf(UNIFORM01, x)),
+    "log_mgf_d1": ("cramer", "theta", lambda x: cramer.log_mgf_d1(UNIFORM01, x)),
+    "log_mgf_d2": ("cramer", "theta", lambda x: cramer.log_mgf_d2(UNIFORM01, x)),
+    "dual_theta": ("cramer", "u", lambda x: cramer.dual_theta(UNIFORM01, x)),
+    "rate": ("cramer", "u", lambda x: cramer.rate(UNIFORM01, x)),
+    "rate_d1": ("cramer", "u", lambda x: cramer.rate_d1(UNIFORM01, x)),
+    "rate_d2": ("cramer", "u", lambda x: cramer.rate_d2(UNIFORM01, x)),
+    "finite_support-value": (
+        "cramer", "atoms", lambda x: cramer.finite_support([(x, 0.5), (1.0, 0.5)])
+    ),
+    "finite_support-prob": (
+        "cramer", "atoms", lambda x: cramer.finite_support([(0.0, x), (1.0, 0.5)])
+    ),
+    "ModelParams-beta1": ("variational", "beta1", lambda x: ModelParams(x, 0.0, 2)),
+    "ModelParams-beta2": ("variational", "beta2", lambda x: ModelParams(0.0, x, 2)),
+    "ModelParams-p": ("variational", "p", lambda x: ModelParams(0.0, 0.0, x)),
+    "objective": ("cramer", "u", lambda x: variational.objective(FREE, x)),
+    "objective_d1": ("cramer", "u", lambda x: variational.objective_d1(FREE, x)),
+    "objective_d2": ("cramer", "u", lambda x: variational.objective_d2(FREE, x)),
+    "n_of_theta-p": ("critical", "p", lambda x: critical.n_of_theta(x, 0.5)),
+    "n_of_theta-theta": ("critical", "theta", lambda x: critical.n_of_theta(3, x)),
+    "m_of_u-p": ("critical", "p", lambda x: critical.m_of_u(x, 0.5)),
+    "m_of_u-u": ("critical", "u", lambda x: critical.m_of_u(3, x)),
+    "f_of_u-p": ("critical", "p", lambda x: critical.f_of_u(x, 0.5)),
+    "f_of_u-u": ("cramer", "u", lambda x: critical.f_of_u(3, x)),
+    "g_of_theta-p": ("critical", "p", lambda x: critical.g_of_theta(x, 0.5)),
+    "g_of_theta-theta": ("critical", "theta", lambda x: critical.g_of_theta(3, x)),
+    "find_theta0-p": ("critical", "p", lambda x: critical.find_theta0(x)),
+    "critical_table-p": ("critical", "p", lambda x: critical.critical_table([x])),
+    "bounding_point-p": ("critical", "p", lambda x: phase_curve.bounding_point(x, -5.0)),
+    "bounding_point-beta1": ("phase_curve", "beta1", lambda x: phase_curve.bounding_point(2, x)),
+    "maxima_gap-p": ("critical", "p", lambda x: phase_curve.maxima_gap(x, -5.0, 5.0)),
+    "maxima_gap-beta1": ("phase_curve", "beta1", lambda x: phase_curve.maxima_gap(2, x, 5.0)),
+    "maxima_gap-beta2": ("variational", "beta2", lambda x: phase_curve.maxima_gap(2, -5.0, x)),
+    "r_of_beta1-p": ("critical", "p", lambda x: phase_curve.r_of_beta1(x, -5.0)),
+    "r_of_beta1-beta1": ("phase_curve", "beta1", lambda x: phase_curve.r_of_beta1(2, x)),
+    "trace_curve-p": ("critical", "p", lambda x: phase_curve.trace_curve(x, -5.0, -4.0, 2)),
+    "trace_curve-beta1_lo": (
+        "phase_curve", "beta1_lo", lambda x: phase_curve.trace_curve(2, x, -4.0, 2)
+    ),
+    "trace_curve-beta1_hi": (
+        "phase_curve", "beta1_hi", lambda x: phase_curve.trace_curve(2, -5.0, x, 2)
+    ),
+    "trace_curve-steps": (
+        "phase_curve", "steps", lambda x: phase_curve.trace_curve(2, -5.0, -4.0, x)
+    ),
+    "jump_profile-p": ("critical", "p", lambda x: phase_curve.jump_profile(x, -5.0)),
+    "jump_profile-beta1": ("phase_curve", "beta1", lambda x: phase_curve.jump_profile(2, x)),
+    "GaussianModelParams-beta1": (
+        "gaussian_directed", "beta1", lambda x: GaussianModelParams(x, 0.1)
+    ),
+    "GaussianModelParams-beta2": (
+        "gaussian_directed", "beta2", lambda x: GaussianModelParams(0.5, x)
+    ),
+    "psi_n_exact-n": ("gaussian_directed", "n", lambda x: psi_n_exact(GAUSS, x)),
+    "psi_n_monte_carlo-n": (
+        "gaussian_directed", "n", lambda x: psi_n_monte_carlo(GAUSS, x, 100, 1)
+    ),
+    "psi_n_monte_carlo-samples": (
+        "gaussian_directed", "samples", lambda x: psi_n_monte_carlo(GAUSS, 2, x, 1)
+    ),
+    "sample_prior-n": ("graphs", "n", lambda x: sample_prior(UNIFORM01, x, 1)),
+    "MetropolisChain-n": ("graphs", "n", lambda x: MetropolisChain(FREE, x, 1)),
+    "run_sampler-sweeps": ("graphs", "sweeps", lambda x: run_sampler(FREE, 3, x, 0, 1)),
+    "run_sampler-burn_in": ("graphs", "burn_in", lambda x: run_sampler(FREE, 3, 1, x, 1)),
+    "enumerate_gibbs-n": ("graphs", "n", lambda x: enumerate_gibbs(FREE_COIN, x)),
+}
+
+BAD_NUMBERS = {
+    "none": None, "str": "x", "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+    "int-1e400": 10**400, "list": [1.0],
+}
+
+#: ``find_theta0`` keeps its ``lru_cache``, which hashes ``p`` before the
+#: check runs: an unhashable ``p`` raises the cache's ``TypeError`` there
+#: and in every call that hands ``p`` to it first.
+CACHED_P = {"find_theta0-p", "critical_table-p", "bounding_point-p", "maxima_gap-p",
+            "r_of_beta1-p", "trace_curve-p", "jump_profile-p"}
+
+BOUNDARY_CASES = [
+    pytest.param(module, parameter, call, value, id=f"{site}-{label}")
+    for site, (module, parameter, call) in BOUNDARY_SITES.items()
+    for label, value in BAD_NUMBERS.items()
+    if not (site in CACHED_P and label == "list")
+]
+
+
+@pytest.mark.parametrize("module, parameter, call, value", BOUNDARY_CASES)
+def test_public_numeric_arguments_raise_records(module, parameter, call, value):
+    with pytest.raises(InputValidationError) as excinfo:
+        call(value)
+    record = excinfo.value.record()
+    assert (record["module"], record["offending_parameter"]) == (module, parameter)
