@@ -250,6 +250,15 @@ def _cmd_figures(args) -> int:
             f"--grid-points must be >= 1, got {args.grid_points}",
             "figures", "grid_points",
         )
+    # The profile's end points decide whether every point has a dual tilt.
+    for u in (1 / (args.grid_points + 1), args.grid_points / (args.grid_points + 1)):
+        try:
+            cramer.dual_theta(cramer.UNIFORM01, u)
+        except WergmError as err:
+            raise _invalid(
+                f"--grid-points {args.grid_points} puts a profile point at u = {u!r}: {err}",
+                "figures", "grid_points",
+            ) from None
     out_dir = Path(args.out_dir)
     with _os_errors(out_dir, "figures", "out_dir"):
         out_dir.mkdir(parents=True, exist_ok=True)

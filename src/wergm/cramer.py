@@ -17,12 +17,12 @@ A weight law is an ``EdgeDistribution`` that owns its evaluators (``log_mgf``,
 are the checked public boundary; library code calls the law directly at the
 tilts it computes, except ``rate_at``/``rate_d2_at``, which check theirs.
 
-- ``UniformLaw`` (``UNIFORM01``): the uniform on (0, 1).  Its closed forms
-  are 0/0 at theta = 0; a wide even power series (radius well inside the
-  2*pi convergence disk) is used for |theta| < 0.5 because the closed
-  forms lose roughly eight digits to cancellation near zero --
-  ``1/theta**2 - 1/(4*sinh(theta/2)**2)`` is noise-dominated below |theta|
-  of about 1e-3.
+- ``UniformLaw`` (``UNIFORM01``): the uniform on (0, 1).  Its closed forms,
+  in ``e = exp(-|theta|)``, cannot overflow and are 0/0 at theta = 0; a
+  wide even power series (radius well inside the 2*pi convergence disk) is
+  used for |theta| < 0.5 because the closed forms lose roughly eight digits
+  to cancellation near zero -- ``1/t**2 - e/(1 - e)**2`` is noise-dominated
+  below |theta| of about 1e-3.
 - ``AtomLaw`` (``finite_support``): a law on finitely many atoms, which
   fix its support hull, its endpoint rates ``-log q``, its tilted sums and
   the CDF its sampler searches.
@@ -51,12 +51,11 @@ if TYPE_CHECKING:
 _MODULE = "cramer"
 
 #: Largest |theta| a dual solve searches; means that need a larger tilt
-#: raise ``ThetaCapError``.
+#: raise ``ThetaCapError``.  The laws evaluate past it, but near the support's
+#: ends the mean rounds with absolute error, so a solve further out loses
+#: digits: without the cap ``rate(UNIFORM01, 0.999999)`` (theta ~ 1e6) is
+#: off by 7e-12 relative and u = 1 - 2**-40 by 2e-6.
 THETA_MAX = 700.0
-
-#: Above this theta/2 the uniform's var and skew drop their sinh terms, which
-#: are below exp(-700) relative there (sinh(x)**2 overflows from x ~ 355).
-_SINH_CUTOFF = 350.0
 
 #: Below this |theta| the uniform evaluators switch to the power series.
 SERIES_RADIUS = 0.5
@@ -154,7 +153,12 @@ class EdgeDistribution(ABC):
 
 
 class UniformLaw(EdgeDistribution):
-    """The standard uniform law on (0, 1)."""
+    """The standard uniform law on (0, 1).
+
+    Past the series radius, with ``t = |theta|``, ``e = exp(-t)`` and ``d =
+    1 - e``: ``var = 1/t**2 - e/d**2`` and ``skew = +-(e*(1 + e)/d**3 -
+    2/t**3)``.  ``e`` underflows to 0 far out, so no form needs a cutoff.
+    """
 
     support = (0.0, 1.0)
     # The density carries no endpoint atom.
@@ -164,10 +168,9 @@ class UniformLaw(EdgeDistribution):
         if abs(theta) < SERIES_RADIUS:
             s = theta * theta
             return 0.5 * theta + s * _horner_even(_LOGM_SERIES, s)
-        if theta < 0.0:
-            # M(-t) = exp(-t) * M(t)
-            return self.log_mgf(-theta) + theta
-        return theta + math.log(-math.expm1(-theta)) - math.log(theta)
+        if theta > 0.0:
+            return theta + math.log(-math.expm1(-theta)) - math.log(theta)
+        return math.log(math.expm1(theta) / theta)
 
     def mean(self, theta: float) -> float:
         if abs(theta) < SERIES_RADIUS:
@@ -179,30 +182,20 @@ class UniformLaw(EdgeDistribution):
         return 1.0 / (-math.expm1(-theta)) - 1.0 / theta
 
     def var(self, theta: float) -> float:
-        theta = abs(theta)
-        if theta < SERIES_RADIUS:
-            return _horner_even(_A_SERIES, theta * theta)
-        half = 0.5 * theta
-        if half > _SINH_CUTOFF:
-            return 1.0 / (theta * theta)
-        return 1.0 / (theta * theta) - 0.25 / math.sinh(half) ** 2
+        t = abs(theta)
+        if t < SERIES_RADIUS:
+            return _horner_even(_A_SERIES, t * t)
+        e, d = math.exp(-t), -math.expm1(-t)
+        return 1.0 / (t * t) - e / (d * d)
 
     def skew(self, theta: float) -> float:
-        """Third cumulant of the tilted law, the derivative of ``var``.
-
-        The closed form's last term is ``cosh / (4 sinh**3)`` of theta/2,
-        written with ``tanh * sinh**2`` so it stays finite up to the cutoff.
-        """
-        if abs(theta) < SERIES_RADIUS:
-            return theta * _horner_even(_K3_SERIES, theta * theta)
-        if theta < 0.0:
-            return -self.skew(-theta)
-        half = 0.5 * theta
-        if half > _SINH_CUTOFF:
-            return -2.0 / (theta * theta * theta)
-        return -2.0 / (theta * theta * theta) + 0.25 / (
-            math.tanh(half) * math.sinh(half) ** 2
-        )
+        """Third cumulant of the tilted law, the derivative of ``var``."""
+        t = abs(theta)
+        if t < SERIES_RADIUS:
+            return theta * _horner_even(_K3_SERIES, t * t)
+        e, d = math.exp(-t), -math.expm1(-t)
+        kappa3 = e * (1.0 + e) / (d * d * d) - 2.0 / (t * t * t)
+        return kappa3 if theta > 0.0 else -kappa3
 
     def draw(self, rng: np.random.Generator, size: int) -> list[float]:
         return rng.random(size).tolist()
@@ -288,10 +281,8 @@ class FairCoin(AtomLaw):
     """The fair coin on {0, 1}: an atom law with closed-form evaluators."""
 
     def log_mgf(self, theta: float) -> float:
-        # log((1 + exp(theta)) / 2), written to avoid overflow on either side.
-        if theta > 0.0:
-            return theta + math.log1p(math.exp(-theta)) - _LOG2
-        return math.log1p(math.exp(theta)) - _LOG2
+        # log((1 + exp(theta)) / 2), written in exp(-|theta|) so it cannot overflow.
+        return max(theta, 0.0) + math.log1p(math.exp(-abs(theta))) - _LOG2
 
     def mean(self, theta: float) -> float:
         if theta >= 0.0:
@@ -440,7 +431,10 @@ def dual_theta(dist: EdgeDistribution, u: float) -> DualPair:
     ``newton`` with the slope ``log_mgf_d2``, on a bracket that ``widen``
     grows from the origin, down to adjacent floats.  Raises ``SupportError``
     if ``u`` (a finite real) is outside the open support interior and
-    ``ThetaCapError`` if no tilt within |theta| <= THETA_MAX reaches ``u``.
+    ``ThetaCapError`` if no tilt within |theta| <= THETA_MAX reaches ``u``:
+    past the cap the uniform's mean is within 1/700 of a support end, where
+    it rounds with absolute error, so the rate would lose digits (7e-12
+    relative at u = 0.999999, 2e-6 at u = 1 - 2**-40).
     """
     u = check_real(u, name="u", module=_MODULE, operation="dual_theta")
     lo_u, hi_u = support_interval(dist)

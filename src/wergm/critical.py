@@ -38,7 +38,13 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import cramer
-from .errors import GradientUndefinedError, ThetaCapError, check_integer, check_real
+from .errors import (
+    GradientUndefinedError,
+    InputValidationError,
+    ThetaCapError,
+    check_integer,
+    check_real,
+)
 
 _MODULE = "critical"
 
@@ -164,4 +170,13 @@ def find_theta0(p: int) -> CriticalData:
 
 def critical_table(p_list) -> list[CriticalData]:
     """One ``CriticalData`` row per p, in input order (CSV-export shape)."""
-    return [find_theta0(p) for p in p_list]
+    try:
+        orders = iter(p_list)
+    except TypeError:
+        raise InputValidationError(
+            f"p_list must be an iterable of orders p, got {p_list!r}",
+            module=_MODULE,
+            operation="critical_table",
+            offending_parameter="p_list",
+        ) from None
+    return [find_theta0(p) for p in orders]

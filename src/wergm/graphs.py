@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from numbers import Integral
 from operator import length_hint
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -59,11 +60,21 @@ class SubgraphSpec(_SubgraphFields):
     __slots__ = ()
 
     def __new__(cls, k, edges, name):
+        _require(
+            isinstance(k, Integral), f"vertex count must be an integer, got {k!r}",
+            "SubgraphSpec", "k",
+        )
         _require(k >= 1, f"vertex count must be >= 1, got {k}", "SubgraphSpec", "k")
         seen = set()
         normalized = []
         for pair in edges:
             i, j = pair
+            _require(
+                isinstance(i, Integral) and isinstance(j, Integral),
+                f"edge {pair} must join two integer vertices",
+                "SubgraphSpec",
+                "edges",
+            )
             _require(
                 i != j, f"self-loop {pair} is not allowed", "SubgraphSpec", "edges"
             )
@@ -109,6 +120,10 @@ class WeightedGraph:
 
         self.n = n
         self.weights = np.asarray(weights, dtype=float)
+        _require(
+            isinstance(n, Integral), f"n must be an integer, got {n!r}",
+            "WeightedGraph", "n",
+        )
         _require(
             self.n >= 2,
             f"need at least 2 vertices, got n = {self.n}",

@@ -23,10 +23,11 @@ B(theta_b)`` (the tangency roots of ``f(u) = -beta1``, since ``f`` composed
 with B is ``g``) there are two local maxima exactly when ``m(b) < beta2 <
 m(a)``: the V-shaped region bounded by the parametric curve ``u -> (-f(u),
 m(u))``.  The lower maximum is the fall of ``D`` below ``theta_a``, the
-upper one above ``theta_b``.  Every bracket that reaches out from a turning
-tilt starts at ``+-THETA_WINDOW`` and doubles (``cramer.widen``) until it
-holds its root.  The turning tilts step with ``g'`` from ``critical.g_d1``,
-the maxima with ``D'`` from ``variational.stationarity``.
+upper one above ``theta_b``.  The turning tilts step with ``g'`` from
+``critical.g_d1`` in brackets that ``cramer.widen`` grows from
+``+-THETA_WINDOW``; each maximum steps with ``D'`` from
+``variational.stationarity`` between its turning tilt and an end of
+``variational._root_interval``, outside which ``D`` has no root.
 
 Inside the region the value gap between the upper and lower maximum
 increases in ``beta2`` (its derivative is ``u2**p - u1**p``) and changes
@@ -156,18 +157,17 @@ def _maxima(
     ``turns`` is ``_turns``.  Each maximum is where ``variational``'s ``D``
     falls through zero, below ``theta_a`` and above ``theta_b``.  ``D =
     p*B**(p-1) * (beta2 - h)`` has the sign of ``beta2 - m_a < 0`` at
-    ``theta_a`` and of ``beta2 - m_b > 0`` at ``theta_b``.  The Newton
-    iterations start at ``start`` when given.
+    ``theta_a`` and of ``beta2 - m_b > 0`` at ``theta_b``; by the bound of
+    ``variational._root_interval`` it is positive at that interval's lower
+    end and negative at its upper end, which close the two brackets
+    unevaluated.  The Newton iterations start at ``start`` when given.
     """
-    theta_a, theta_b, m_a, m_b = turns
-    slope, slope_d1 = variational.stationarity(params)
-    lo, d_lo = cramer.widen(slope, theta_a, params.beta2 - m_a, -THETA_WINDOW)
-    d_b = params.beta2 - m_b
-    hi, d_hi = cramer.widen(slope, theta_b, d_b, THETA_WINDOW)
-    # An edge can be the root itself: r_of_beta1 evaluates at beta2 = h(edge).
+    theta_a, theta_b, _, m_b = turns
+    slope_d1 = variational.stationarity(params)[1]
+    lo, hi = variational._root_interval(params)
     return (
-        lo if d_lo == 0.0 else cramer.newton(slope_d1, lo, theta_a, d_lo, start[0]),
-        hi if d_hi == 0.0 else cramer.newton(slope_d1, theta_b, hi, d_b, start[1]),
+        cramer.newton(slope_d1, lo, theta_a, math.inf, start[0]),
+        cramer.newton(slope_d1, theta_b, hi, params.beta2 - m_b, start[1]),
     )
 
 
@@ -227,9 +227,10 @@ def r_of_beta1(
     The root of the maxima gap over ``(m_b, m_a)``, where it rises from -inf
     to +inf, found by ``cramer.newton`` in ``beta2`` with the envelope slope
     ``u2**p - u1**p`` down to adjacent floats.  The upper end is first
-    lowered to ``min(m_a, h(edge))`` with ``edge = THETA_WINDOW``; while the
-    gap is not positive there, ``edge`` doubles.  Each gap evaluation starts
-    the Newton searches for the two maxima at the previous one's tilts.
+    lowered to ``min(m_a, h(edge))``, with ``edge`` grown by
+    ``cramer.widen`` from ``THETA_WINDOW`` until the gap is positive there.
+    Each gap evaluation starts the Newton searches for the two maxima at
+    the previous one's tilts.
     """
     if dist != cramer.UNIFORM01:
         raise InputValidationError(
@@ -247,14 +248,14 @@ def r_of_beta1(
         value, slope, tilts = _gap(variational.ModelParams(beta1, beta2, p), turns, tilts)
         return value, slope
 
-    m_a, m_b = turns[2:]
-    edge = THETA_WINDOW
-    hi = min(m_a, _h(p, beta1, edge))
-    while gap(hi)[0] <= 0.0:
-        edge *= 2.0
-        hi = min(m_a, _h(p, beta1, edge))
-    # The gap is -inf at m_b.
-    r = cramer.newton(gap, m_b, hi, -math.inf)
+    theta_b, m_a, m_b = turns[1:]
+
+    def upper(edge: float) -> float:
+        return min(m_a, _h(p, beta1, edge))
+
+    # The gap is -inf at m_b = h(theta_b).
+    edge, _ = cramer.widen(lambda t: gap(upper(t))[0], theta_b, -math.inf, THETA_WINDOW)
+    r = cramer.newton(gap, m_b, upper(edge), -math.inf)
     params = variational.ModelParams(beta1, r, p)
     theta1, theta2 = _maxima(params, turns, tilts)
     low, high = variational.at_tilt(params, theta1), variational.at_tilt(params, theta2)

@@ -56,10 +56,10 @@ _MODULE = "variational"
 #: Number of points in the stationary-point scan grid.
 GRID_POINTS = 2048
 
-#: Half-width of the tilt window that every search covers first: the
-#: maxima scan puts its finest grid there, and the transition curve's
-#: brackets start on its edges.  Each goes past it only where a root lies
-#: outside.
+#: Half-width of the tilt window that the searches cover first: the maxima
+#: scan puts its finest grid there, and the transition curve's turning-tilt
+#: and tie brackets start on its edges.  Each goes past it only where a root
+#: lies outside.
 THETA_WINDOW = 680.0
 
 #: Two candidate values within 1e-9 * max(1, |psi|) count as tied.
@@ -213,7 +213,8 @@ def _root_interval(params: ModelParams) -> tuple[float, float]:
     most ``c = p*beta2*s**(p-1)``, so ``D`` is positive below
     ``2*(beta1 - c)`` and negative above ``2*(beta1 + c)``.  Each end is
     padded by ``1 + 1e-9*(|beta1| + c)``, far more than the rounding of
-    ``D``.  Raises ``ThetaCapError`` when ``c`` or an end overflows.
+    ``D``.  Raises ``ThetaCapError`` when ``c``, an end or the objective's
+    term ``beta2*s**p`` overflows.
     """
     beta1, beta2, p, dist = params
     s = max(map(abs, cramer.support_interval(dist)))
@@ -221,13 +222,13 @@ def _root_interval(params: ModelParams) -> tuple[float, float]:
         c = p * beta2 * s ** (p - 1)
         pad = 1.0 + 1e-9 * (abs(beta1) + c)
         lo, hi = 2.0 * (beta1 - c) - pad, 2.0 * (beta1 + c) + pad
-        if math.isfinite(hi - lo):
+        if math.isfinite(hi - lo + beta2 * s**p):
             return lo, hi
     except OverflowError:
         pass
     raise ThetaCapError(
-        f"the stationary tilts at beta1 = {beta1:g}, beta2 = {beta2:g}, p = {p} "
-        "are bounded only beyond the float range",
+        f"the objective or its stationary tilts at beta1 = {beta1:g}, "
+        f"beta2 = {beta2:g}, p = {p} reach beyond the float range",
         module=_MODULE,
         operation="local_maxima",
         offending_parameter="params",

@@ -11,6 +11,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from wergm.cli import main
+from wergm.critical import find_theta0
 
 
 def _bad_inputs():
@@ -259,7 +261,12 @@ class TestFiguresCommand:
         for row in rows:
             assert float(row[2]) < float(row[3]) < float(row[1])
 
-    @pytest.mark.parametrize("grid_points", ["0", "-3"])
+    @pytest.mark.parametrize("grid_points", [
+        "0", "-3",
+        # Profile end points past the dual solve's cap, and rounded onto the
+        # support's ends.
+        "1000", pytest.param("1" + "0" * 400, id="401-digits"),
+    ])
     def test_empty_profile_rejected(self, capsys, tmp_path, grid_points):
         out_dir = tmp_path / "figs"
         code, out, err = run_cli(
@@ -269,6 +276,27 @@ class TestFiguresCommand:
         assert code == 1 and out == ""
         assert json.loads(err)["offending_parameter"] == "grid_points"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_default_vregion_grid(self, capsys, tmp_path, p):
+        # Without --beta1 the V-region table has 25 rows from beta1_c - 5 to
+        # beta1_c - 0.1.
+        out_dir = tmp_path / "figs"
+        code, _, err = run_cli(
+            capsys, "figures", "--p", str(p), "--points=-5,5", "--grid-points", "4",
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0 and err == ""
+        _, rows = parse_csv((out_dir / "vregion.csv").read_text(encoding="utf-8"))
+        beta1 = [float(row[0]) for row in rows]
+        beta1_c = find_theta0(p).beta1_c
+        assert len(rows) == 25 and beta1 == sorted(beta1)
+        assert math.isclose(beta1[0], beta1_c - 5.0, rel_tol=1e-11)
+        assert math.isclose(beta1[-1], beta1_c - 0.1, rel_tol=1e-11)
+        for row in rows:
+            assert float(row[2]) < float(row[3]) < float(row[1])  # m_b < r < m_a
+            if p == 2:
+                assert row[3] == row[0].removeprefix("-")  # r = -beta1
 
     def test_out_dir_under_a_file_is_a_record(self, capsys, tmp_path):
         blocker = tmp_path / "file"
@@ -480,10 +508,13 @@ class TestExtremeInputs:
         # The bound on the stationary tilts overflows.
         ["psi", "--p", "2000", "--beta1", "0", "--beta2", "1",
          "--atoms", "0=0.5,2=0.5"],
+        # The p-th power overflows at the upper atom, the bound does not.
+        ["psi", "--p", "1024", "--beta1", "0", "--beta2", "1e-6",
+         "--atoms", "0=0.5,2=0.5"],
         # A*A underflows in the turning-tilt search.
         ["phase-curve", "--p", "3", "--beta1=-1e100"],
         ["phase-curve", "--p", "2", "--beta1=-1e200"],
-    ], ids=["psi-beta2-1e16", "psi-beta1-1e16", "psi-p2000-atoms",
+    ], ids=["psi-beta2-1e16", "psi-beta1-1e16", "psi-p2000-atoms", "psi-p1024-atoms",
             "curve-p3-1e100", "curve-p2-1e200"])
     def test_finite_output_or_one_record(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -134,16 +134,21 @@ class TestLogMgf:
         assert log_mgf_d2(UNIFORM01, 699.0) > 0.0
 
     def test_evaluates_past_the_dual_cap(self):
-        # 50-digit mpmath references at tilts past THETA_MAX, where the sinh
-        # terms of var and skew are below exp(-700) relative.  At -theta,
-        # log M and the mean are computed through theta, so their errors are
-        # absolute: a few ulps of theta and of 1.
-        for theta, log_m, mean, var, skew in (
-            (800.0, 793.3153882723320727, 0.99875, 1.5625e-6, -3.90625e-9),
-            (1500.0, 1492.6867796129096986, 0.99933333333333333333,
-             4.4444444444444444444e-7, -5.9259259259259259259e-10),
-            (1e6, 999986.18448944203573, 0.999999, 1e-12, -2e-18),
+        # 50-digit mpmath references at tilts past THETA_MAX, where
+        # exp(-|theta|) has underflowed to 0 in every closed form.  log M at
+        # -theta is log(expm1(-theta) / -theta), so its error is relative
+        # there too; ``log_m - theta`` below is the looser check through
+        # theta's rounded reference.
+        for theta, log_m, log_m_neg, mean, var, skew in (
+            (800.0, 793.3153882723320727, -6.684611727667927296288, 0.99875,
+             1.5625e-6, -3.90625e-9),
+            (1500.0, 1492.6867796129096986, -7.313220387090301434032,
+             0.99933333333333333333, 4.4444444444444444444e-7,
+             -5.9259259259259259259e-10),
+            (1e6, 999986.18448944203573, -13.81551055796427410411, 0.999999,
+             1e-12, -2e-18),
         ):
+            assert abs(log_mgf(UNIFORM01, -theta) - log_m_neg) <= 2.0 * math.ulp(log_m_neg)
             assert theta > THETA_MAX
             for t, want_log_m, want_mean in (
                 (theta, log_m, mean), (-theta, log_m - theta, 1.0 - mean)
@@ -347,9 +352,11 @@ class TestDualTheta:
         assert abs(dual_theta(UNIFORM01, u).theta - theta) <= 2.0 * math.ulp(theta)
 
     def test_unreachable_mean_raises_cap_error(self):
-        # The uniform mean 1e-6 needs a tilt of about -1e6, beyond the cap.
-        with pytest.raises(ThetaCapError):
-            dual_theta(UNIFORM01, 1e-6)
+        # The uniform means 1e-6 and 0.999999 need tilts of about -1e6 and
+        # 1e6, beyond the cap.
+        for u in (1e-6, 0.999999):
+            with pytest.raises(ThetaCapError):
+                dual_theta(UNIFORM01, u)
 
     def test_outside_support_raises(self):
         for bad in (-0.5, 0.0, 1.0, 1.5):

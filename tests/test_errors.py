@@ -65,6 +65,9 @@ INTEGER_SITES = [
      "variational", "ModelParams", "p", "p must be an integer >= 2, got 1.5"),
     (lambda: trace_curve(2, -5.0, -4.0, float("nan")),
      "phase_curve", "trace_curve", "steps", "steps must be an integer >= 2, got nan"),
+    (lambda: critical.critical_table(None),
+     "critical", "critical_table", "p_list",
+     "p_list must be an iterable of orders p, got None"),
 ]
 
 GRAPHS_SITES = [
@@ -94,6 +97,12 @@ GRAPHS_SITES = [
     (lambda: enumerate_gibbs(FREE, 2),
      "graphs", "enumerate_gibbs", "params",
      "exact enumeration needs a finite-support edge law"),
+    (lambda: SubgraphSpec(None, (), "x"),
+     "graphs", "SubgraphSpec", "k", "vertex count must be an integer, got None"),
+    (lambda: SubgraphSpec(2, (("a", 2),), "x"),
+     "graphs", "SubgraphSpec", "edges", "edge ('a', 2) must join two integer vertices"),
+    (lambda: WeightedGraph(None, [[0.5]]),
+     "graphs", "WeightedGraph", "n", "n must be an integer, got None"),
 ]
 
 

@@ -253,6 +253,24 @@ class TestROfBeta1:
         r_of_beta1(p, beta1)
         assert 0 < len(calls) <= 600
 
+    @pytest.mark.parametrize(
+        "p,beta1", [(2, -8.0), (2, -1000.0), (3, -3.5), (10, -40.0), (150, -19.5)]
+    )
+    def test_widen_calls_per_point(self, monkeypatch, p, beta1):
+        # One bracket per turning tilt and one for the upper end of the beta2
+        # search; the maxima are bracketed by the root bound on D.
+        find_theta0(p)  # cached corner, not part of the point
+        calls = []
+        widen = cramer.widen
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return widen(*args, **kwargs)
+
+        monkeypatch.setattr(cramer, "widen", counted)
+        r_of_beta1(p, beta1)
+        assert len(calls) <= 3
+
 
 class TestTraceAndJump:
     def test_trace_monotone_quantities(self):

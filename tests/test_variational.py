@@ -379,6 +379,17 @@ class TestLocalMaxima:
         assert record["operation"] == "local_maxima"
         assert record["offending_parameter"] == "params"
 
+    def test_pth_power_past_the_float_range_is_a_typed_error(self):
+        # c = p * beta2 * 2**(p-1) is finite at p = 1024, beta2 = 1e-6, but
+        # the objective's beta2 * u**p overflows at the atom u = 2.
+        params = ModelParams(0.0, 1e-6, 1024, finite_support([(0.0, 0.5), (2.0, 0.5)]))
+        with pytest.raises(ThetaCapError) as excinfo:
+            solve_psi(params)
+        record = excinfo.value.record()
+        assert record["module"] == "variational"
+        assert record["operation"] == "local_maxima"
+        assert record["offending_parameter"] == "params"
+
 
 class TestPsiGradient:
     @pytest.mark.parametrize(
