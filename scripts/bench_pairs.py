@@ -19,6 +19,11 @@ JSON, each side's median and quartiles of every end-to-end metric named in
 ``BENCHMARK.json``, the number of pairs each side won (ties count for
 neither), and whether the change's median beats the base's by more than the
 base's interquartile range.  Both sides' ``src/`` line counts are kept once.
+
+``--trace 1`` runs ``perfbench/run.py --trace 1`` (unmodified) on each side
+instead, which times each layer in process, and reports the same summary
+for the per-layer timings of ``PER_LAYER``: in-process gains that the
+end-to-end times of short commands cannot resolve.
 """
 
 from __future__ import annotations
@@ -36,6 +41,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: The per-layer timings compared by ``--trace 1``.
+PER_LAYER = (
+    "variational.solve_psi_ms_p50",
+    "critical.find_theta0_ms_p50",
+    "phase_curve.point_ms_p50",
+    "phase_curve.bounding_point_ms_p50",
+    "graphs.us_per_entry",
+    "gaussian_directed.mc_ms_p50",
+)
+
 
 def _parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -46,6 +61,8 @@ def _parse_args(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--base", default="HEAD", help="git revision of the base side")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: compare the per-layer timings of traced runs")
     return parser.parse_args(argv)
 
 
@@ -76,10 +93,10 @@ def _src_lines(root: Path) -> int:
                for p in sorted((root / "src").rglob("*.py")))
 
 
-def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: run in {root} failed:\n{proc.stderr.strip()}")
@@ -92,12 +109,14 @@ def _summary(values: list[float]) -> dict:
 
 
 def _metrics(runs: list[dict], better: dict[str, str]) -> dict:
-    """Each end-to-end metric's quartiles per side, pairs won and the IQR test."""
+    """Each metric's quartiles per side, pairs won and the IQR test."""
     metrics = {}
     for name, direction in better.items():
         sign = 1.0 if direction == "higher" else -1.0
         base = [r["base"]["metrics"][name]["value"] for r in runs]
         change = [r["change"]["metrics"][name]["value"] for r in runs]
+        if not any(base + change):
+            continue  # a layer this workload does not run reads 0
         won = sum(sign * (c - b) > 0.0 for b, c in zip(base, change))
         lost = sum(sign * (c - b) < 0.0 for b, c in zip(base, change))
         base_s, change_s = _summary(base), _summary(change)
@@ -118,7 +137,13 @@ def main(argv=None) -> int:
     names = args.workload.split(",")
     seeds = [int(s) for s in args.seeds.split(",")]
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    if args.trace:
+        per_layer = {m["name"]: m["better"] for m in bench["per_layer"]}
+        better = {name: per_layer[name] for name in PER_LAYER}
+        progress = "trace.overhead_ratio"
+    else:
+        better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+        progress = "wall_s"
 
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp, \
             tempfile.TemporaryDirectory(prefix="bench-change-") as change_tmp:
@@ -133,9 +158,9 @@ def main(argv=None) -> int:
             for name in names:
                 pair = {"pair": k, "seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = _run(roots[side], name, seed, args.seconds)
-                    value = pair[side]["metrics"]["wall_s"]["value"]
-                    print(f"{name} pair {k} seed {seed} {side:6s} wall_s {value:.4g}",
+                    pair[side] = _run(roots[side], name, seed, args.seconds, args.trace)
+                    value = pair[side]["metrics"][progress]["value"]
+                    print(f"{name} pair {k} seed {seed} {side:6s} {progress} {value:.4g}",
                           flush=True)
                 runs[name].append(pair)
         base_lines, change_lines = _src_lines(base_root), _src_lines(change_root)
@@ -152,6 +177,7 @@ def main(argv=None) -> int:
         "seeds": seeds,
         "pairs": args.pairs,
         "seconds": args.seconds,
+        "trace": args.trace,
         "base_commit": commit,
         "change": "working tree",
         "src_lines": {"base": base_lines, "change": change_lines},
@@ -160,7 +186,7 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     for name, section in sections.items():
         for metric, m in section["metrics"].items():
-            print(f"{name:13s} {metric:12s} base {m['base']['median']:.4g}"
+            print(f"{name:13s} {metric:33s} base {m['base']['median']:.4g}"
                   f" change {m['change']['median']:.4g}"
                   f"  won {m['pairs_won_by_change']}/{args.pairs}"
                   f"  gap > base IQR: {m['median_gap_exceeds_base_iqr']}")

@@ -22,9 +22,7 @@ is reported as a one-line JSON record on stderr and a nonzero exit status.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
-import json
 import math
 import os
 import re
@@ -32,7 +30,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import cramer, variational
+from . import cramer
 from .errors import InputValidationError, WergmError, check_seed
 
 _MODULE = "cli"
@@ -141,12 +139,16 @@ def _open_out(args):
 
 
 def _write_csv(stream, header: list[str], rows) -> None:
+    import csv
+
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
 
 
 def _write_json(stream, payload: dict) -> None:
+    import json
+
     json.dump(payload, stream, indent=2, allow_nan=False)
     stream.write("\n")
 
@@ -168,6 +170,8 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_psi(args) -> int:
+    from . import variational
+
     params = variational.ModelParams(args.beta1, args.beta2, args.p, _parse_dist(args))
     solution = variational.solve_psi(params)
     payload = {
@@ -233,7 +237,7 @@ def _profile_name(p: int, beta1: float, beta2: float) -> str:
 
 
 def _cmd_figures(args) -> int:
-    from . import critical, phase_curve
+    from . import critical, phase_curve, variational
 
     points = []
     try:
@@ -263,15 +267,16 @@ def _cmd_figures(args) -> int:
     with _os_errors(out_dir, "figures", "out_dir"):
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    # A profile point's tilt depends on u alone: one solve serves every point.
+    profile = []
+    for k in range(args.grid_points):
+        u = (k + 1) / (args.grid_points + 1)
+        profile.append((_fmt(u), cramer.dual_theta(cramer.UNIFORM01, u)))
     written = []
     for beta1, beta2 in points:
         params = variational.ModelParams(beta1, beta2, args.p)
-        rows = []
-        for k in range(args.grid_points):
-            u = (k + 1) / (args.grid_points + 1)
-            pair = cramer.dual_theta(params.dist, u)
-            rows.append([_fmt(u), _fmt(variational.objective_at(params, pair)),
-                         _fmt(variational.objective_d1_at(params, pair))])
+        rows = [[u, _fmt(variational.objective_at(params, pair)),
+                 _fmt(variational.objective_d1_at(params, pair))] for u, pair in profile]
         path = out_dir / _profile_name(args.p, beta1, beta2)
         with _create(path, "figures", "out_dir") as stream:
             _write_csv(stream, ["u", "l", "l_d1"], rows)
@@ -297,7 +302,7 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from . import graphs
+    from . import graphs, variational
 
     check_seed(args.seed, module=_MODULE, operation="sample", name="--seed")
     params = variational.ModelParams(args.beta1, args.beta2, args.p, _parse_dist(args))
@@ -464,6 +469,8 @@ def main(argv=None) -> int:
         _check_out(args)
         return args.handler(args)
     except WergmError as err:
+        import json
+
         sys.stderr.write(json.dumps(err.record()) + "\n")
         return 1
 

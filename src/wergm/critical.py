@@ -169,8 +169,13 @@ def find_theta0(p: int) -> CriticalData:
 
 
 def critical_table(p_list) -> list[CriticalData]:
-    """One ``CriticalData`` row per p, in input order (CSV-export shape)."""
+    """One ``CriticalData`` row per p, in input order (CSV-export shape).
+
+    A ``str`` or ``bytes`` is refused, not read as a sequence of digits.
+    """
     try:
+        if isinstance(p_list, (str, bytes)):
+            raise TypeError
         orders = iter(p_list)
     except TypeError:
         raise InputValidationError(

@@ -48,6 +48,9 @@ BETA2_MAX = 0.5 - 1e-9
 
 _LOG_HALF = math.log(0.5)
 
+#: Normals drawn and weighted per block by ``psi_n_monte_carlo``.
+_BLOCK = 8192
+
 
 class _GaussianFields(NamedTuple):
     beta1: float
@@ -140,6 +143,11 @@ def psi_n_monte_carlo(
     terms grow like ``beta1**2 * n / (1 - 2*beta2)**2`` and cancel, and
     within about ``1e-7`` of ``beta2 = 1/2`` rounding, not sampling, would
     limit the accuracy.
+
+    Memory is one byte (the component mask) and one float per sample, plus
+    the temporaries of one block of draws: the normals are drawn and
+    weighted in blocks, which continue one stream and give the same bits as
+    drawing them at once.
     """
     import numpy as np
 
@@ -155,37 +163,47 @@ def psi_n_monte_carlo(
     m = beta1 * v
     rng = np.random.default_rng(seed)
     laplace = rng.random(samples) < 0.5
-    y = rng.standard_normal(samples)
-    y *= math.sqrt(n)
-    np.multiply(y, math.sqrt(v / n), out=y, where=laplace)
-    np.add(y, m, out=y, where=laplace)
-    # In place to keep the peak to three sample-sized arrays:
-    # log_ratio = log Normal(m, v) - log prior - h, neg_h = -h.  Centred on
-    # the mode, -log prior - h = y*(y - 2m)/(2v) plus constants: written as
-    # y**2/(2n) - h instead, two terms of order m**2/n would cancel near
-    # beta2 = 1/2 and leave only their rounding.
-    log_ratio = y - m
-    log_ratio *= log_ratio
-    log_ratio *= -0.5 / v
-    neg_h = y - 2.0 * m
-    neg_h *= y
-    neg_h *= 0.5 / v
-    log_ratio += neg_h
-    log_ratio -= 0.5 * math.log(v / n)
-    np.multiply(y, -beta2 / n, out=neg_h)
-    neg_h -= beta1
-    neg_h *= y
-    del y
-    log_ratio += _LOG_HALF
-    neg_h += _LOG_HALF
-    # log w = -log(exp(-h)/2 + Normal(m, v)/(2 prior) * exp(-h)).
-    log_w = np.logaddexp(neg_h, log_ratio, out=neg_h)
+    # The one sample-sized float array: the log-weights, then the weights.
+    # Every step in the loop acts on each element alone, so the blocks give
+    # the bits of one pass over the whole array.
+    log_w = np.empty(samples)
+    root_n, scale = math.sqrt(n), math.sqrt(v / n)
+    log_scale = 0.5 * math.log(v / n)
+    for start in range(0, samples, _BLOCK):
+        in_laplace = laplace[start:start + _BLOCK]
+        y = rng.standard_normal(in_laplace.size)
+        y *= root_n
+        np.multiply(y, scale, out=y, where=in_laplace)
+        np.add(y, m, out=y, where=in_laplace)
+        # log_ratio = log Normal(m, v) - log prior - h, neg_h = -h.  Centred
+        # on the mode, -log prior - h = y*(y - 2m)/(2v) plus constants:
+        # written as y**2/(2n) - h instead, two terms of order m**2/n would
+        # cancel near beta2 = 1/2 and leave only their rounding.
+        log_ratio = y - m
+        log_ratio *= log_ratio
+        log_ratio *= -0.5 / v
+        neg_h = y - 2.0 * m
+        neg_h *= y
+        neg_h *= 0.5 / v
+        log_ratio += neg_h
+        log_ratio -= log_scale
+        np.multiply(y, -beta2 / n, out=neg_h)
+        neg_h -= beta1
+        neg_h *= y
+        log_ratio += _LOG_HALF
+        neg_h += _LOG_HALF
+        # log w = -log(exp(-h)/2 + Normal(m, v)/(2 prior) * exp(-h)).
+        np.logaddexp(neg_h, log_ratio, out=log_w[start:start + _BLOCK])
     np.negative(log_w, out=log_w)
-    del log_ratio
     shift = float(log_w.max())
     log_w -= shift
     w = np.exp(log_w, out=log_w)
     mean = float(w.mean())
     estimate = (shift + math.log(mean)) / n
-    std_error = float(w.std(ddof=1)) / (mean * math.sqrt(samples)) / n
+    # w.std(ddof=1) by numpy's own steps, in place of its sample-sized
+    # temporary: the same mean, squared deviations and pairwise sum.
+    w -= mean
+    w *= w
+    std = math.sqrt(float(np.add.reduce(w)) / (samples - 1))
+    std_error = std / (mean * math.sqrt(samples)) / n
     return estimate, std_error

@@ -150,6 +150,7 @@ def _turns(
 def _maxima(
     params: variational.ModelParams,
     turns: tuple[float, float, float, float],
+    operation: str,
     start: tuple[float | None, float | None] = (None, None),
 ) -> tuple[float, float]:
     """Tilts of the lower and upper local maximum, for ``m_b < beta2 < m_a``.
@@ -161,10 +162,17 @@ def _maxima(
     ``variational._root_interval`` it is positive at that interval's lower
     end and negative at its upper end, which close the two brackets
     unevaluated.  The Newton iterations start at ``start`` when given.
+    Where that bound leaves the float range, raises ``ThetaCapError``
+    naming ``operation`` and ``beta2``.
     """
     theta_a, theta_b, _, m_b = turns
     slope_d1 = variational.stationarity(params)[1]
-    lo, hi = variational._root_interval(params)
+    try:
+        lo, hi = variational._root_interval(params)
+    except ThetaCapError as err:
+        raise ThetaCapError(
+            str(err), module=_MODULE, operation=operation, offending_parameter="beta2"
+        ) from None
     return (
         cramer.newton(slope_d1, lo, theta_a, math.inf, start[0]),
         cramer.newton(slope_d1, theta_b, hi, params.beta2 - m_b, start[1]),
@@ -174,6 +182,7 @@ def _maxima(
 def _gap(
     params: variational.ModelParams,
     turns: tuple[float, float, float, float],
+    operation: str,
     start: tuple[float | None, float | None] = (None, None),
 ) -> tuple[float, float, tuple[float | None, float | None]]:
     """``L(upper max) - L(lower max)``, its ``beta2``-derivative and the tilts.
@@ -187,7 +196,7 @@ def _gap(
         return math.inf, math.nan, start
     if params.beta2 <= m_b:
         return -math.inf, math.nan, start
-    tilts = _maxima(params, turns, start)
+    tilts = _maxima(params, turns, operation, start)
     low, high = (variational.at_tilt(params, theta) for theta in tilts)
     return high.value - low.value, high.u**params.p - low.u**params.p, tilts
 
@@ -216,7 +225,7 @@ def maxima_gap(p: int, beta1: float, beta2: float) -> float:
     """
     beta1, data = _check_beta1(p, beta1, "maxima_gap")
     params = variational.ModelParams(beta1, beta2, p)
-    return _gap(params, _turns(p, beta1, data.theta0, "maxima_gap"))[0]
+    return _gap(params, _turns(p, beta1, data.theta0, "maxima_gap"), "maxima_gap")[0]
 
 
 def r_of_beta1(
@@ -245,7 +254,8 @@ def r_of_beta1(
 
     def gap(beta2: float) -> tuple[float, float]:
         nonlocal tilts
-        value, slope, tilts = _gap(variational.ModelParams(beta1, beta2, p), turns, tilts)
+        params = variational.ModelParams(beta1, beta2, p)
+        value, slope, tilts = _gap(params, turns, "r_of_beta1", tilts)
         return value, slope
 
     theta_b, m_a, m_b = turns[1:]
@@ -257,7 +267,7 @@ def r_of_beta1(
     edge, _ = cramer.widen(lambda t: gap(upper(t))[0], theta_b, -math.inf, THETA_WINDOW)
     r = cramer.newton(gap, m_b, upper(edge), -math.inf)
     params = variational.ModelParams(beta1, r, p)
-    theta1, theta2 = _maxima(params, turns, tilts)
+    theta1, theta2 = _maxima(params, turns, "r_of_beta1", tilts)
     low, high = variational.at_tilt(params, theta1), variational.at_tilt(params, theta2)
     return PhaseCurvePoint(
         beta1=beta1, r=r, u1_star=low.u, u2_star=high.u, psi=max(low.value, high.value)

@@ -598,21 +598,22 @@ sys.exit(code)
 """
 
 #: What every command loads: the front end and the layers it imports itself.
-CLI_BASE = {"cli", "cramer", "errors", "variational"}
+CLI_BASE = {"cli", "cramer", "errors"}
 
 LOADED_MODULES = [
     ("import", [], set()),
     ("rate", ["rate", "--u", "0.3:0.7:3"], CLI_BASE),
-    ("psi", ["psi", "--p", "2", "--beta1", "-5", "--beta2", "5"], CLI_BASE),
+    ("psi", ["psi", "--p", "2", "--beta1", "-5", "--beta2", "5"],
+     CLI_BASE | {"variational"}),
     ("critical-table", ["critical-table", "--p", "2,3"], CLI_BASE | {"critical"}),
     ("phase-curve", ["phase-curve", "--p", "3", "--beta1", "-3:-2:2"],
-     CLI_BASE | {"critical", "phase_curve"}),
+     CLI_BASE | {"critical", "phase_curve", "variational"}),
     ("figures", ["figures", "--p", "2", "--points=-5,5", "--grid-points", "8",
                  "--beta1", "-5:-4:2", "--out-dir", "{out_dir}"],
-     CLI_BASE | {"critical", "phase_curve"}),
+     CLI_BASE | {"critical", "phase_curve", "variational"}),
     ("sample", ["sample", "--p", "2", "--beta1", "0", "--beta2", "0", "--n", "4",
                 "--sweeps", "2", "--burn-in", "0", "--seed", "1"],
-     CLI_BASE | {"graphs"}),
+     CLI_BASE | {"graphs", "variational"}),
     ("gaussian", ["gaussian", "--beta1", "1", "--beta2", "0.25", "--n", "3",
                   "--samples", "100", "--seed", "1"],
      CLI_BASE | {"gaussian_directed"}),

@@ -145,6 +145,16 @@ class TestCheckInteger:
     ):
         _assert_record(call, module, operation, parameter, message)
 
+    @pytest.mark.parametrize("p_list", ["23", b"23"], ids=["str", "bytes"])
+    def test_critical_table_refuses_a_string_of_orders(self, p_list):
+        # A string is iterable, but its characters are not orders: "23"
+        # gave the rows for p = 2 and 3, since check_integer accepts "2".
+        _assert_record(
+            lambda: critical.critical_table(p_list),
+            "critical", "critical_table", "p_list",
+            f"p_list must be an iterable of orders p, got {p_list!r}",
+        )
+
     def test_integral_values_pass_as_int(self):
         for value in (3, 3.0):
             result = check_integer(value, 2, name="p", module="m", operation="o")

@@ -7,12 +7,15 @@ and every smoothness claim can be checked by finite differences.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wergm.errors import DivergenceError, InputValidationError
 from wergm.gaussian_directed import (
+    _BLOCK,
+    _LOG_HALF,
     BETA2_MAX,
     GaussianModelParams,
     directed_stats,
@@ -20,6 +23,43 @@ from wergm.gaussian_directed import (
     psi_n_exact,
     psi_n_monte_carlo,
 )
+
+
+def _whole_array_monte_carlo(params, n, samples, seed):
+    """``psi_n_monte_carlo`` as one pass over sample-sized arrays, unchecked.
+
+    The reference for the block-wise estimator: the same draws, weights and
+    reductions, with every normal drawn at once and ``w.std(ddof=1)``.
+    """
+    beta1, beta2 = params.beta1, params.beta2
+    v = n / (1.0 - 2.0 * beta2)
+    m = beta1 * v
+    rng = np.random.default_rng(seed)
+    laplace = rng.random(samples) < 0.5
+    y = rng.standard_normal(samples)
+    y *= math.sqrt(n)
+    np.multiply(y, math.sqrt(v / n), out=y, where=laplace)
+    np.add(y, m, out=y, where=laplace)
+    log_ratio = y - m
+    log_ratio *= log_ratio
+    log_ratio *= -0.5 / v
+    neg_h = y - 2.0 * m
+    neg_h *= y
+    neg_h *= 0.5 / v
+    log_ratio += neg_h
+    log_ratio -= 0.5 * math.log(v / n)
+    np.multiply(y, -beta2 / n, out=neg_h)
+    neg_h -= beta1
+    neg_h *= y
+    log_ratio += _LOG_HALF
+    neg_h += _LOG_HALF
+    log_w = -np.logaddexp(neg_h, log_ratio)
+    shift = float(log_w.max())
+    w = np.exp(log_w - shift)
+    mean = float(w.mean())
+    estimate = (shift + math.log(mean)) / n
+    std_error = float(w.std(ddof=1)) / (mean * math.sqrt(samples)) / n
+    return estimate, std_error
 
 
 class TestDirectedStats:
@@ -157,6 +197,40 @@ class TestMonteCarlo:
         z = np.array(z)
         assert np.count_nonzero(np.abs(z) > 2.0) <= 20
         assert 0.8 <= z.std(ddof=1) <= 1.25
+
+    @pytest.mark.parametrize(
+        "samples", [100, _BLOCK - 1, _BLOCK, _BLOCK + 1, 100_001]
+    )
+    @pytest.mark.parametrize(
+        "beta1, beta2, n",
+        [(1.0, 0.0, 10), (1.0, 0.25, 10), (0.5, 0.4, 20), (0.0, 0.0, 5),
+         (1.0, BETA2_MAX, 10), (0.7, -3.0, 7)],
+        ids=["c11b-1", "c11b-2", "c11b-3", "zero", "max", "negative"],
+    )
+    def test_blocks_match_the_whole_array_pass(self, beta1, beta2, n, samples):
+        # Exact equality: the blocks continue one normal stream, each step
+        # is elementwise, and the reductions run over the whole array.  A
+        # numpy whose std(ddof=1) took other steps would show here.
+        params = GaussianModelParams(beta1, beta2)
+        for seed in range(10):
+            assert psi_n_monte_carlo(params, n, samples, seed) == (
+                _whole_array_monte_carlo(params, n, samples, seed)
+            ), seed
+
+    def test_peak_memory_is_one_float_per_sample(self):
+        # A memory count, not a timing: the log-weights array (8 bytes per
+        # sample), the component mask (1 byte) and one block of temporaries.
+        # Three whole-array float temporaries read 25 bytes per sample.
+        params = GaussianModelParams(1.0, 0.25)
+        samples = 1_000_000
+        psi_n_monte_carlo(params, 10, 1000, seed=1)
+        tracemalloc.start()
+        try:
+            psi_n_monte_carlo(params, 10, samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / samples < 12.0
 
     def test_zero_parameters_exact(self):
         estimate, std_error = psi_n_monte_carlo(

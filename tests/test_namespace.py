@@ -114,10 +114,12 @@ def test_tracer_builds_in_a_fresh_interpreter():
 
 
 def test_importtime_lists_the_lazily_loaded_layers():
-    # cli's ``from . import cramer, variational`` goes through the module
-    # __getattr__; each layer it loads there must show on its own line.
+    # cli's ``from . import cramer`` and the psi handler's ``from . import
+    # variational`` go through the module __getattr__; each layer loaded
+    # there must show on its own line.
     result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", "import wergm.cli"],
+        [sys.executable, "-X", "importtime", "-m", "wergm",
+         "psi", "--p", "2", "--beta1", "-5", "--beta2", "5"],
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -97,6 +97,15 @@ class TestBoundingPoint:
         assert (record["module"], record["operation"]) == ("phase_curve", fn.__name__)
         assert record["offending_parameter"] == "beta1"
 
+    def test_maxima_out_of_float_reach_name_the_caller(self):
+        # m_a is inf here, so beta2 = 1e307 lies between the bounds, and the
+        # maxima's root bound 2*(beta1 +- p*beta2) overflows.
+        with pytest.raises(ThetaCapError) as excinfo:
+            maxima_gap(156, -70.64, 1e307)
+        record = excinfo.value.record()
+        assert (record["module"], record["operation"]) == ("phase_curve", "maxima_gap")
+        assert record["offending_parameter"] == "beta2"
+
 
 def test_corner_and_curve_make_no_dual_solve(monkeypatch):
     # The corner is read off n and g at theta0, and the curve and its bounds
