@@ -27,9 +27,14 @@ closed forms of ``B`` and ``log M`` on a grid over the tilt interval where
 the bound ``|B| <= max|support|`` puts every root of ``D`` (finely inside
 ``|theta| <= THETA_WINDOW``, outside it only where a root must lie), and
 refined by ``cramer.newton`` in theta with the slope
-``D' = p*(p-1)*beta2*B**(p-2)*A - 1/2``; no dual solve is needed.
-``stationarity`` is the one home of ``D`` and ``D'``: ``phase_curve``
-finds the two maxima of the transition curve with it too.
+``D' = p*(p-1)*beta2*B**(p-2)*A - 1/2``; no dual solve is needed.  The
+grid is bisected, not walked: ``B`` is nondecreasing, so ``D`` on a block
+of grid points is enclosed by its parts at the block's ends, and a block
+whose enclosure clears 0 by a rounding margin holds no crossing.  A solve
+evaluates the law a few dozen times, at the same grid points and with the
+same Newton calls as a pass over the whole grid.  ``stationarity`` is the
+one home of ``D`` and ``D'``: ``phase_curve`` finds the two maxima of the
+transition curve with it too.
 
 Negative ``beta2`` (the repulsive region) changes the variational form
 and is rejected with ``AttractiveRegionError``.
@@ -153,11 +158,12 @@ def objective_d1(params: ModelParams, u: float) -> float:
 
 def objective_at(params: ModelParams, pair: cramer.DualPair) -> float:
     """``objective`` at ``pair.u``, given ``pair = dual_theta(dist, u)``."""
+    beta1, beta2, p, dist = params
     u = pair.u
     return (
-        params.beta1 * u
-        + params.beta2 * u**params.p
-        - 0.5 * cramer.rate_at(params.dist, pair)
+        beta1 * u
+        + (beta2 * u**p if beta2 else 0.0)
+        - 0.5 * cramer.rate_at(dist, pair)
     )
 
 
@@ -187,18 +193,22 @@ def at_tilt(params: ModelParams, theta: float) -> Maximizer:
 
 
 def stationarity(params: ModelParams):
-    """The slope ``D`` of the objective in theta, and ``(D, D')``, as functions.
+    """The slope ``D`` of the objective in theta, as ``(D, B)`` and ``(D, D')``.
 
     ``D(theta) = beta1 + p*beta2*B**(p-1) - theta/2`` has the sign of
-    ``L'(theta)``, and ``D' = p*(p-1)*beta2*B**(p-2)*A - 1/2``.  The second
-    function evaluates ``B`` once for both.
+    ``L'(theta)``, and ``D' = p*(p-1)*beta2*B**(p-2)*A - 1/2``.  Each
+    function evaluates ``B`` once.  At ``beta2 = 0`` the powers of ``B``
+    are not evaluated, as they may overflow where their factor is 0.
     """
     beta1, beta2, p, dist = params
 
-    def slope(theta: float) -> float:
-        return beta1 + p * beta2 * dist.mean(theta) ** (p - 1) - 0.5 * theta
+    def slope(theta: float) -> tuple[float, float]:
+        b = dist.mean(theta)
+        return beta1 + (p * beta2 * b ** (p - 1) if beta2 else 0.0) - 0.5 * theta, b
 
     def slope_d1(theta: float) -> tuple[float, float]:
+        if not beta2:
+            return beta1 - 0.5 * theta, -0.5
         b, a = dist.mean(theta), dist.var(theta)
         d_d1 = p * (p - 1) * beta2 * b ** (p - 2) * a - 0.5
         return beta1 + p * beta2 * b ** (p - 1) - 0.5 * theta, d_d1
@@ -219,10 +229,10 @@ def _root_interval(params: ModelParams) -> tuple[float, float]:
     beta1, beta2, p, dist = params
     s = max(map(abs, cramer.support_interval(dist)))
     try:
-        c = p * beta2 * s ** (p - 1)
+        c = p * beta2 * s ** (p - 1) if beta2 else 0.0
         pad = 1.0 + 1e-9 * (abs(beta1) + c)
         lo, hi = 2.0 * (beta1 - c) - pad, 2.0 * (beta1 + c) + pad
-        if math.isfinite(hi - lo + beta2 * s**p):
+        if math.isfinite(hi - lo + (beta2 * s**p if beta2 else 0.0)):
             return lo, hi
     except OverflowError:
         pass
@@ -239,45 +249,86 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
     """All interior local maximizers of the objective, in ascending u.
 
     ``D`` is positive at the left end of the interval from
-    ``_root_interval`` and negative at its right end.  GRID_POINTS points
-    scan the part of it inside ``|theta| <= THETA_WINDOW``, and as many
-    again each part outside where ``D`` at the window's edge has the sign
-    of the far end, so that a crossing lies out there; ``cramer.newton``
-    refines each ``+ -> -`` crossing to adjacent floats.  A crossing whose
-    mean rounds onto a support endpoint of finite rate (an endpoint atom)
-    is dropped, since the endpoint candidate of ``solve_psi`` stands for
-    it; at an endpoint of infinite rate it is kept.  No global filtering
-    is applied; ``solve_psi`` layers tie detection on top.
+    ``_root_interval`` and negative at its right end.  A grid of
+    GRID_POINTS points covers the part of it inside ``|theta| <=
+    THETA_WINDOW``, and as many again each part outside where ``D`` at the
+    window's edge has the sign of the far end, so that a crossing lies out
+    there.  The grid is bisected by index, with ``D`` evaluated only at
+    block ends: ``B`` is nondecreasing and ``beta2 >= 0``, so on a block
+    from ``theta_a`` to ``theta_b`` ``D`` lies between ``beta1 +
+    p*beta2*min(P) - theta_b/2`` and ``beta1 + p*beta2*max(P) -
+    theta_a/2``, where ``P`` is ``B**(p-1)`` over ``[B(theta_a),
+    B(theta_b)]`` (0 at the least when that straddles 0 and ``p - 1`` is
+    even).  A block whose enclosure clears 0 by ``1e-9*p*(|lo| + |hi|)``,
+    far more than the rounding of ``D``, holds no crossing and is dropped.
+    So every adjacent pair of grid points where ``D`` may cross is seen,
+    with the values a full scan would give, and ``cramer.newton`` refines
+    each ``+ -> -`` crossing to adjacent floats.  A crossing whose mean
+    rounds onto a support endpoint of finite rate (an endpoint atom) is
+    dropped, since the endpoint candidate of ``solve_psi`` stands for it;
+    at an endpoint of infinite rate it is kept.  No global filtering is
+    applied; ``solve_psi`` layers tie detection on top.
     """
+    beta1, beta2, p, dist = params
     slope, slope_d1 = stationarity(params)
     lo, hi = _root_interval(params)
     left, right = min(hi, -THETA_WINDOW), max(lo, THETA_WINDOW)
     pieces = []
-    if lo < left and slope(left) <= 0.0:
+    if lo < left and slope(left)[0] <= 0.0:
         pieces.append((lo, left))
     if max(lo, -THETA_WINDOW) < min(hi, THETA_WINDOW):
         pieces.append((max(lo, -THETA_WINDOW), min(hi, THETA_WINDOW)))
-    if right < hi and slope(right) >= 0.0:
+    if right < hi and slope(right)[0] >= 0.0:
         pieces.append((right, hi))
     # The pieces are adjacent, and D > 0 where the first one starts.
-    grid = []
-    for start, end in pieces:
-        step = (end - start) / (GRID_POINTS - 1)
-        grid += [start + i * step for i in range(GRID_POINTS - 1)]
-    grid.append(pieces[-1][1])
+    n = GRID_POINTS - 1
+    last = n * len(pieces)
+
+    def point(i: int) -> tuple[float, float, float]:
+        """Grid point ``i`` of the pieces, with ``D`` and ``B`` there."""
+        if i == last:
+            theta = pieces[-1][1]
+        else:
+            start, end = pieces[i // n]
+            theta = start + (i % n) * ((end - start) / n)
+        return (theta, *slope(theta))
+
+    tol = 1e-9 * p * (abs(lo) + abs(hi))
+
+    def clear(a, b) -> bool:
+        """Whether ``D`` keeps one sign, clear of 0, from point ``a`` to ``b``."""
+        (theta_a, _, b_a), (theta_b, _, b_b) = a, b
+        low = high = beta1
+        if beta2:
+            low_p, high_p = sorted((b_a ** (p - 1), b_b ** (p - 1)))
+            if p % 2 and b_a * b_b < 0.0:
+                low_p = 0.0
+            low += p * beta2 * low_p
+            high += p * beta2 * high_p
+        return low - 0.5 * theta_b > tol or high - 0.5 * theta_a < -tol
+
     roots: list[float] = []
-    theta_prev, d_prev = grid[0], slope(grid[0])
-    for theta_here in grid[1:]:
-        d_here = slope(theta_here)
+
+    def scan(i: int, a, j: int, b) -> None:
+        """Find the crossings between grid points ``i < j``, given as ``a``, ``b``."""
+        if j - i > 1:
+            if not clear(a, b):
+                k = (i + j) // 2
+                mid = point(k)
+                scan(i, a, k, mid)
+                scan(k, mid, j, b)
+            return
+        (theta_prev, d_prev, _), (theta_here, d_here, _) = a, b
         # A maximum is a + -> - crossing of D.
         if d_prev > 0.0 and d_here <= 0.0:
             roots.append(cramer.newton(slope_d1, theta_prev, theta_here, d_prev))
         elif d_prev == 0.0 and d_here < 0.0:
             # Grid point landed exactly on a stationary maximum.
             roots.append(theta_prev)
-        theta_prev, d_prev = theta_here, d_here
-    s_lo, s_hi = cramer.support_interval(params.dist)
-    e_lo, e_hi = cramer.endpoint_rate(params.dist)
+
+    scan(0, point(0), last, point(last))
+    s_lo, s_hi = cramer.support_interval(dist)
+    e_lo, e_hi = cramer.endpoint_rate(dist)
     found = (at_tilt(params, theta) for theta in roots)
     return tuple(
         m for m in found
@@ -302,7 +353,11 @@ def solve_psi(params: ModelParams) -> MaximizerSet:
     for u, e in zip(support, cramer.endpoint_rate(dist)):
         if math.isfinite(e):
             candidates.append(
-                Maximizer(u, beta1 * u + beta2 * u**p - 0.5 * e, is_endpoint=True)
+                Maximizer(
+                    u,
+                    beta1 * u + (beta2 * u**p if beta2 else 0.0) - 0.5 * e,
+                    is_endpoint=True,
+                )
             )
 
     psi = max(c.value for c in candidates)

@@ -18,7 +18,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wergm import cramer
 from wergm.cramer import BERNOULLI_HALF, UNIFORM01, finite_support, rate
 from wergm import variational
 from wergm.errors import (
@@ -38,6 +41,73 @@ from wergm.variational import (
     psi_gradient,
     solve_psi,
 )
+
+
+def linear_scan_maxima(params: ModelParams) -> tuple:
+    """``local_maxima`` by evaluating ``D`` at every grid point.
+
+    The full pass that the pruned scan replaced, kept as its oracle: the
+    same grid, the same two crossing tests and the same ``newton`` call on
+    each crossing pair.
+    """
+    slope, slope_d1 = variational.stationarity(params)
+    lo, hi = variational._root_interval(params)
+    window, points = variational.THETA_WINDOW, variational.GRID_POINTS
+    left, right = min(hi, -window), max(lo, window)
+    pieces = []
+    if lo < left and slope(left)[0] <= 0.0:
+        pieces.append((lo, left))
+    if max(lo, -window) < min(hi, window):
+        pieces.append((max(lo, -window), min(hi, window)))
+    if right < hi and slope(right)[0] >= 0.0:
+        pieces.append((right, hi))
+    grid = []
+    for start, end in pieces:
+        step = (end - start) / (points - 1)
+        grid += [start + i * step for i in range(points - 1)]
+    grid.append(pieces[-1][1])
+    roots = []
+    theta_prev, d_prev = grid[0], slope(grid[0])[0]
+    for theta_here in grid[1:]:
+        d_here = slope(theta_here)[0]
+        if d_prev > 0.0 and d_here <= 0.0:
+            roots.append(cramer.newton(slope_d1, theta_prev, theta_here, d_prev))
+        elif d_prev == 0.0 and d_here < 0.0:
+            roots.append(theta_prev)
+        theta_prev, d_prev = theta_here, d_here
+    s_lo, s_hi = params.dist.support
+    e_lo, e_hi = params.dist.endpoint_rate
+    found = (variational.at_tilt(params, theta) for theta in roots)
+    return tuple(
+        m for m in found
+        if (m.u > s_lo or math.isinf(e_lo)) and (m.u < s_hi or math.isinf(e_hi))
+    )
+
+
+def _atom_law(values, weights):
+    total = sum(weights)
+    return finite_support([(v, w / total) for v, w in zip(values, weights)])
+
+
+#: The uniform, the coin and 2-5-atom laws, some with negative atoms or
+#: atoms above 1.
+laws = st.one_of(
+    st.just(UNIFORM01),
+    st.just(BERNOULLI_HALF),
+    st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=5, unique=True).flatmap(
+        lambda values: st.lists(
+            st.floats(0.05, 1.0), min_size=len(values), max_size=len(values)
+        ).map(lambda weights: _atom_law(values, weights))
+    ),
+)
+
+#: (beta1, beta2, p) off and on the p = 2 tie line beta2 = -beta1.
+model_points = st.one_of(
+    st.tuples(st.floats(-15.0, 5.0), st.floats(0.0, 15.0), st.sampled_from([2, 3, 4, 5, 10])),
+    st.floats(-15.0, 0.0).map(lambda beta1: (beta1, -beta1, 2)),
+)
+
+THREE_ATOMS = finite_support([(0.2, 0.3), (0.5, 0.4), (0.8, 0.3)])
 
 
 def coin_psi_closed_form(beta1: float) -> tuple[float, float]:
@@ -389,6 +459,92 @@ class TestLocalMaxima:
         assert record["module"] == "variational"
         assert record["operation"] == "local_maxima"
         assert record["offending_parameter"] == "params"
+
+
+class TestPrunedScan:
+    """The pruned scan sees every crossing the full grid pass sees."""
+
+    @staticmethod
+    def check_against_full_pass(dist, point):
+        params = ModelParams(*point, dist)
+        expected = linear_scan_maxima(params)
+        assert local_maxima(params) == expected
+        solution = solve_psi(params)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(variational, "local_maxima", lambda _: expected)
+            assert solution == solve_psi(params)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(dist=laws, point=model_points)
+    def test_same_maxima_as_the_full_pass(self, dist, point):
+        self.check_against_full_pass(dist, point)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(dist=laws, point=model_points)
+    def test_same_maxima_as_the_full_pass_on_a_finer_grid(self, dist, point):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(variational, "GRID_POINTS", 8192)
+            self.check_against_full_pass(dist, point)
+
+    def test_maximum_where_the_mean_crosses_zero(self):
+        # At p = 3, B**2 dips to 0 where B changes sign, between block ends
+        # where it is large: only the straddle rule keeps the enclosure
+        # below that dip, where the global maximum lies.
+        law = finite_support([(-2.0, 0.5), (1.0, 0.5)])
+        self.check_against_full_pass(law, (-1.0, 1.0, 3))
+        found = local_maxima(ModelParams(-1.0, 1.0, 3, law))
+        assert len(found) == 2 and found[0].u < 0.0
+        assert solve_psi(ModelParams(-1.0, 1.0, 3, law)).maximizers == (found[0].u,)
+
+    @pytest.mark.parametrize(
+        "params",
+        [ModelParams(-5.0, 5.0, 2), ModelParams(-6.0, 6.0, 2, THREE_ATOMS)],
+        ids=["c02", "three-atoms-v-region"],
+    )
+    def test_few_law_evaluations_per_solve(self, monkeypatch, params):
+        # A full pass evaluates the law at least 2048 times.
+        assert len(local_maxima(params)) == 2
+        calls = []
+        law_type = type(params.dist)
+        for name in ("mean", "var"):
+            method = getattr(law_type, name)
+
+            def counted(law, theta, method=method):
+                calls.append(theta)
+                return method(law, theta)
+
+            monkeypatch.setattr(law_type, name, counted)
+        solve_psi(params)
+        assert 0 < len(calls) < 250
+
+
+class TestBeta2Zero:
+    @pytest.mark.parametrize("p", [2, 3, 2000])
+    @pytest.mark.parametrize("beta1", [-3.0, -0.4, 0.0, 1.7])
+    @pytest.mark.parametrize(
+        "dist",
+        [UNIFORM01, BERNOULLI_HALF, finite_support([(-1.0, 0.2), (0.5, 0.5), (2.0, 0.3)])],
+        ids=["uniform", "coin", "three-atoms"],
+    )
+    def test_psi_is_half_log_mgf(self, dist, beta1, p):
+        # Without the p-term psi = sup_u beta1*u - I(u)/2 = log M(2*beta1)/2,
+        # attained at u = B(2*beta1), whatever p; s**(p-1) overflows for
+        # the atom at 2 and p = 2000, but its factor is 0.
+        solution = solve_psi(ModelParams(beta1, 0.0, p, dist))
+        assert solution.classification is PhaseClass.UNIQUE
+        assert not solution.includes_endpoint
+        assert math.isclose(
+            solution.psi, 0.5 * dist.log_mgf(2.0 * beta1), rel_tol=1e-12, abs_tol=1e-14
+        )
+        assert math.isclose(
+            solution.maximizers[0], dist.mean(2.0 * beta1), rel_tol=1e-12, abs_tol=1e-15
+        )
+
+    def test_large_atom_at_large_p(self):
+        params = ModelParams(0.0, 0.0, 2000, finite_support([(0.0, 0.5), (2.0, 0.5)]))
+        solution = solve_psi(params)
+        assert solution.psi == 0.0
+        assert solution.maximizers == (1.0,)
 
 
 class TestPsiGradient:
