@@ -254,10 +254,12 @@ def _cmd_figures(args) -> int:
             f"--grid-points must be >= 1, got {args.grid_points}",
             "figures", "grid_points",
         )
-    # The profile's end points decide whether every point has a dual tilt.
-    for u in (1 / (args.grid_points + 1), args.grid_points / (args.grid_points + 1)):
+    # One solve per u serves every point; if any u has no tilt, the first has none.
+    profile = []
+    for k in range(args.grid_points):
+        u = (k + 1) / (args.grid_points + 1)
         try:
-            cramer.dual_theta(cramer.UNIFORM01, u)
+            profile.append((_fmt(u), cramer.dual_theta(cramer.UNIFORM01, u)))
         except WergmError as err:
             raise _invalid(
                 f"--grid-points {args.grid_points} puts a profile point at u = {u!r}: {err}",
@@ -267,11 +269,6 @@ def _cmd_figures(args) -> int:
     with _os_errors(out_dir, "figures", "out_dir"):
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    # A profile point's tilt depends on u alone: one solve serves every point.
-    profile = []
-    for k in range(args.grid_points):
-        u = (k + 1) / (args.grid_points + 1)
-        profile.append((_fmt(u), cramer.dual_theta(cramer.UNIFORM01, u)))
     written = []
     for beta1, beta2 in points:
         params = variational.ModelParams(beta1, beta2, args.p)
@@ -289,8 +286,7 @@ def _cmd_figures(args) -> int:
         grid = _parse_range(args.beta1, "--beta1")
     rows = []
     for beta1 in grid:
-        bound = phase_curve.bounding_point(args.p, beta1)
-        point = phase_curve.r_of_beta1(args.p, beta1)
+        bound, point = phase_curve._bound_and_tie(args.p, beta1)
         rows.append([_fmt(beta1), _fmt(bound.m_a), _fmt(bound.m_b), _fmt(point.r)])
     vregion = out_dir / "vregion.csv"
     with _create(vregion, "figures", "out_dir") as stream:

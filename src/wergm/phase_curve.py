@@ -83,20 +83,6 @@ class PhaseCurvePoint(NamedTuple):
     psi: float
 
 
-def _check_beta1(p: int, beta1: float, operation: str) -> tuple[float, critical.CriticalData]:
-    beta1 = check_real(beta1, name="beta1", module=_MODULE, operation=operation)
-    data = critical.find_theta0(p)
-    if beta1 >= data.beta1_c:
-        raise NoTwoPhaseRegionError(
-            f"beta1 = {beta1:g} is not below the critical value "
-            f"{data.beta1_c:.6g}; no two-maximizer region exists there",
-            module=_MODULE,
-            operation=operation,
-            offending_parameter="beta1",
-        )
-    return beta1, data
-
-
 def _mean(theta: float) -> float:
     return cramer.UNIFORM01.mean(theta)
 
@@ -111,16 +97,25 @@ def _h(p: int, beta1: float, theta: float) -> float:
     return rise / denom
 
 
-def _turns(
-    p: int, beta1: float, theta0: float, operation: str
-) -> tuple[float, float, float, float]:
-    """``(theta_a, theta_b, m_a, m_b)``: the turning tilts and ``h`` there.
+def _turns(p: int, beta1: float, operation: str) -> tuple[float, float, float, float, float]:
+    """Checked ``beta1``, turning tilts ``theta_a, theta_b`` and ``h`` there, ``m_a, m_b``.
 
-    The turning tilts are the roots ``theta_a < theta0 < theta_b`` of
-    ``g(theta) = -beta1``.  Raises ``ThetaCapError``, naming ``operation``
-    and ``beta1``, where a bracket cannot reach a root: from |beta1| of
-    about 1e81 on, ``A**2`` underflows in ``g'`` before it does.
+    The turning tilts are the roots ``theta_a < theta0 < theta_b`` of ``g =
+    -beta1``, for ``beta1`` below the critical value.  Errors name
+    ``operation``; where a bracket cannot reach a root, ``ThetaCapError``:
+    from |beta1| of about 1e81 on, ``A**2`` underflows in ``g'`` first.
     """
+    beta1 = check_real(beta1, name="beta1", module=_MODULE, operation=operation)
+    data = critical.find_theta0(p)
+    if beta1 >= data.beta1_c:
+        raise NoTwoPhaseRegionError(
+            f"beta1 = {beta1:g} is not below the critical value "
+            f"{data.beta1_c:.6g}; no two-maximizer region exists there",
+            module=_MODULE,
+            operation=operation,
+            offending_parameter="beta1",
+        )
+    theta0 = data.theta0
 
     def resid_d1(theta: float) -> tuple[float, float]:
         g, slope = critical.g_d1(p, theta)
@@ -144,12 +139,12 @@ def _turns(
         ) from None
     theta_a = cramer.newton(resid_d1, left, theta0, r_left)
     theta_b = cramer.newton(resid_d1, theta0, right, r0)
-    return theta_a, theta_b, _h(p, beta1, theta_a), _h(p, beta1, theta_b)
+    return beta1, theta_a, theta_b, _h(p, beta1, theta_a), _h(p, beta1, theta_b)
 
 
 def _maxima(
     params: variational.ModelParams,
-    turns: tuple[float, float, float, float],
+    turns: tuple[float, float, float, float, float],
     operation: str,
     start: tuple[float | None, float | None] = (None, None),
 ) -> tuple[float, float]:
@@ -165,7 +160,7 @@ def _maxima(
     Where that bound leaves the float range, raises ``ThetaCapError``
     naming ``operation`` and ``beta2``.
     """
-    theta_a, theta_b, _, m_b = turns
+    _, theta_a, theta_b, _, m_b = turns
     slope_d1 = variational.stationarity(params)[1]
     try:
         lo, hi = variational._root_interval(params)
@@ -181,7 +176,7 @@ def _maxima(
 
 def _gap(
     params: variational.ModelParams,
-    turns: tuple[float, float, float, float],
+    turns: tuple[float, float, float, float, float],
     operation: str,
     start: tuple[float | None, float | None] = (None, None),
 ) -> tuple[float, float, tuple[float | None, float | None]]:
@@ -191,7 +186,7 @@ def _gap(
     maximum is absent the gap is +-inf, the derivative nan and the tilts
     are ``start``.
     """
-    m_a, m_b = turns[2:]
+    m_a, m_b = turns[3:]
     if params.beta2 >= m_a:
         return math.inf, math.nan, start
     if params.beta2 <= m_b:
@@ -210,9 +205,18 @@ def bounding_point(p: int, beta1: float) -> BoundingPoint:
     ``a**(p-1)`` underflows, ``m_a`` exceeds the float range and is
     returned as inf.
     """
-    beta1, data = _check_beta1(p, beta1, "bounding_point")
-    theta_a, theta_b, m_a, m_b = _turns(p, beta1, data.theta0, "bounding_point")
+    return _bound(_turns(p, beta1, "bounding_point"))
+
+
+def _bound(turns: tuple[float, float, float, float, float]) -> BoundingPoint:
+    beta1, theta_a, theta_b, m_a, m_b = turns
     return BoundingPoint(beta1, _mean(theta_a), _mean(theta_b), m_a, m_b)
+
+
+def _bound_and_tie(p: int, beta1: float) -> tuple[BoundingPoint, PhaseCurvePoint]:
+    """``bounding_point`` and ``r_of_beta1`` from one ``_turns``, failing as they do."""
+    turns = _turns(p, beta1, "bounding_point")
+    return _bound(turns), _tie(p, turns)
 
 
 def maxima_gap(p: int, beta1: float, beta2: float) -> float:
@@ -223,9 +227,9 @@ def maxima_gap(p: int, beta1: float, beta2: float) -> float:
     — the sign is what the curve search needs, and there is no finite
     gap to report in either case.
     """
-    beta1, data = _check_beta1(p, beta1, "maxima_gap")
-    params = variational.ModelParams(beta1, beta2, p)
-    return _gap(params, _turns(p, beta1, data.theta0, "maxima_gap"), "maxima_gap")[0]
+    turns = _turns(p, beta1, "maxima_gap")
+    params = variational.ModelParams(turns[0], beta2, p)
+    return _gap(params, turns, "maxima_gap")[0]
 
 
 def r_of_beta1(
@@ -248,8 +252,12 @@ def r_of_beta1(
             operation="r_of_beta1",
             offending_parameter="dist",
         )
-    beta1, data = _check_beta1(p, beta1, "r_of_beta1")
-    turns = _turns(p, beta1, data.theta0, "r_of_beta1")
+    return _tie(p, _turns(p, beta1, "r_of_beta1"))
+
+
+def _tie(p: int, turns: tuple[float, float, float, float, float]) -> PhaseCurvePoint:
+    """``r_of_beta1``, given its ``_turns``."""
+    beta1, _, theta_b, m_a, m_b = turns
     tilts = (None, None)
 
     def gap(beta2: float) -> tuple[float, float]:
@@ -257,8 +265,6 @@ def r_of_beta1(
         params = variational.ModelParams(beta1, beta2, p)
         value, slope, tilts = _gap(params, turns, "r_of_beta1", tilts)
         return value, slope
-
-    theta_b, m_a, m_b = turns[1:]
 
     def upper(edge: float) -> float:
         return min(m_a, _h(p, beta1, edge))

@@ -24,13 +24,13 @@ with derivative ``A(theta) * D(theta)``, ``A = log_mgf_d2 > 0`` and
 
 The interior local maxima are the ``+ -> -`` crossings of ``D``, found in
 closed forms of ``B`` and ``log M`` on a grid over the tilt interval where
-the bound ``|B| <= max|support|`` puts every root of ``D`` (finely inside
-``|theta| <= THETA_WINDOW``, outside it only where a root must lie), and
-refined by ``cramer.newton`` in theta with the slope
-``D' = p*(p-1)*beta2*B**(p-2)*A - 1/2``; no dual solve is needed.  The
-grid is bisected, not walked: ``B`` is nondecreasing, so ``D`` on a block
-of grid points is enclosed by its parts at the block's ends, and a block
-whose enclosure clears 0 by a rounding margin holds no crossing.  A solve
+the bound ``|B| <= max|support|`` puts every root of ``D`` (finest inside
+``|theta| <= THETA_WINDOW``), and refined by ``cramer.newton`` in theta
+with the slope ``D' = p*(p-1)*beta2*B**(p-2)*A - 1/2``; no dual solve is
+needed.  The grid is bisected, not walked: ``B`` is nondecreasing, so
+``D`` on a block of grid points is enclosed by its parts at the block's
+ends, and a block whose enclosure clears 0 by a rounding margin holds no
+crossing; that one test decides where ``D`` is evaluated.  A solve
 evaluates the law a few dozen times, at the same grid points and with the
 same Newton calls as a pass over the whole grid.  ``stationarity`` is the
 one home of ``D`` and ``D'``: ``phase_curve`` finds the two maxima of the
@@ -61,10 +61,9 @@ _MODULE = "variational"
 #: Number of points in the stationary-point scan grid.
 GRID_POINTS = 2048
 
-#: Half-width of the tilt window that the searches cover first: the maxima
-#: scan puts its finest grid there, and the transition curve's turning-tilt
-#: and tie brackets start on its edges.  Each goes past it only where a root
-#: lies outside.
+#: Half-width of the tilt window: the maxima scan cuts its grid at its
+#: edges, finest inside, and the transition curve's turning-tilt and tie
+#: brackets start on them, going past only where a root lies outside.
 THETA_WINDOW = 680.0
 
 #: Two candidate values within 1e-9 * max(1, |psi|) count as tied.
@@ -146,40 +145,53 @@ class MaximizerSet(NamedTuple):
     includes_endpoint: bool
 
 
+def _power_guard(operation: str, u: float, compute):
+    """``compute()``, raising ``ThetaCapError`` where a power of ``u`` overflows."""
+    try:
+        return compute()
+    except OverflowError:
+        message = f"a power of u = {u:g} in {operation} reaches beyond the float range"
+        raise ThetaCapError(
+            message, module=_MODULE, operation=operation, offending_parameter="u"
+        ) from None
+
+
 def objective(params: ModelParams, u: float) -> float:
     """The variational integrand ``beta1*u + beta2*u**p - rate(u)/2``."""
-    return objective_at(params, cramer.dual_theta(params.dist, u))
+    pair = cramer.dual_theta(params.dist, u)
+    return _power_guard("objective", u, lambda: objective_at(params, pair))
 
 
 def objective_d1(params: ModelParams, u: float) -> float:
     """First u-derivative of the variational integrand."""
-    return objective_d1_at(params, cramer.dual_theta(params.dist, u))
+    pair = cramer.dual_theta(params.dist, u)
+    return _power_guard("objective_d1", u, lambda: objective_d1_at(params, pair))
+
+
+def _value(params: ModelParams, u: float, rate: float) -> float:
+    """``beta1*u + beta2*u**p - rate/2``, with no power of ``u`` at ``beta2 = 0``."""
+    beta1, beta2, p, _ = params
+    return beta1 * u + (beta2 * u**p if beta2 else 0.0) - 0.5 * rate
 
 
 def objective_at(params: ModelParams, pair: cramer.DualPair) -> float:
     """``objective`` at ``pair.u``, given ``pair = dual_theta(dist, u)``."""
-    beta1, beta2, p, dist = params
-    u = pair.u
-    return (
-        beta1 * u
-        + (beta2 * u**p if beta2 else 0.0)
-        - 0.5 * cramer.rate_at(dist, pair)
-    )
+    return _value(params, pair.u, cramer.rate_at(params.dist, pair))
 
 
 def objective_d1_at(params: ModelParams, pair: cramer.DualPair) -> float:
     """``objective_d1`` at ``pair.u``, given ``pair = dual_theta(dist, u)``."""
-    return (
-        params.beta1 + params.p * params.beta2 * pair.u ** (params.p - 1)
-        - 0.5 * pair.theta
-    )
+    beta1, beta2, p, _ = params
+    return beta1 + (p * beta2 * pair.u ** (p - 1) if beta2 else 0.0) - 0.5 * pair.theta
 
 
 def objective_d2(params: ModelParams, u: float) -> float:
     """Second u-derivative of the variational integrand."""
-    p = params.p
-    curvature = cramer.rate_d2(params.dist, u)
-    return p * (p - 1) * params.beta2 * u ** (p - 2) - 0.5 * curvature
+    _, beta2, p, dist = params
+    curvature = cramer.rate_d2(dist, u)
+    return _power_guard("objective_d2", u, lambda: (
+        (p * (p - 1) * beta2 * u ** (p - 2) if beta2 else 0.0) - 0.5 * curvature
+    ))
 
 
 def at_tilt(params: ModelParams, theta: float) -> Maximizer:
@@ -249,13 +261,12 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
     """All interior local maximizers of the objective, in ascending u.
 
     ``D`` is positive at the left end of the interval from
-    ``_root_interval`` and negative at its right end.  A grid of
-    GRID_POINTS points covers the part of it inside ``|theta| <=
-    THETA_WINDOW``, and as many again each part outside where ``D`` at the
-    window's edge has the sign of the far end, so that a crossing lies out
-    there.  The grid is bisected by index, with ``D`` evaluated only at
-    block ends: ``B`` is nondecreasing and ``beta2 >= 0``, so on a block
-    from ``theta_a`` to ``theta_b`` ``D`` lies between ``beta1 +
+    ``_root_interval`` and negative at its right end.  The interval is cut
+    at whichever of ``+-THETA_WINDOW`` lie inside it, and a grid of
+    GRID_POINTS points covers each piece.  The grid is bisected by index,
+    with ``D`` evaluated only at block ends, and one enclosure alone decides
+    which blocks are refined: ``B`` is nondecreasing and ``beta2 >= 0``, so
+    on a block from ``theta_a`` to ``theta_b`` ``D`` lies between ``beta1 +
     p*beta2*min(P) - theta_b/2`` and ``beta1 + p*beta2*max(P) -
     theta_a/2``, where ``P`` is ``B**(p-1)`` over ``[B(theta_a),
     B(theta_b)]`` (0 at the least when that straddles 0 and ``p - 1`` is
@@ -272,25 +283,14 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
     beta1, beta2, p, dist = params
     slope, slope_d1 = stationarity(params)
     lo, hi = _root_interval(params)
-    left, right = min(hi, -THETA_WINDOW), max(lo, THETA_WINDOW)
-    pieces = []
-    if lo < left and slope(left)[0] <= 0.0:
-        pieces.append((lo, left))
-    if max(lo, -THETA_WINDOW) < min(hi, THETA_WINDOW):
-        pieces.append((max(lo, -THETA_WINDOW), min(hi, THETA_WINDOW)))
-    if right < hi and slope(right)[0] >= 0.0:
-        pieces.append((right, hi))
-    # The pieces are adjacent, and D > 0 where the first one starts.
+    cuts = [lo, *(t for t in (-THETA_WINDOW, THETA_WINDOW) if lo < t < hi), hi]
     n = GRID_POINTS - 1
-    last = n * len(pieces)
+    last = n * (len(cuts) - 1)
 
     def point(i: int) -> tuple[float, float, float]:
         """Grid point ``i`` of the pieces, with ``D`` and ``B`` there."""
-        if i == last:
-            theta = pieces[-1][1]
-        else:
-            start, end = pieces[i // n]
-            theta = start + (i % n) * ((end - start) / n)
+        k, j = divmod(i, n)
+        theta = cuts[k] + j * ((cuts[k + 1] - cuts[k]) / n) if j else cuts[k]
         return (theta, *slope(theta))
 
     tol = 1e-9 * p * (abs(lo) + abs(hi))
@@ -321,7 +321,10 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
         (theta_prev, d_prev, _), (theta_here, d_here, _) = a, b
         # A maximum is a + -> - crossing of D.
         if d_prev > 0.0 and d_here <= 0.0:
-            roots.append(cramer.newton(slope_d1, theta_prev, theta_here, d_prev))
+            # Start at 0 where the pair straddles it (newton ignores it
+            # elsewhere): on the uniform's p = 2 tie line D(0) is exactly 0,
+            # and a bracket shrinking onto 0 would pass through the subnormals.
+            roots.append(cramer.newton(slope_d1, theta_prev, theta_here, d_prev, 0.0))
         elif d_prev == 0.0 and d_here < 0.0:
             # Grid point landed exactly on a stationary maximum.
             roots.append(theta_prev)
@@ -347,18 +350,12 @@ def solve_psi(params: ModelParams) -> MaximizerSet:
     are merged into their best representative: a numerically flat optimum
     is one phase, not two.
     """
-    beta1, beta2, p, dist = params
+    dist = params.dist
     candidates = list(local_maxima(params))
     support = cramer.support_interval(dist)
     for u, e in zip(support, cramer.endpoint_rate(dist)):
         if math.isfinite(e):
-            candidates.append(
-                Maximizer(
-                    u,
-                    beta1 * u + (beta2 * u**p if beta2 else 0.0) - 0.5 * e,
-                    is_endpoint=True,
-                )
-            )
+            candidates.append(Maximizer(u, _value(params, u, e), is_endpoint=True))
 
     psi = max(c.value for c in candidates)
     tie_tol = TIE_RTOL * max(1.0, abs(psi))

@@ -277,6 +277,54 @@ class TestFiguresCommand:
         assert json.loads(err)["offending_parameter"] == "grid_points"
         assert not out_dir.exists()
 
+    def test_first_profile_point_without_a_tilt_is_the_record(self, capsys, tmp_path):
+        # The profile is solved before --out-dir is made, and the first point
+        # is the one named: by symmetry it fails whenever any point does.
+        out_dir = tmp_path / "figs"
+        code, out, err = run_cli(
+            capsys, "figures", "--p", "2", "--points=-5,3.5",
+            "--out-dir", str(out_dir), "--grid-points", "700",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "module": "cli",
+            "operation": "figures",
+            "message": "--grid-points 700 puts a profile point at u = "
+                       "0.0014265335235378032: mean u = 0.00142653 needs a tilt "
+                       "beyond the cap 700",
+            "offending_parameter": "grid_points",
+        }
+        assert not out_dir.exists()
+
+    def test_one_turning_tilt_solve_per_vregion_row(self, capsys, tmp_path, monkeypatch):
+        # bounding_point and r_of_beta1 share the row's turning tilts.
+        from wergm import phase_curve
+
+        calls = []
+        turns = phase_curve._turns
+
+        def counted(*args):
+            calls.append(args[1])
+            return turns(*args)
+
+        monkeypatch.setattr(phase_curve, "_turns", counted)
+        code, _, err = run_cli(
+            capsys, "figures", "--p", "3", "--points=-3,3.4", "--grid-points", "4",
+            "--out-dir", str(tmp_path / "figs"), "--beta1", "-3.5:-2:4",
+        )
+        assert code == 0 and err == ""
+        assert calls == [-3.5, -3.0, -2.5, -2.0]
+
+    def test_failing_vregion_row_names_bounding_point(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "figures", "--p", "2", "--points=-5,3.5", "--grid-points", "4",
+            "--out-dir", str(tmp_path / "figs"), "--beta1", "-4:-2:3",
+        )
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert (record["module"], record["operation"]) == ("phase_curve", "bounding_point")
+        assert record["offending_parameter"] == "beta1"
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_default_vregion_grid(self, capsys, tmp_path, p):
         # Without --beta1 the V-region table has 25 rows from beta1_c - 5 to

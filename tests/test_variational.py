@@ -47,31 +47,25 @@ def linear_scan_maxima(params: ModelParams) -> tuple:
     """``local_maxima`` by evaluating ``D`` at every grid point.
 
     The full pass that the pruned scan replaced, kept as its oracle: the
-    same grid, the same two crossing tests and the same ``newton`` call on
-    each crossing pair.
+    same pieces of the root interval, cut at whichever of +-THETA_WINDOW lie
+    inside it, the same grid on each, the same two crossing tests and the
+    same ``newton`` call on each crossing pair.
     """
     slope, slope_d1 = variational.stationarity(params)
     lo, hi = variational._root_interval(params)
     window, points = variational.THETA_WINDOW, variational.GRID_POINTS
-    left, right = min(hi, -window), max(lo, window)
-    pieces = []
-    if lo < left and slope(left)[0] <= 0.0:
-        pieces.append((lo, left))
-    if max(lo, -window) < min(hi, window):
-        pieces.append((max(lo, -window), min(hi, window)))
-    if right < hi and slope(right)[0] >= 0.0:
-        pieces.append((right, hi))
+    cuts = [lo, *(t for t in (-window, window) if lo < t < hi), hi]
     grid = []
-    for start, end in pieces:
+    for start, end in zip(cuts, cuts[1:]):
         step = (end - start) / (points - 1)
         grid += [start + i * step for i in range(points - 1)]
-    grid.append(pieces[-1][1])
+    grid.append(hi)
     roots = []
     theta_prev, d_prev = grid[0], slope(grid[0])[0]
     for theta_here in grid[1:]:
         d_here = slope(theta_here)[0]
         if d_prev > 0.0 and d_here <= 0.0:
-            roots.append(cramer.newton(slope_d1, theta_prev, theta_here, d_prev))
+            roots.append(cramer.newton(slope_d1, theta_prev, theta_here, d_prev, 0.0))
         elif d_prev == 0.0 and d_here < 0.0:
             roots.append(theta_prev)
         theta_prev, d_prev = theta_here, d_here
@@ -139,6 +133,22 @@ class TestObjective:
             )
             np.testing.assert_allclose(objective_d1(params, u), fd1, atol=1e-7)
             np.testing.assert_allclose(objective_d2(params, u), fd2, rtol=1e-5)
+
+    def test_no_power_of_u_at_beta2_zero(self):
+        # At p = 2000 on the atoms 0 and 2, u = 1.9 (tilt log(19)/2) has
+        # u**1998 and u**1999 past the float range, but their factor is 0.
+        params = ModelParams(0.0, 0.0, 2000, finite_support([(0.0, 0.5), (2.0, 0.5)]))
+        assert math.isclose(objective_d1(params, 1.9), -math.log(19.0) / 4.0, rel_tol=1e-12)
+        assert math.isclose(objective_d2(params, 1.9), -1.0 / 0.38, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("fn", [objective, objective_d1, objective_d2])
+    def test_overflowing_power_is_a_typed_error(self, fn):
+        with pytest.raises(ThetaCapError) as excinfo:
+            fn(ModelParams(0.0, 1.0, 2000, finite_support([(0.0, 0.5), (2.0, 0.5)])), 1.9)
+        record = excinfo.value.record()
+        assert record["module"] == "variational"
+        assert record["operation"] == fn.__name__
+        assert record["offending_parameter"] == "u"
 
 
 class TestModelParamsValidation:
@@ -439,6 +449,27 @@ class TestLocalMaxima:
             solution.maximizers[0], 2.2955499899867003327e-4, rel_tol=1e-12
         )
 
+    def test_maximum_between_two_crossings_past_the_window(self):
+        # With t0 = 2*sqrt(beta2), this beta1 puts D at 0.02 at t0.  Past
+        # THETA_WINDOW, D is negative, positive near theta ~ 6325 and negative
+        # again, so it has one sign at both ends of that piece, which holds
+        # the local maximum at theta ~ 6340.  The global one, at theta ~ -4e7,
+        # is unchanged.  50-digit mpmath references.
+        beta2 = 1e7
+        t0 = 2.0 * math.sqrt(beta2)
+        beta1 = 0.02 - 2.0 * beta2 * UNIFORM01.mean(t0) + t0 / 2
+        assert beta1 == -19993675.424679663
+        params = ModelParams(beta1, beta2, 2)
+        found = local_maxima(params)
+        assert len(found) == 2
+        assert math.isclose(found[1].u, 0.99984228325267239564, rel_tol=1e-12)
+        assert math.isclose(found[1].value, -9993680.0507803230327, rel_tol=1e-12)
+        solution = solve_psi(params)
+        assert solution.classification is PhaseClass.UNIQUE
+        assert solution.maximizers == (found[0].u,)
+        assert math.isclose(found[0].u, 2.5007908845550395056e-8, rel_tol=1e-12)
+        assert math.isclose(solution.psi, -8.7520368603967120102, rel_tol=1e-12)
+
     def test_root_interval_past_the_float_range_is_a_typed_error(self):
         # p * beta2 * 2**(p-1) overflows at p = 2000.
         params = ModelParams(0.0, 1.0, 2000, finite_support([(0.0, 0.5), (2.0, 0.5)]))
@@ -459,6 +490,21 @@ class TestLocalMaxima:
         assert record["module"] == "variational"
         assert record["operation"] == "local_maxima"
         assert record["offending_parameter"] == "params"
+
+
+def law_evaluations(monkeypatch, params: ModelParams) -> tuple:
+    """``solve_psi(params)`` and how many ``mean`` and ``var`` calls it made."""
+    calls = []
+    law_type = type(params.dist)
+    for name in ("mean", "var"):
+        method = getattr(law_type, name)
+
+        def counted(law, theta, method=method):
+            calls.append(theta)
+            return method(law, theta)
+
+        monkeypatch.setattr(law_type, name, counted)
+    return solve_psi(params), len(calls)
 
 
 class TestPrunedScan:
@@ -504,18 +550,17 @@ class TestPrunedScan:
     def test_few_law_evaluations_per_solve(self, monkeypatch, params):
         # A full pass evaluates the law at least 2048 times.
         assert len(local_maxima(params)) == 2
-        calls = []
-        law_type = type(params.dist)
-        for name in ("mean", "var"):
-            method = getattr(law_type, name)
+        assert 0 < law_evaluations(monkeypatch, params)[1] < 250
 
-            def counted(law, theta, method=method):
-                calls.append(theta)
-                return method(law, theta)
-
-            monkeypatch.setattr(law_type, name, counted)
-        solve_psi(params)
-        assert 0 < len(calls) < 250
+    @pytest.mark.parametrize("beta1", [-0.5, -1.228, -2.0])
+    def test_maximum_at_zero_tilt_costs_few_evaluations(self, monkeypatch, beta1):
+        # On the uniform's p = 2 tie line below the corner (-3, 3), D(0) =
+        # beta1 + beta2 is exactly 0: newton starts there, not at a bracket
+        # midpoint from which it would halve its way through the subnormals
+        # (899-4069 evaluations).
+        solution, evaluations = law_evaluations(monkeypatch, ModelParams(beta1, -beta1, 2))
+        assert solution.maximizers == (0.5,)
+        assert evaluations < 100
 
 
 class TestBeta2Zero:
