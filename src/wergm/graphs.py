@@ -28,7 +28,7 @@ from operator import length_hint
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import cramer
-from .errors import InputValidationError, check_integer, check_seed
+from .errors import InputValidationError, check_integer, check_real, check_seed
 from .variational import ModelParams, PhaseClass, solve_psi
 
 if TYPE_CHECKING:
@@ -220,15 +220,18 @@ class MetropolisChain:
     respectively); any other subgraph falls back to recomputing the
     density, which is far slower but exact.
 
-    ``step`` and ``sweep`` share one update loop, ``_update``, which reads
-    the state from Python lists: ``_wl`` mirrors the weight matrix row by
-    row and ``_rows`` holds the row sums, since indexing a list costs a
-    fraction of indexing a numpy array.  The triangle and generic modes
-    also write the numpy matrix on every accept, because their increments
-    read it (the triangle through row and column views cached at
-    construction, whose strided BLAS dot fixes the result's last bits).
-    The two-star mode keeps the list state only; ``weights`` and the
-    resync copy it into the matrix first.
+    Each mode has its own update loop, which ``step`` and ``sweep`` share:
+    ``_two_star_loop``, ``_triangle_loop`` or ``_generic_loop``, bound at
+    construction.  A loop takes the entries as a list of rows and a list of
+    columns and reads the state from Python lists, since indexing a list
+    costs a fraction of indexing a numpy array: ``_wl`` mirrors the weight
+    matrix row by row.  The two-star loop keeps the list state and the row
+    sums ``_rows`` only; ``weights`` and the resync copy it into the matrix
+    first.  The triangle and generic loops also write the numpy matrix on
+    every accept, because their increments read it: the triangle through
+    the rows' ``dot`` methods and strided column views bound at
+    construction, whose BLAS dot fixes the result's last bits, the generic
+    through ``hom_density``.
 
     A sweep draws its acceptance uniforms as one block, yet consumes the
     stream as one ``rng.random()`` per step with negative ``log_acc``
@@ -265,23 +268,27 @@ class MetropolisChain:
         self.subgraph = subgraph
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._entries = [(i, j) for i in range(n) for j in range(i, n)]
+        self._triu = np.triu_indices(n)
 
         self._w = _symmetric_draw(params.dist, self._rng, n)
+        self._wl = self._w.tolist()
 
         self._mode = {TWO_STAR: "two-star", TRIANGLE: "triangle"}.get(
             subgraph, "generic"
         )
-        self._graph = WeightedGraph(n, self._w)  # shares the matrix
-        # Row and column views for the triangle increment.  The columns stay
-        # strided: the contiguous row w[j] (equal by symmetry) would take
-        # another BLAS kernel, whose last bits may differ.
-        self._row_views = list(self._w)
-        self._col_views = [self._w[:, j] for j in range(n)]
-        self._wl = self._w.tolist()
-        self._rows = self._w.sum(axis=1).tolist()
-        self._t_edge = float(self._w.sum()) / n**2
-        self._t_sub = self._t_sub_scratch()
+        if self._mode == "two-star":
+            self._loop = self._two_star_loop
+        elif self._mode == "triangle":
+            self._loop = self._triangle_loop
+            # The columns stay strided: the contiguous row w[j] (equal by
+            # symmetry) would take another BLAS kernel, whose last bits may
+            # differ.
+            self._row_dots = [row.dot for row in self._w]
+            self._col_views = [self._w[:, j] for j in range(n)]
+        else:
+            self._loop = self._generic_loop
+            self._graph = WeightedGraph(n, self._w)  # shares the matrix
+        self._t_edge, self._t_sub = self._recount()
 
         self.accepted = 0
         self.proposed = 0
@@ -315,94 +322,155 @@ class MetropolisChain:
         """Current density of the model's p-edge subgraph."""
         return self._t_sub
 
-    def _t_sub_scratch(self) -> float:
+    def _recount(self) -> tuple[float, float]:
+        """Both densities from the matrix; the two-star also redoes ``_rows``."""
         import numpy as np
 
-        n = self.n
+        n, w = self.n, self._w
+        t_edge = float(w.sum()) / n**2
         if self._mode == "two-star":
-            return float(np.dot(self._rows, self._rows)) / n**3
+            self._rows = w.sum(axis=1).tolist()
+            return t_edge, float(np.dot(self._rows, self._rows)) / n**3
         if self._mode == "triangle":
-            return float(np.einsum("ij,jk,ki->", self._w, self._w, self._w)) / n**3
-        return hom_density(self.subgraph, self._graph)
+            return t_edge, float(np.einsum("ij,jk,ki->", w, w, w)) / n**3
+        return t_edge, hom_density(self.subgraph, self._graph)
 
     def state_key(self) -> tuple[float, ...]:
         """Current state as the upper-triangle entries in row-major order."""
-        wl = self._wl
-        return tuple(wl[i][j] for i, j in self._entries)
+        return tuple(v for i, row in enumerate(self._wl) for v in row[i:])
 
     # -- dynamics ----------------------------------------------------------
 
-    def _update(self, pairs, proposals, uniform) -> int:
-        """Metropolis-update each entry (i, j) of ``pairs`` in turn.
+    # Each loop Metropolis-updates entry (ii[k], jj[k]) (mirrored) with
+    # proposal proposals[k] in turn, calls ``uniform()`` once per step whose
+    # ``log_acc`` is negative and returns the number of accepted steps.  On
+    # an accept each assigns the proposal itself: value + delta arithmetic
+    # would land one ulp off the proposal and (for discrete priors) off the
+    # atom grid.  The two-star's row sums and the densities still move by
+    # delta, resynced periodically.
 
-        Entry (i, j) (mirrored) is offered the matching value of
-        ``proposals``; ``uniform()`` is called once per step whose
-        ``log_acc`` is negative.  Returns the number of accepted steps.
-        """
-        n2, n3 = self.n**2, self.n**3
+    def _two_star_loop(self, ii, jj, proposals, uniform) -> int:
+        n2, n3 = float(self.n**2), float(self.n**3)
         beta1, beta2 = self.params.beta1, self.params.beta2
-        log = math.log
-        mode, w, wl, rows = self._mode, self._w, self._wl, self._rows
-        row_views, col_views = self._row_views, self._col_views
-        write_matrix = mode != "two-star"
+        log, wl, rows = math.log, self._wl, self._rows
         t_edge, t_sub = self._t_edge, self._t_sub
         accepted = 0
-        for (i, j), value in zip(pairs, proposals):
+        for i, j, value in zip(ii, jj, proposals):
             wi = wl[i]
             delta = value - wi[j]
-            diag = i == j
-            d_edge = (delta if diag else 2.0 * delta) / n2
-            if mode == "two-star":
-                if diag:
-                    d_sub = delta * (2.0 * rows[i] + delta) / n3
-                else:
-                    d_sub = 2.0 * delta * (rows[i] + rows[j] + delta) / n3
-            elif mode == "triangle":
-                sq = float(row_views[i].dot(col_views[j]))
-                dd = 3.0 * delta**2
-                if diag:
-                    d_sub = (3.0 * delta * sq + dd * wi[i] + delta**3) / n3
-                else:
-                    d_sub = (6.0 * delta * sq + dd * (wi[i] + wl[j][j])) / n3
+            if i == j:
+                d_edge = delta / n2
+                d_sub = delta * (2.0 * rows[i] + delta) / n3
             else:
-                w[i, j] = w[j, i] = wi[j] + delta
-                d_sub = hom_density(self.subgraph, self._graph) - t_sub
-                w[i, j] = w[j, i] = wi[j]
+                d_edge = 2.0 * delta / n2
+                d_sub = 2.0 * delta * (rows[i] + rows[j] + delta) / n3
             log_acc = n2 * (beta1 * d_edge + beta2 * d_sub)
             if log_acc >= 0.0 or log(uniform()) < log_acc:
-                # Assign the proposal itself: value + delta arithmetic would
-                # land one ulp off the proposal and (for discrete priors) off
-                # the atom grid.  Row sums and densities still move by
-                # delta, resynced periodically.
                 wi[j] = wl[j][i] = value
-                if write_matrix:
-                    w[i, j] = w[j, i] = value
                 rows[i] += delta
-                if not diag:
+                if i != j:
                     rows[j] += delta
                 t_edge += d_edge
                 t_sub += d_sub
                 accepted += 1
         self._t_edge, self._t_sub = t_edge, t_sub
-        self.proposed += len(pairs)
+        return accepted
+
+    def _triangle_loop(self, ii, jj, proposals, uniform) -> int:
+        n2, n3 = float(self.n**2), float(self.n**3)
+        beta1, beta2 = self.params.beta1, self.params.beta2
+        log, w, wl = math.log, self._w, self._wl
+        row_dots, col_views = self._row_dots, self._col_views
+        t_edge, t_sub = self._t_edge, self._t_sub
+        accepted = 0
+        for i, j, value in zip(ii, jj, proposals):
+            wi = wl[i]
+            delta = value - wi[j]
+            sq = float(row_dots[i](col_views[j]))
+            dd = 3.0 * delta**2
+            if i == j:
+                d_edge = delta / n2
+                d_sub = (3.0 * delta * sq + dd * wi[i] + delta**3) / n3
+            else:
+                d_edge = 2.0 * delta / n2
+                d_sub = (6.0 * delta * sq + dd * (wi[i] + wl[j][j])) / n3
+            log_acc = n2 * (beta1 * d_edge + beta2 * d_sub)
+            if log_acc >= 0.0 or log(uniform()) < log_acc:
+                wi[j] = wl[j][i] = w[i, j] = w[j, i] = value
+                t_edge += d_edge
+                t_sub += d_sub
+                accepted += 1
+        self._t_edge, self._t_sub = t_edge, t_sub
+        return accepted
+
+    def _generic_loop(self, ii, jj, proposals, uniform) -> int:
+        n2 = float(self.n**2)
+        beta1, beta2 = self.params.beta1, self.params.beta2
+        log, w, wl = math.log, self._w, self._wl
+        subgraph, graph = self.subgraph, self._graph
+        t_edge, t_sub = self._t_edge, self._t_sub
+        accepted = 0
+        for i, j, value in zip(ii, jj, proposals):
+            wi = wl[i]
+            delta = value - wi[j]
+            d_edge = (delta if i == j else 2.0 * delta) / n2
+            w[i, j] = w[j, i] = wi[j] + delta
+            d_sub = hom_density(subgraph, graph) - t_sub
+            w[i, j] = w[j, i] = wi[j]
+            log_acc = n2 * (beta1 * d_edge + beta2 * d_sub)
+            if log_acc >= 0.0 or log(uniform()) < log_acc:
+                wi[j] = wl[j][i] = w[i, j] = w[j, i] = value
+                t_edge += d_edge
+                t_sub += d_sub
+                accepted += 1
+        self._t_edge, self._t_sub = t_edge, t_sub
+        return accepted
+
+    def _update(self, ii, jj, proposals, uniform) -> int:
+        accepted = self._loop(ii, jj, proposals, uniform)
+        self.proposed += len(ii)
         self.accepted += accepted
         return accepted
 
     def step(self, i: int, j: int, proposal: float | None = None) -> bool:
-        """One Metropolis update of entry (i, j); returns acceptance."""
+        """One Metropolis update of entry (i, j); returns acceptance.
+
+        ``i`` and ``j`` are integers in ``0..n-1``; ``proposal`` is a real in
+        the law's support hull, drawn from the prior when omitted.
+        """
+        entry = []
+        for name, index in (("i", i), ("j", j)):
+            index = check_integer(index, 0, name=name, module=_MODULE, operation="step")
+            _require(
+                index < self.n, f"{name} must be < n = {self.n}, got {index}",
+                "step", name,
+            )
+            entry.append(index)
         if proposal is None:
             proposal = self.params.dist.draw(self._rng, 1)[0]
-        return self._update(((i, j),), (float(proposal),), self._rng.random) == 1
+        else:
+            proposal = check_real(
+                proposal, name="proposal", module=_MODULE, operation="step"
+            )
+            lo, hi = self.params.dist.support
+            _require(
+                lo <= proposal <= hi,
+                f"proposal must lie in the support hull [{lo}, {hi}], got {proposal}",
+                "step", "proposal",
+            )
+        i, j = entry
+        return self._update([i], [j], [proposal], self._rng.random) == 1
 
     def sweep(self) -> int:
         """One full sweep over all distinct entries in random order."""
-        rng, m = self._rng, len(self._entries)
+        rng, (rows, cols) = self._rng, self._triu
+        m = len(rows)
         proposals = self.params.dist.draw(rng, m)
-        order = rng.permutation(m).tolist()
+        order = rng.permutation(m)
         saved = rng.bit_generator.state
         uniforms = iter(rng.random(m).tolist())
         accepted = self._update(
-            [self._entries[k] for k in order], proposals, uniforms.__next__
+            rows[order].tolist(), cols[order].tolist(), proposals, uniforms.__next__
         )
         # Rewind the block to the uniforms the loop took (see the class doc).
         used = m - length_hint(uniforms)
@@ -416,9 +484,7 @@ class MetropolisChain:
 
     def _resync(self):
         self._sync_matrix()
-        self._rows = self._w.sum(axis=1).tolist()
-        t_edge = float(self._w.sum()) / self.n**2
-        t_sub = self._t_sub_scratch()
+        t_edge, t_sub = self._recount()
         drift = max(abs(t_edge - self._t_edge), abs(t_sub - self._t_sub))
         self.max_resync_drift = max(self.max_resync_drift, drift)
         self._t_edge = t_edge

@@ -103,6 +103,20 @@ GRAPHS_SITES = [
      "graphs", "SubgraphSpec", "edges", "edge ('a', 2) must join two integer vertices"),
     (lambda: WeightedGraph(None, [[0.5]]),
      "graphs", "WeightedGraph", "n", "n must be an integer, got None"),
+    (lambda: MetropolisChain(FREE, 6, 3).step(-1, 5, 0.9),
+     "graphs", "step", "i", "i must be a nonnegative integer, got -1"),
+    (lambda: MetropolisChain(FREE, 6, 3).step(0, 6),
+     "graphs", "step", "j", "j must be < n = 6, got 6"),
+    (lambda: MetropolisChain(FREE, 6, 3).step(0.5, 1),
+     "graphs", "step", "i", "i must be a nonnegative integer, got 0.5"),
+    (lambda: MetropolisChain(FREE, 6, 3).step(0, 1, math.inf),
+     "graphs", "step", "proposal", "proposal must be a finite real, got inf"),
+    (lambda: MetropolisChain(FREE, 6, 3).step(0, 1, 1.5),
+     "graphs", "step", "proposal",
+     "proposal must lie in the support hull [0.0, 1.0], got 1.5"),
+    (lambda: MetropolisChain(FREE_COIN, 6, 3).step(2, 2, -0.5),
+     "graphs", "step", "proposal",
+     "proposal must lie in the support hull [0.0, 1.0], got -0.5"),
 ]
 
 
@@ -287,6 +301,8 @@ BOUNDARY_SITES = {
     "run_sampler-sweeps": ("graphs", "sweeps", lambda x: run_sampler(FREE, 3, x, 0, 1)),
     "run_sampler-burn_in": ("graphs", "burn_in", lambda x: run_sampler(FREE, 3, 1, x, 1)),
     "enumerate_gibbs-n": ("graphs", "n", lambda x: enumerate_gibbs(FREE_COIN, x)),
+    "step-i": ("graphs", "i", lambda x: MetropolisChain(FREE, 3, 1).step(x, 0)),
+    "step-j": ("graphs", "j", lambda x: MetropolisChain(FREE, 3, 1).step(0, x)),
 }
 
 BAD_NUMBERS = {

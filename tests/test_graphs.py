@@ -8,9 +8,12 @@ Gibbs law on tiny graphs, and the law of large numbers under the prior.
 import hashlib
 import itertools
 import math
+from operator import length_hint
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wergm.cramer import BERNOULLI_HALF, UNIFORM01, finite_support
 from wergm.errors import InputValidationError
@@ -38,9 +41,10 @@ TWO_MATCHING = SubgraphSpec(4, ((1, 2), (3, 4)), "2-matching")
 #: burn_in, seed, subgraph) and then t_edge and t_sub at recorded sweeps 0,
 #: sweeps // 2 and sweeps - 1, the acceptance rate, the largest resync
 #: drift, the final w[0, n-1] and w[n-1, n-1], and the first 16 hex digits
-#: of the SHA-256 of the final matrix's bytes.  The two-star run crosses a
-#: resync at sweep 100.  Any change to the update arithmetic or to the use
-#: of the RNG stream moves these.
+#: of the SHA-256 of the final matrix's bytes.  The two-star run and the
+#: second triangle run cross a resync at sweep 100, so their drifts pin the
+#: tracked densities' rounding.  Any change to the update arithmetic or to
+#: the use of the RNG stream moves these.
 PINNED_CHAINS = [
     pytest.param(
         (ModelParams(-1.0, 2.0, 2), 12, 130, 5, 2024, None),
@@ -57,6 +61,14 @@ PINNED_CHAINS = [
         0.9340909090909091, 0.0,
         (0.03856519736384734, 0.24707508714375825), "2efd68d1bce03461",
         id="triangle-uniform",
+    ),
+    pytest.param(
+        (ModelParams(-0.5, 0.8, 3), 12, 100, 5, 31, None),
+        [0.524970084636695, 0.5240429868822165, 0.4768254285506599],
+        [0.1555491790959876, 0.1539488975170804, 0.1298947982050498],
+        0.94, 5.495603971894525e-15,
+        (0.696715070888683, 0.5970878716036594), "b64bdde9223e8c5d",
+        id="triangle-uniform-resync",
     ),
     pytest.param(
         (ModelParams(0.4, 0.4, 2, THREE_ATOMS), 10, 40, 5, 7, None),
@@ -92,6 +104,94 @@ def hom_density_all_maps(subgraph: SubgraphSpec, graph: WeightedGraph) -> float:
             product *= graph.weights[assignment[i - 1], assignment[j - 1]]
         total += product
     return total / graph.n**subgraph.k
+
+
+class SingleLoopChain(MetropolisChain):
+    """``MetropolisChain`` driven by one update loop for all three modes.
+
+    The loop the per-mode loops replaced, kept as their oracle: it walks a
+    list of ``(i, j)`` tuples and re-tests the mode and the diagonal on
+    every entry, and writes the row sums and, outside the two-star mode,
+    the matrix on every accept.  ``step`` and ``sweep`` feed it exactly as
+    they fed it then; construction and the resync are the chain's own.
+    """
+
+    def __init__(self, params, n, seed, subgraph=None):
+        super().__init__(params, n, seed, subgraph)
+        self._entries = [(i, j) for i in range(n) for j in range(i, n)]
+        self._graph = WeightedGraph(n, self._w)
+        self._row_views = list(self._w)
+        self._col_views = [self._w[:, j] for j in range(n)]
+        self._rows = self._w.sum(axis=1).tolist()
+
+    def _update(self, pairs, proposals, uniform) -> int:
+        n2, n3 = self.n**2, self.n**3
+        beta1, beta2 = self.params.beta1, self.params.beta2
+        log = math.log
+        mode, w, wl, rows = self._mode, self._w, self._wl, self._rows
+        row_views, col_views = self._row_views, self._col_views
+        write_matrix = mode != "two-star"
+        t_edge, t_sub = self._t_edge, self._t_sub
+        accepted = 0
+        for (i, j), value in zip(pairs, proposals):
+            wi = wl[i]
+            delta = value - wi[j]
+            diag = i == j
+            d_edge = (delta if diag else 2.0 * delta) / n2
+            if mode == "two-star":
+                if diag:
+                    d_sub = delta * (2.0 * rows[i] + delta) / n3
+                else:
+                    d_sub = 2.0 * delta * (rows[i] + rows[j] + delta) / n3
+            elif mode == "triangle":
+                sq = float(row_views[i].dot(col_views[j]))
+                dd = 3.0 * delta**2
+                if diag:
+                    d_sub = (3.0 * delta * sq + dd * wi[i] + delta**3) / n3
+                else:
+                    d_sub = (6.0 * delta * sq + dd * (wi[i] + wl[j][j])) / n3
+            else:
+                w[i, j] = w[j, i] = wi[j] + delta
+                d_sub = hom_density(self.subgraph, self._graph) - t_sub
+                w[i, j] = w[j, i] = wi[j]
+            log_acc = n2 * (beta1 * d_edge + beta2 * d_sub)
+            if log_acc >= 0.0 or log(uniform()) < log_acc:
+                wi[j] = wl[j][i] = value
+                if write_matrix:
+                    w[i, j] = w[j, i] = value
+                rows[i] += delta
+                if not diag:
+                    rows[j] += delta
+                t_edge += d_edge
+                t_sub += d_sub
+                accepted += 1
+        self._t_edge, self._t_sub = t_edge, t_sub
+        self.proposed += len(pairs)
+        self.accepted += accepted
+        return accepted
+
+    def step(self, i, j, proposal=None) -> bool:
+        if proposal is None:
+            proposal = self.params.dist.draw(self._rng, 1)[0]
+        return self._update(((i, j),), (float(proposal),), self._rng.random) == 1
+
+    def sweep(self) -> int:
+        rng, m = self._rng, len(self._entries)
+        proposals = self.params.dist.draw(rng, m)
+        order = rng.permutation(m).tolist()
+        saved = rng.bit_generator.state
+        uniforms = iter(rng.random(m).tolist())
+        accepted = self._update(
+            [self._entries[k] for k in order], proposals, uniforms.__next__
+        )
+        used = m - length_hint(uniforms)
+        rng.bit_generator.state = saved
+        if used:
+            rng.random(used)
+        self.sweeps_done += 1
+        if self.sweeps_done % RESYNC_INTERVAL == 0:
+            self._resync()
+        return accepted
 
 
 class TestHomDensity:
@@ -360,6 +460,68 @@ class TestMetropolisChain:
             run_sampler(ModelParams(0.0, 0.0, 2), 10, 0, 0, seed=1)
         with pytest.raises(InputValidationError):
             run_sampler(ModelParams(0.0, 0.0, 2), 10, 10, -1, seed=1)
+
+
+#: (p, subgraph) of each update mode, and the laws the oracle runs them on.
+CHAIN_MODES = {"two-star": (2, None), "triangle": (3, None), "generic": (2, TWO_MATCHING)}
+CHAIN_LAWS = {"uniform": UNIFORM01, "coin": BERNOULLI_HALF, "three-atoms": THREE_ATOMS}
+
+chain_setups = st.tuples(
+    st.sampled_from(sorted(CHAIN_MODES)),
+    st.sampled_from(sorted(CHAIN_LAWS)),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=0.0, max_value=4.0),
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+class TestSingleLoopOracle:
+    """The per-mode loops retrace the single loop bit for bit."""
+
+    @staticmethod
+    def chains(setup):
+        mode, law, beta1, beta2, n, seed = setup
+        p, subgraph = CHAIN_MODES[mode]
+        params = ModelParams(beta1, beta2, p, CHAIN_LAWS[law])
+        return (
+            MetropolisChain(params, n, seed, subgraph),
+            SingleLoopChain(params, n, seed, subgraph),
+        )
+
+    @staticmethod
+    def assert_same(new, old):
+        assert new.weights.tobytes() == old.weights.tobytes()
+        assert new.state_key() == old.state_key()
+        assert (new.t_edge, new.t_sub) == (old.t_edge, old.t_sub)
+        assert (new.accepted, new.proposed) == (old.accepted, old.proposed)
+        assert new.max_resync_drift == old.max_resync_drift
+        assert new._rng.bit_generator.state == old._rng.bit_generator.state
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(setup=chain_setups)
+    def test_sweeps_match(self, setup):
+        new, old = self.chains(setup)
+        # Two sweeps short of a resync: the second sweep runs it, and the
+        # third runs on the resynced row sums and densities.
+        new.sweeps_done = old.sweeps_done = RESYNC_INTERVAL - 2
+        for _ in range(3):
+            assert new.sweep() == old.sweep()
+            self.assert_same(new, old)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(setup=chain_setups)
+    def test_steps_match(self, setup):
+        # Entries in either order, diagonal included; proposals drawn by the
+        # chain, drawn here, and equal to the current value (delta = 0).
+        new, old = self.chains(setup)
+        n, law = new.n, new.params.dist
+        rng = np.random.default_rng(setup[-1])
+        for k in range(4 * n):
+            i, j = rng.integers(n, size=2)
+            proposal = (None, law.draw(rng, 1)[0], new.weights[i, j])[k % 3]
+            assert new.step(i, j, proposal) == old.step(i, j, proposal)
+        self.assert_same(new, old)
 
 
 class TestConcentrationReport:
