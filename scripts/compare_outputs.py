@@ -8,7 +8,8 @@ Every command of the three benchmark workloads (``perfbench/workloads.py``)
 at seeds 1, 2 and 3 runs once on each side, as ``python -m wergm`` in a
 fresh interpreter with that side's ``src`` on ``PYTHONPATH``, and so does
 each malformed command of ``BAD_INPUTS``, whose error record is its
-stderr, so that a changed record shows as a difference.  The base side
+stderr, so that a changed record, or a file a failing command leaves
+behind, shows as a difference.  The base side
 is a ``git archive`` export of ``--base``; the change side is the working
 tree as it is.  Each side's commands write their files under a temporary
 directory of its own, whose path reads ``<out>``, and the side's root
@@ -20,7 +21,8 @@ written file that differs, come the largest absolute and relative
 difference of each numeric CSV column or JSON field that changed, then the
 changed lines: for a CSV table of unchanged shape, each changed row's
 first cell and its changed cells as ``base→change``;
-otherwise a line diff (``-`` base, ``+`` change).
+otherwise a line diff (``-`` base, ``+`` change).  A file that only one
+side wrote is named with its size.
 """
 
 from __future__ import annotations
@@ -49,8 +51,10 @@ SEEDS = (1, 2, 3)
 HUGE = "1" + "0" * 400
 
 #: Malformed commands by name, each of which must end in one error record
-#: (``tests/test_cli.py`` runs them too).  A count that is large but still
-#: finite as a float would build its grid or chain before failing.
+#: and leave no file behind (``tests/test_cli.py`` runs them too).  A count
+#: that is large but still finite as a float would build its grid or chain
+#: before failing.  ``{out}`` in an argument is the command's own output
+#: directory.
 BAD_INPUTS = {
     "psi-p": ["psi", "--p", HUGE, "--beta1", "0", "--beta2", "0"],
     "critical-table-p": ["critical-table", "--p", HUGE],
@@ -61,6 +65,10 @@ BAD_INPUTS = {
     "rate-count": ["rate", "--u", f"0.1:0.9:{HUGE}"],
     "rate-nan": ["rate", "--u", "nan"],
     "psi-beta1-nan": ["psi", "--p", "2", "--beta1", "nan", "--beta2", "0"],
+    "figures-points-nan": ["figures", "--p", "3", "--points", "nan,1",
+                           "--out-dir", "{out}/figs"],
+    "figures-above-corner": ["figures", "--p", "3", "--points=-3,3.1",
+                             "--beta1=-1:-0.5:2", "--out-dir", "{out}/figs"],
 }
 
 
@@ -88,7 +96,8 @@ def _run_side(root: Path, out_root: Path) -> dict:
             for index, command in enumerate(workloads.build(name, seed, out)):
                 results[(name, seed, index)] = _run(root, env, command.argv, out)
     for name, argv in BAD_INPUTS.items():
-        results[(name, None, 0)] = _run(root, env, argv, out_root / "bad")
+        out = out_root / "bad" / name
+        results[(name, None, 0)] = _run(root, env, [a.format(out=out) for a in argv], out)
     return results
 
 
@@ -163,8 +172,11 @@ def _details(base_result, change_result) -> list[str]:
         if old != new:
             lines += _describe(label, old, new)
     for name in sorted(base_files.keys() | change_files.keys()):
-        old, new = base_files.get(name, b""), change_files.get(name, b"")
-        if old != new:
+        old, new = base_files.get(name), change_files.get(name)
+        if old is None or new is None:
+            side, data = ("change", new) if old is None else ("base", old)
+            lines.append(f"    {name}: written by the {side} side only ({len(data)} bytes)")
+        elif old != new:
             lines += _describe(name, old.decode("utf-8", "replace"),
                                new.decode("utf-8", "replace"))
     return lines

@@ -265,19 +265,14 @@ def _cmd_figures(args) -> int:
                 f"--grid-points {args.grid_points} puts a profile point at u = {u!r}: {err}",
                 "figures", "grid_points",
             ) from None
-    out_dir = Path(args.out_dir)
-    with _os_errors(out_dir, "figures", "out_dir"):
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    written = []
+    # Every table is computed before --out-dir is made, so a failing command
+    # leaves no directory and no file behind.
+    tables = []
     for beta1, beta2 in points:
         params = variational.ModelParams(beta1, beta2, args.p)
         rows = [[u, _fmt(variational.objective_at(params, pair)),
                  _fmt(variational.objective_d1_at(params, pair))] for u, pair in profile]
-        path = out_dir / _profile_name(args.p, beta1, beta2)
-        with _create(path, "figures", "out_dir") as stream:
-            _write_csv(stream, ["u", "l", "l_d1"], rows)
-        written.append(path.name)
+        tables.append((_profile_name(args.p, beta1, beta2), ["u", "l", "l_d1"], rows))
 
     if args.beta1 is None:
         corner = critical.find_theta0(args.p).beta1_c
@@ -288,12 +283,16 @@ def _cmd_figures(args) -> int:
     for beta1 in grid:
         bound, point = phase_curve._bound_and_tie(args.p, beta1)
         rows.append([_fmt(beta1), _fmt(bound.m_a), _fmt(bound.m_b), _fmt(point.r)])
-    vregion = out_dir / "vregion.csv"
-    with _create(vregion, "figures", "out_dir") as stream:
-        _write_csv(stream, ["beta1", "m_a", "m_b", "r"], rows)
-    written.append(vregion.name)
+    tables.append(("vregion.csv", ["beta1", "m_a", "m_b", "r"], rows))
 
-    _write_json(sys.stdout, {"out_dir": str(out_dir), "files": written})
+    out_dir = Path(args.out_dir)
+    with _os_errors(out_dir, "figures", "out_dir"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    for name, header, rows in tables:
+        with _create(out_dir / name, "figures", "out_dir") as stream:
+            _write_csv(stream, header, rows)
+    files = [name for name, _, _ in tables]
+    _write_json(sys.stdout, {"out_dir": str(out_dir), "files": files})
     return 0
 
 
@@ -469,7 +468,3 @@ def main(argv=None) -> int:
 
         sys.stderr.write(json.dumps(err.record()) + "\n")
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

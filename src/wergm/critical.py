@@ -82,9 +82,8 @@ def f_of_u(
 ) -> float:
     """Mean-side location profile; ``-f(u0)`` is the critical edge parameter."""
     p = check_integer(p, 2, name="p", module=_MODULE, operation="f_of_u")
-    return u * cramer.rate_d2(dist, u) / (2.0 * (p - 1)) - 0.5 * cramer.rate_d1(
-        dist, u
-    )
+    pair = cramer.dual_theta(dist, u)
+    return u * cramer.rate_d2_at(dist, pair) / (2.0 * (p - 1)) - 0.5 * pair.theta
 
 
 def g_of_theta(p: int, theta: float) -> float:

@@ -1,12 +1,14 @@
 """Tests for the command-line front end.
 
-Invocations go through ``main(argv)`` in-process; one test exercises the
-installed ``python -m`` entry point.  The focus is plumbing — formats,
+Invocations go through ``main(argv)`` in-process; ``TestEntryPoint`` runs
+fresh interpreters, through the ``python -m wergm`` process entry among
+others.  The focus is plumbing — formats,
 determinism, and the error contract — not numerical depth, which the
 module tests own.
 """
 
 import csv
+import gc
 import hashlib
 import importlib.util
 import io
@@ -583,13 +585,15 @@ class TestExtremeInputs:
             }
 
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-    def test_malformed_number_is_one_record(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
+    def test_malformed_number_is_one_record(self, capsys, tmp_path, argv):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, *[arg.format(out=out_dir) for arg in argv])
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
         assert set(json.loads(err)) == {
             "module", "operation", "message", "offending_parameter"
         }
+        assert not out_dir.exists()
 
 
 NUMPY_FREE_SCRIPT = """
@@ -628,6 +632,16 @@ with tempfile.TemporaryDirectory() as out_dir:
 missing = [name for name in wergm.__all__ if not hasattr(wergm, name)]
 assert not missing, missing
 print("numpy-free")
+"""
+
+
+FREEZE_COUNT_SCRIPT = """
+import atexit
+import gc
+import runpy
+
+atexit.register(lambda: print("freeze count", gc.get_freeze_count()))
+runpy.run_module("wergm", run_name="__main__")
 """
 
 
@@ -703,3 +717,40 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("p,theta0,")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["critical-table", "--p", "2"], 0),
+        (["psi", "--p", "1", "--beta1", "0", "--beta2", "0"], 1),
+    ], ids=["ok", "record"])
+    def test_process_exit_freezes_the_heap(self, argv, code):
+        # The process entry moves every object to the permanent generation
+        # on its way out, whatever the exit code, so that the interpreter's
+        # exit-time collections have nothing to walk; the atexit handlers
+        # still run after it.
+        result = subprocess.run(
+            [sys.executable, "-c", FREEZE_COUNT_SCRIPT, *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == code
+        assert result.stderr.count("\n") == code
+        label, count = result.stdout.splitlines()[-1].rsplit(" ", 1)
+        assert label == "freeze count" and int(count) > 0
+
+    def test_main_does_not_freeze(self, capsys):
+        # In-process callers keep running after main returns.
+        before = gc.get_freeze_count()
+        code, _, _ = run_cli(capsys, "critical-table", "--p", "2")
+        assert code == 0
+        assert gc.get_freeze_count() == before
+
+    def test_out_file_is_the_stdout_bytes(self, tmp_path):
+        # Every file a command writes is closed before the process exits.
+        argv = [sys.executable, "-m", "wergm", "psi", "--p", "3", "--beta1", "-1",
+                "--beta2", "2"]
+        path = tmp_path / "psi.json"
+        printed = subprocess.run(argv, capture_output=True, timeout=120)
+        written = subprocess.run([*argv, "--out", str(path)], capture_output=True,
+                                 timeout=120)
+        assert printed.returncode == written.returncode == 0
+        assert written.stdout == written.stderr == b""
+        assert printed.stdout and path.read_bytes() == printed.stdout

@@ -23,8 +23,11 @@ from wergm.critical import (
     m_of_u,
     n_of_theta,
 )
-from wergm.cramer import UNIFORM01, log_mgf_d1
+from wergm import cramer
+from wergm.cramer import UNIFORM01, finite_support, log_mgf_d1, rate_d1, rate_d2
 from wergm.errors import InputValidationError, ThetaCapError
+
+ATOMS = finite_support([(0.2, 0.3), (0.5, 0.4), (0.8, 0.3)])
 
 # Four-decimal reference values: p -> (theta0, n(theta0), u0, m(u0), g(theta0)).
 REFERENCE = {
@@ -72,6 +75,27 @@ class TestDualIdentities:
         for theta in np.linspace(-8.0, 8.0, 33):
             u = log_mgf_d1(UNIFORM01, float(theta))
             assert abs(f_of_u(p, u) - g_of_theta(p, float(theta))) <= 1e-10
+
+    @pytest.mark.parametrize("dist", [UNIFORM01, ATOMS], ids=["uniform", "atoms"])
+    def test_f_solves_the_dual_once(self, monkeypatch, dist):
+        # One dual_theta serves both rate derivatives, with the same bits as
+        # the two separate solves.
+        grid = [(p, float(u)) for p in (2, 3, 5, 10, 150)
+                for u in np.linspace(0.21, 0.79, 13)]
+        expected = [u * rate_d2(dist, u) / (2.0 * (p - 1)) - 0.5 * rate_d1(dist, u)
+                    for p, u in grid]
+        solves = []
+        solve = cramer.dual_theta
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(cramer, "dual_theta", counted)
+        for (p, u), old in zip(grid, expected):
+            solves.clear()
+            assert f_of_u(p, u, dist) == old
+            assert len(solves) == 1
 
     def test_zero_tilt_closed_forms(self):
         # n(0) = p(p-1)/3 * (1/2)^(p-1) and g(0) = 3/(p-1).
