@@ -69,6 +69,9 @@ BAD_INPUTS = {
                            "--out-dir", "{out}/figs"],
     "figures-above-corner": ["figures", "--p", "3", "--points=-3,3.1",
                              "--beta1=-1:-0.5:2", "--out-dir", "{out}/figs"],
+    # /dev/null is a character device, so no directory can be made under it.
+    "figures-out-dir-under-file": ["figures", "--p", "2", "--points=-5,3.5",
+                                   "--out-dir", "/dev/null/figs"],
 }
 
 

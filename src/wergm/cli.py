@@ -17,6 +17,8 @@ comma-separated with a header row, LF line endings, and UTF-8 encoding;
 JSON output is a single top-level object.  Stochastic commands require an
 explicit ``--seed`` so repeated runs are byte-identical.  Any domain error
 is reported as a one-line JSON record on stderr and a nonzero exit status.
+Each ``_cmd_*`` handler returns its output and writes nothing: ``main``
+checks every output path before the handler runs and writes after it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import cramer
@@ -115,12 +117,22 @@ def _create(path, operation: str, parameter: str):
 
 
 def _check_out(args) -> None:
-    """Raise the record opening ``args.out`` would, before any work, unopened."""
-    out = getattr(args, "out", "-")
-    if out == "-":
+    """Raise the record writing ``--out`` or making ``--out-dir`` would, making nothing.
+
+    The directory that would hold the new file, or the nearest existing
+    ancestor of a missing ``--out-dir``, must be a writable directory.
+    """
+    out_dir = getattr(args, "out_dir", None)
+    path, parameter = (args.out, "out") if out_dir is None else (Path(out_dir), "out_dir")
+    target = os.path.abspath(path)
+    if path == "-" or out_dir is not None and os.path.isdir(target):
         return
-    parent = os.path.dirname(os.path.abspath(out))
-    with _os_errors(out, args.command, "out"):
+    with _os_errors(path, args.command, parameter):
+        if out_dir is not None and os.path.exists(target):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST))
+        parent = os.path.dirname(target)
+        while out_dir is not None and not os.path.exists(parent):
+            parent = os.path.dirname(parent)  # mkdir makes the missing ones
         if not os.path.isdir(parent):
             os.stat(parent)  # a missing directory raises here
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
@@ -128,53 +140,57 @@ def _check_out(args) -> None:
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
 
 
-@contextmanager
-def _open_out(args):
-    """Yield a text stream for ``args.out``, with '-' meaning stdout."""
-    if args.out == "-":
-        yield sys.stdout
+def _dump(stream, result) -> None:
+    """Write a payload dict as JSON, or a ``(header, rows)`` table as CSV."""
+    if isinstance(result, dict):
+        import json
+
+        json.dump(result, stream, indent=2, allow_nan=False)
+        stream.write("\n")
     else:
-        with _create(args.out, args.command, "out") as handle:
-            yield handle
+        import csv
+
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(result[0])
+        writer.writerows(result[1])
 
 
-def _write_csv(stream, header: list[str], rows) -> None:
-    import csv
-
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _write_json(stream, payload: dict) -> None:
-    import json
-
-    json.dump(payload, stream, indent=2, allow_nan=False)
-    stream.write("\n")
+def _write(args, result) -> None:
+    """Write figures' tables under --out-dir, then the table or payload to --out."""
+    if isinstance(result, list):
+        out_dir = Path(args.out_dir)
+        with _os_errors(out_dir, args.command, "out_dir"):
+            out_dir.mkdir(parents=True, exist_ok=True)
+        for name, *table in result:
+            with _create(out_dir / name, args.command, "out_dir") as stream:
+                _dump(stream, table)
+        result = {"out_dir": str(out_dir), "files": [name for name, *_ in result]}
+    out = getattr(args, "out", "-")
+    target = nullcontext(sys.stdout) if out == "-" else _create(out, args.command, "out")
+    with target as stream:
+        _dump(stream, result)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_rate(args) -> int:
+def _cmd_rate(args) -> tuple:
     dist = _parse_dist(args)
     rows = []
     for u in _parse_range(args.u, "--u"):
         pair = cramer.dual_theta(dist, u)
         rows.append([_fmt(u), _fmt(cramer.rate_at(dist, pair)), _fmt(pair.theta),
                      _fmt(cramer.rate_d2_at(dist, pair))])
-    with _open_out(args) as stream:
-        _write_csv(stream, ["u", "rate", "rate_d1", "rate_d2"], rows)
-    return 0
+    return ["u", "rate", "rate_d1", "rate_d2"], rows
 
 
-def _cmd_psi(args) -> int:
+def _cmd_psi(args) -> dict:
     from . import variational
 
     params = variational.ModelParams(args.beta1, args.beta2, args.p, _parse_dist(args))
     solution = variational.solve_psi(params)
-    payload = {
+    return {
         "p": args.p,
         "beta1": float(args.beta1),
         "beta2": float(args.beta2),
@@ -183,12 +199,9 @@ def _cmd_psi(args) -> int:
         "classification": solution.classification.value,
         "includes_endpoint": solution.includes_endpoint,
     }
-    with _open_out(args) as stream:
-        _write_json(stream, payload)
-    return 0
 
 
-def _cmd_critical_table(args) -> int:
+def _cmd_critical_table(args) -> tuple:
     from . import critical
 
     try:
@@ -207,12 +220,10 @@ def _cmd_critical_table(args) -> int:
         ])
     header = ["p", "theta0", "n_theta0", "u0", "m_u0", "g_theta0", "f_u0",
               "beta1_c", "beta2_c"]
-    with _open_out(args) as stream:
-        _write_csv(stream, header, rows)
-    return 0
+    return header, rows
 
 
-def _cmd_phase_curve(args) -> int:
+def _cmd_phase_curve(args) -> tuple:
     from . import phase_curve
 
     grid = _parse_range(args.beta1, "--beta1")
@@ -223,10 +234,7 @@ def _cmd_phase_curve(args) -> int:
             _fmt(point.beta1), _fmt(point.r), _fmt(point.u1_star),
             _fmt(point.u2_star), _fmt(point.psi),
         ])
-    header = ["beta1", "r", "u1_star", "u2_star", "psi"]
-    with _open_out(args) as stream:
-        _write_csv(stream, header, rows)
-    return 0
+    return ["beta1", "r", "u1_star", "u2_star", "psi"], rows
 
 
 def _profile_name(p: int, beta1: float, beta2: float) -> str:
@@ -236,7 +244,7 @@ def _profile_name(p: int, beta1: float, beta2: float) -> str:
     return f"profile_p{p}_b1_{tag(beta1)}_b2_{tag(beta2)}.csv"
 
 
-def _cmd_figures(args) -> int:
+def _cmd_figures(args) -> list:
     from . import critical, phase_curve, variational
 
     points = []
@@ -265,8 +273,6 @@ def _cmd_figures(args) -> int:
                 f"--grid-points {args.grid_points} puts a profile point at u = {u!r}: {err}",
                 "figures", "grid_points",
             ) from None
-    # Every table is computed before --out-dir is made, so a failing command
-    # leaves no directory and no file behind.
     tables = []
     for beta1, beta2 in points:
         params = variational.ModelParams(beta1, beta2, args.p)
@@ -284,19 +290,10 @@ def _cmd_figures(args) -> int:
         bound, point = phase_curve._bound_and_tie(args.p, beta1)
         rows.append([_fmt(beta1), _fmt(bound.m_a), _fmt(bound.m_b), _fmt(point.r)])
     tables.append(("vregion.csv", ["beta1", "m_a", "m_b", "r"], rows))
-
-    out_dir = Path(args.out_dir)
-    with _os_errors(out_dir, "figures", "out_dir"):
-        out_dir.mkdir(parents=True, exist_ok=True)
-    for name, header, rows in tables:
-        with _create(out_dir / name, "figures", "out_dir") as stream:
-            _write_csv(stream, header, rows)
-    files = [name for name, _, _ in tables]
-    _write_json(sys.stdout, {"out_dir": str(out_dir), "files": files})
-    return 0
+    return tables
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> tuple | dict:
     from . import graphs, variational
 
     check_seed(args.seed, module=_MODULE, operation="sample", name="--seed")
@@ -309,11 +306,9 @@ def _cmd_sample(args) -> int:
             [str(k), _fmt(stats.t_edge_series[k]), _fmt(stats.t_sub_series[k])]
             for k in range(stats.sweeps)
         ]
-        with _open_out(args) as stream:
-            _write_csv(stream, ["sweep", "t_edge", "t_sub"], rows)
-        return 0
+        return ["sweep", "t_edge", "t_sub"], rows
     report = graphs.concentration_report(stats, params)
-    payload = {
+    return {
         "p": args.p,
         "beta1": float(args.beta1),
         "beta2": float(args.beta2),
@@ -331,12 +326,9 @@ def _cmd_sample(args) -> int:
         "targets": [[_jf(a), _jf(b)] for a, b in report.targets],
         "deviations": [[_jf(a), _jf(b)] for a, b in report.deviations],
     }
-    with _open_out(args) as stream:
-        _write_json(stream, payload)
-    return 0
 
 
-def _cmd_gaussian(args) -> int:
+def _cmd_gaussian(args) -> tuple:
     from . import gaussian_directed
 
     check_seed(args.seed, module=_MODULE, operation="gaussian", name="--seed")
@@ -349,9 +341,7 @@ def _cmd_gaussian(args) -> int:
     row = [_fmt(args.beta1), _fmt(args.beta2), _fmt(exact), _fmt(limit),
            _fmt(estimate), _fmt(std_error)]
     header = ["beta1", "beta2", "psi_n", "psi_inf", "mc_estimate", "std_error"]
-    with _open_out(args) as stream:
-        _write_csv(stream, header, [row])
-    return 0
+    return header, [row]
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_out(args)
-        return args.handler(args)
+        _write(args, args.handler(args))
     except WergmError as err:
         import json
 
         sys.stderr.write(json.dumps(err.record()) + "\n")
         return 1
+    return 0

@@ -364,6 +364,34 @@ class TestFiguresCommand:
             "offending_parameter": "out_dir",
         }
 
+    @pytest.mark.parametrize("where, reason", [
+        ("file/figs", "Not a directory"), ("file", "File exists"),
+    ], ids=["under-a-file", "a-file"])
+    def test_unusable_out_dir_is_reported_before_any_work(
+        self, capsys, tmp_path, monkeypatch, where, reason
+    ):
+        from wergm import cramer
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a profile was solved before --out-dir was checked")
+
+        monkeypatch.setattr(cramer, "dual_theta", fail)
+        (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+        out_dir = tmp_path / where
+        code, out, err = run_cli(
+            capsys, "figures", "--p", "2", "--points=-5,3.5", "--out-dir", str(out_dir),
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "module": "cli",
+            "operation": "figures",
+            "message": f"cannot write to {str(out_dir)!r}: {reason}",
+            "offending_parameter": "out_dir",
+        }
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
+
 
 class TestSampleCommand:
     def test_csv_trajectory_shape(self, capsys):

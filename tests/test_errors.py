@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from wergm import cramer, critical, phase_curve, variational
-from wergm.cli import build_parser
+from wergm.cli import _write, build_parser
 from wergm.cramer import BERNOULLI_HALF, UNIFORM01
 from wergm.errors import InputValidationError, check_integer, check_real
 from wergm.gaussian_directed import GaussianModelParams, psi_n_exact, psi_n_monte_carlo
@@ -122,9 +122,13 @@ GRAPHS_SITES = [
 
 
 def _run_command(*argv):
-    """One CLI command's handler, so that its error propagates as raised."""
+    """One CLI command's handler and writer, so that its error propagates as raised.
+
+    ``main``'s path check is skipped: the writer's own calls must still give
+    the record, as they would if the path changed after the check.
+    """
     args = build_parser().parse_args(list(argv))
-    return args.handler(args)
+    _write(args, args.handler(args))
 
 
 OUTPUT_PATH_SITES = [

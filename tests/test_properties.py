@@ -8,7 +8,9 @@ over a range of ``beta1`` below each corner, and at p = 2 against the
 exact line ``r = -beta1``.  ``solve_psi``, which works on
 the tilt side too, is checked against the mean-side ``objective`` (through
 the dual solve) for all three laws: psi is the supremum, it is attained at
-every interior maximizer, and it is convex in ``beta1``.  Deep ties, far
+every interior maximizer, and it is convex in ``beta1``.  Tilting a
+finite law by ``exp(lam*v) / M(lam)`` must shift ``beta1`` by ``lam/2`` and
+psi by ``-log M(lam)/2``, with the same maximizers.  Deep ties, far
 below the corner and up to p = 200, are traced too.  The fair coin's
 closed-form evaluators are checked against the generic atom-law sums for
 the same two atoms, and the uniform law's third cumulant ``skew`` against a
@@ -24,12 +26,14 @@ leave room for the rounding of ``m``, ``n``, ``f`` and ``g`` themselves.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wergm import cramer, critical
 from wergm.phase_curve import bounding_point, maxima_gap, r_of_beta1
-from wergm.variational import ModelParams, objective, solve_psi
+from wergm.variational import (
+    TIE_RTOL, ModelParams, local_maxima, objective, solve_psi, stationarity,
+)
 
 thetas = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 laws = st.sampled_from(
@@ -133,6 +137,85 @@ def test_solve_psi_is_the_convex_supremum(dist, p, beta1, other_beta1, beta2):
     mid = psi(0.5 * (beta1 + other_beta1))
     chord = 0.5 * (solution.psi + psi(other_beta1))
     assert mid <= chord + 1e-12 * max(1.0, abs(chord))
+
+
+#: Laws of 2-4 atoms on a grid of [0, 1] with weights 1-20, normalized.
+atom_laws = st.lists(
+    st.tuples(st.integers(0, 20), st.integers(1, 20)),
+    min_size=2, max_size=4, unique_by=lambda atom: atom[0],
+).map(lambda atoms: [(v / 20, w / sum(w for _, w in atoms)) for v, w in atoms])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    atoms=atom_laws,
+    lam=st.floats(min_value=-6.0, max_value=6.0, allow_nan=False),
+    p=st.sampled_from([2, 3, 5]),
+    beta1=beta1s,
+    beta2=st.floats(min_value=0.0, max_value=12.0, allow_nan=False),
+)
+def test_tilting_the_law_shifts_beta1(atoms, lam, p, beta1, beta2):
+    # Reweighting each atom by exp(lam*v) / M(lam) gives the law mu_lam with
+    # I_lam(u) = I(u) - lam*u + log M(lam), so psi_lam(beta1, beta2) =
+    # psi(beta1 + lam/2, beta2) - log M(lam)/2 with the same maximizers.  The
+    # same computed log M builds mu_lam and is subtracted, so its own error
+    # cancels.
+    #
+    # Tolerances.  Each reweighted log-probability is off by at most eta =
+    # 4 eps (|lam| + |log M| + max|log q| + max|log q_lam| + 1): the exponent's
+    # sum, exp and the law's log each round once.  Moving every log-weight by
+    # at most eta moves log M_lam(theta), and so the rate, by at most eta, so
+    # psi by eta/2; each side rounds its objective by a few eps per unit of
+    # its terms, bounded through the tilt bound 2|beta1| + |lam| + 2 p beta2 + 1
+    # of every stationary tilt.  The tilted mean moves by at most eta (the
+    # support lies in [0, 1]) plus its own rounding, which moves D by p (p - 1)
+    # beta2 times that; D's own rounding adds a few eps per unit of its terms.
+    # A maximizer's tilt then moves by that over |D'| (plus the ulp at which
+    # newton stops), and its mean by A times the tilt's error.
+    #
+    # Fixed before the first run: a point whose two best candidates (interior
+    # maxima and finite-rate endpoints of the base problem) lie within
+    # 100 TIE_RTOL of each other is skipped, as rounding may tie them on one
+    # side only.
+    dist = cramer.finite_support(atoms)
+    log_m = cramer.log_mgf(dist, lam)
+    tilted = cramer.finite_support(
+        [(v, math.exp(lam * v + math.log(q) - log_m)) for v, q in atoms]
+    )
+    base = ModelParams(beta1 + 0.5 * lam, beta2, p, dist)
+    lo, hi = cramer.support_interval(dist)
+    values = sorted(
+        [m.value for m in local_maxima(base)]
+        + [base.beta1 * u + beta2 * u**p - 0.5 * e
+           for u, e in zip((lo, hi), cramer.endpoint_rate(dist))],
+        reverse=True,
+    )
+    assume(values[0] - values[1] > 100 * TIE_RTOL * max(1.0, abs(values[0])))
+
+    expected, solution = solve_psi(base), solve_psi(ModelParams(beta1, beta2, p, tilted))
+    assert solution.classification is expected.classification
+    assert solution.includes_endpoint == expected.includes_endpoint
+
+    eps = math.ulp(1.0)
+    log_q = max(abs(math.log(q)) for _, q in atoms + list(tilted.atoms))
+    eta = 4 * eps * (abs(lam) + abs(log_m) + log_q + 1.0)
+    theta_bound = 2 * abs(beta1) + abs(lam) + 2 * p * beta2 + 1.0
+    terms = abs(beta1) + abs(lam) + beta2 + 2 * theta_bound + log_q
+    assert abs(solution.psi - (expected.psi - 0.5 * log_m)) <= eta / 2 + 8 * eps * terms
+
+    delta_b = eta + 4 * eps * (theta_bound + log_q)
+    delta_d = p * (p - 1) * beta2 * delta_b + 4 * eps * (
+        abs(beta1) + abs(lam) + p * p * beta2 + theta_bound
+    )
+    slope_d1 = stationarity(base)[1]
+    assert len(solution.maximizers) == len(expected.maximizers)
+    for u, u_expected in zip(solution.maximizers, expected.maximizers):
+        if not lo < u_expected < hi:
+            assert u == u_expected
+            continue
+        theta = cramer.dual_theta(dist, u_expected).theta
+        theta_tol = delta_d / abs(slope_d1(theta)[1]) + 2 * eps * theta_bound
+        assert abs(u - u_expected) <= 2 * (dist.var(theta) * theta_tol + delta_b)
 
 
 _GENERIC_COIN = cramer.finite_support([(0.0, 0.5), (1.0, 0.5)])

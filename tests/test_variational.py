@@ -252,6 +252,25 @@ class TestSolvePsi:
         assert solution.classification is PhaseClass.UNIQUE
         np.testing.assert_allclose(solution.maximizers[0], 0.5, atol=1e-3)
 
+    @pytest.mark.parametrize("beta1, phases", [
+        (-3.0, 2), (-2.0, 2), (-1.2, 2), (-0.8, 1), (-0.5, 1),
+    ])
+    def test_coin_p2_tie_line_ends_at_the_radin_yin_corner(self, beta1, phases):
+        # Radin & Yin (2013): the coin's corner is (log(p-1)/2 - p/(2(p-1)),
+        # p**(p-1)/(2(p-1)**p)), which is (-1, 1) at p = 2.  w -> 1 - w maps
+        # the objective at (beta1, -beta1) onto itself, so beta2 = -beta1 is
+        # the exact tie line: maxima at u and 1 - u below the corner, one
+        # maximum at 1/2 above it.  Rounding bound as for the uniform's tie
+        # line in test_properties.py.
+        solution = solve_psi(ModelParams(beta1, -beta1, 2, BERNOULLI_HALF))
+        if phases == 1:
+            assert solution.classification is PhaseClass.UNIQUE
+            assert solution.maximizers == (0.5,)
+            return
+        assert solution.classification is PhaseClass.TWO_GLOBAL
+        u1, u2 = solution.maximizers
+        assert abs(u1 + u2 - 1.0) <= 16.0 * math.ulp(1.0) / (u2 - u1) ** 2
+
     def test_coin_closed_form_and_grid_oracle(self):
         # Vectorized entropy expression, independent of the rate module.
         grid = np.linspace(1e-9, 1.0 - 1e-9, 1_000_001)
