@@ -72,6 +72,10 @@ BAD_INPUTS = {
     # /dev/null is a character device, so no directory can be made under it.
     "figures-out-dir-under-file": ["figures", "--p", "2", "--points=-5,3.5",
                                    "--out-dir", "/dev/null/figs"],
+    # theta0 lies past THETA_MAX from p of about 1390 on.
+    "critical-table-past-cap": ["critical-table", "--p", "1401"],
+    "rate-past-cap": ["rate", "--u", "0.999"],
+    "rate-out-is-dir": ["rate", "--u", "0.5", "--out", "/"],
 }
 
 

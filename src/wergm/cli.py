@@ -119,18 +119,20 @@ def _create(path, operation: str, parameter: str):
 def _check_out(args) -> None:
     """Raise the record writing ``--out`` or making ``--out-dir`` would, making nothing.
 
-    The directory that would hold the new file, or the nearest existing
-    ancestor of a missing ``--out-dir``, must be a writable directory.
+    ``--out`` must not be a directory; its parent, or ``--out-dir`` itself or
+    its nearest existing ancestor, must be a writable directory.
     """
     out_dir = getattr(args, "out_dir", None)
     path, parameter = (args.out, "out") if out_dir is None else (Path(out_dir), "out_dir")
-    target = os.path.abspath(path)
-    if path == "-" or out_dir is not None and os.path.isdir(target):
+    if path == "-":
         return
+    target = os.path.abspath(path)
+    parent = os.path.dirname(target) if out_dir is None else target
     with _os_errors(path, args.command, parameter):
-        if out_dir is not None and os.path.exists(target):
+        if out_dir is None and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if out_dir is not None and os.path.exists(target) and not os.path.isdir(target):
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST))
-        parent = os.path.dirname(target)
         while out_dir is not None and not os.path.exists(parent):
             parent = os.path.dirname(parent)  # mkdir makes the missing ones
         if not os.path.isdir(parent):

@@ -30,8 +30,8 @@ tilts it computes, except ``rate_at``/``rate_d2_at``, which check theirs.
   each, with closed-form evaluators and an integer sampler.
 
 Every law evaluates at any finite tilt.  ``widen`` grows a bracket outward
-until a function changes sign across it; ``dual_theta`` stops it at
-|theta| = THETA_MAX and fails loudly there rather than searching on.
+until a function changes sign across it, or raises its caller's record;
+``dual_theta`` stops it at |theta| = THETA_MAX rather than searching on.
 The safeguarded ``newton``, the package's one root finder, refines the
 root inside a bracket until it hits an exact zero or adjacent floats.
 """
@@ -395,34 +395,28 @@ def newton(fn, lo: float, hi: float, fn_lo: float, start: float | None = None) -
         x = target
 
 
-def widen(fn, inner: float, fn_inner: float, edge: float, *, limit: float = math.inf,
-          message: str = "", operation: str = "widen", parameter: str = "theta"):
+def widen(fn, inner: float, fn_inner: float, edge: float, *, error, limit: float = math.inf):
     """Grow a bracket outward from ``inner`` until ``fn`` changes sign on it.
 
     ``fn_inner`` is ``fn(inner)``, nonzero.  The sign of ``edge`` gives the
     direction; ``edge`` doubles (its magnitude clamped to ``limit``) until it
     lies beyond ``inner`` and ``fn(edge)`` is zero or has the other sign.
-    Returns ``(edge, fn(edge))``.  Raises ``ThetaCapError``, with ``message``
-    if given, when ``|edge|`` reaches ``limit`` or ``fn`` overflows before the
-    sign changes, or ``edge`` overflows (``fn`` is never called at +-inf).
+    Returns ``(edge, fn(edge))``.  Raises ``error()``, the caller's record,
+    when ``|edge|`` reaches ``limit``, ``fn`` raises ``OverflowError`` or
+    ``ZeroDivisionError``, or ``edge`` overflows (``fn`` never sees +-inf).
     """
     while math.isfinite(edge):
         if (edge > inner) == (edge > 0.0):
             try:
                 fn_edge = fn(edge)
-            except OverflowError:
+            except (OverflowError, ZeroDivisionError):
                 break
             if fn_edge == 0.0 or (fn_edge > 0.0) != (fn_inner > 0.0):
                 return edge, fn_edge
         if abs(edge) >= limit:
             break
         edge = math.copysign(min(2.0 * abs(edge), limit), edge)
-    raise ThetaCapError(
-        message or f"no sign change between theta = {inner:g} and {edge:g}",
-        module=_MODULE,
-        operation=operation,
-        offending_parameter=parameter,
-    )
+    raise error()
 
 
 def dual_theta(dist: EdgeDistribution, u: float) -> DualPair:
@@ -430,8 +424,8 @@ def dual_theta(dist: EdgeDistribution, u: float) -> DualPair:
 
     ``newton`` with the slope ``log_mgf_d2``, on a bracket that ``widen``
     grows from the origin, down to adjacent floats.  Raises ``SupportError``
-    if ``u`` (a finite real) is outside the open support interior and
-    ``ThetaCapError`` if no tilt within |theta| <= THETA_MAX reaches ``u``:
+    if ``u`` (a finite real) is outside the open support interior and, through
+    ``widen``, ``ThetaCapError`` if no |theta| <= THETA_MAX reaches ``u``:
     past the cap the uniform's mean is within 1/700 of a support end, where
     it rounds with absolute error, so the rate would lose digits (7e-12
     relative at u = 0.999999, 2e-6 at u = 1 - 2**-40).
@@ -455,8 +449,10 @@ def dual_theta(dist: EdgeDistribution, u: float) -> DualPair:
         return DualPair(0.0, u)
     edge, r_edge = widen(
         residual, 0.0, r0, 1.0 if r0 < 0.0 else -1.0, limit=THETA_MAX,
-        message=f"mean u = {u:g} needs a tilt beyond the cap {THETA_MAX:g}",
-        operation="dual_theta", parameter="u",
+        error=lambda: ThetaCapError(
+            f"mean u = {u:g} needs a tilt beyond the cap {THETA_MAX:g}",
+            module=_MODULE, operation="dual_theta", offending_parameter="u",
+        ),
     )
     lo, hi, r_lo = (0.0, edge, r0) if r0 < 0.0 else (edge, 0.0, r_edge)
     theta = newton(lambda t: (dist.mean(t) - u, dist.var(t)), lo, hi, r_lo)

@@ -122,7 +122,6 @@ class CriticalData(NamedTuple):
     beta2_c: float
 
 
-@lru_cache(maxsize=64)
 def find_theta0(p: int) -> CriticalData:
     """Critical tilt and corner coordinates for the uniform(0, 1) law.
 
@@ -132,25 +131,26 @@ def find_theta0(p: int) -> CriticalData:
     ``cramer.widen`` doubles the bracket's right end from 1 until ``g' >=
     0`` there, and ``cramer.newton`` refines the root by bisection (it is
     given no slope) to adjacent floats.  The root is near p/2 for large p;
-    raises ``ThetaCapError`` when ``g'`` is still < 0 at THETA_MAX (from p
-    of about 1390 on).  The corner is ``(-g, 1/n)`` at theta0, so ``m_u0``
-    and ``f_u0`` equal ``beta2_c`` and ``-beta1_c`` by construction.
+    ``widen`` raises this function's ``ThetaCapError`` when ``g'`` is still
+    < 0 at THETA_MAX (from p of about 1390 on).  The corner is ``(-g, 1/n)``
+    at theta0, so ``m_u0 == beta2_c`` and ``f_u0 == -beta1_c``.  ``p`` is
+    checked before the cache (``cache_info``, ``cache_clear``) sees it.
     """
-    p = check_integer(p, 2, name="p", module=_MODULE, operation="find_theta0")
+    return _corner(check_integer(p, 2, name="p", module=_MODULE, operation="find_theta0"))
+
+
+@lru_cache(maxsize=64)
+def _corner(p: int) -> CriticalData:
     theta0, slope0 = 0.0, g_d1(p, 0.0)[1]
     if slope0 < 0.0:
-        try:
-            edge, _ = cramer.widen(
-                lambda t: g_d1(p, t)[1], 0.0, slope0, 1.0, limit=cramer.THETA_MAX
-            )
-        except ThetaCapError:
-            raise ThetaCapError(
+        edge, _ = cramer.widen(
+            lambda t: g_d1(p, t)[1], 0.0, slope0, 1.0, limit=cramer.THETA_MAX,
+            error=lambda: ThetaCapError(
                 f"the critical tilt for p = {p} lies beyond the searched tilts "
                 f"[0, {cramer.THETA_MAX:g}]",
-                module=_MODULE,
-                operation="find_theta0",
-                offending_parameter="p",
-            ) from None
+                module=_MODULE, operation="find_theta0", offending_parameter="p",
+            ),
+        )
         theta0 = cramer.newton(lambda t: (g_d1(p, t)[1], math.nan), 0.0, edge, slope0)
     n0 = n_of_theta(p, theta0)
     g0 = g_d1(p, theta0)[0]
@@ -165,6 +165,9 @@ def find_theta0(p: int) -> CriticalData:
         beta1_c=-g0,
         beta2_c=1.0 / n0,
     )
+
+
+find_theta0.cache_info, find_theta0.cache_clear = _corner.cache_info, _corner.cache_clear
 
 
 def critical_table(p_list) -> list[CriticalData]:

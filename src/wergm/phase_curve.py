@@ -97,13 +97,20 @@ def _h(p: int, beta1: float, theta: float) -> float:
     return rise / denom
 
 
+def _unbracketed(what: str, p: int, beta1: float, operation: str):
+    return lambda: ThetaCapError(
+        f"{what} for p = {p} at beta1 = {beta1:g} cannot be bracketed in floating point",
+        module=_MODULE, operation=operation, offending_parameter="beta1",
+    )
+
+
 def _turns(p: int, beta1: float, operation: str) -> tuple[float, float, float, float, float]:
     """Checked ``beta1``, turning tilts ``theta_a, theta_b`` and ``h`` there, ``m_a, m_b``.
 
     The turning tilts are the roots ``theta_a < theta0 < theta_b`` of ``g =
     -beta1``, for ``beta1`` below the critical value.  Errors name
-    ``operation``; where a bracket cannot reach a root, ``ThetaCapError``:
-    from |beta1| of about 1e81 on, ``A**2`` underflows in ``g'`` first.
+    ``operation``; ``widen`` raises one ``ThetaCapError`` for both sides, from
+    |beta1| of about 1e81 on, where ``A**2`` underflows in ``g'`` first.
     """
     beta1 = check_real(beta1, name="beta1", module=_MODULE, operation=operation)
     data = critical.find_theta0(p)
@@ -125,18 +132,9 @@ def _turns(p: int, beta1: float, operation: str) -> tuple[float, float, float, f
         return resid_d1(theta)[0]
 
     # resid(theta0) = beta1 - beta1_c < 0: each side brackets one root.
-    r0 = resid(theta0)
-    try:
-        left, r_left = cramer.widen(resid, theta0, r0, -THETA_WINDOW)
-        right, _ = cramer.widen(resid, theta0, r0, THETA_WINDOW)
-    except ZeroDivisionError:
-        raise ThetaCapError(
-            f"the turning tilts for p = {p} at beta1 = {beta1:g} cannot be "
-            "bracketed in floating point",
-            module=_MODULE,
-            operation=operation,
-            offending_parameter="beta1",
-        ) from None
+    r0, cap = resid(theta0), _unbracketed("the turning tilts", p, beta1, operation)
+    left, r_left = cramer.widen(resid, theta0, r0, -THETA_WINDOW, error=cap)
+    right, _ = cramer.widen(resid, theta0, r0, THETA_WINDOW, error=cap)
     theta_a = cramer.newton(resid_d1, left, theta0, r_left)
     theta_b = cramer.newton(resid_d1, theta0, right, r0)
     return beta1, theta_a, theta_b, _h(p, beta1, theta_a), _h(p, beta1, theta_b)
@@ -270,7 +268,8 @@ def _tie(p: int, turns: tuple[float, float, float, float, float]) -> PhaseCurveP
         return min(m_a, _h(p, beta1, edge))
 
     # The gap is -inf at m_b = h(theta_b).
-    edge, _ = cramer.widen(lambda t: gap(upper(t))[0], theta_b, -math.inf, THETA_WINDOW)
+    edge, _ = cramer.widen(lambda t: gap(upper(t))[0], theta_b, -math.inf, THETA_WINDOW,
+                           error=_unbracketed("the transition beta2", p, beta1, "r_of_beta1"))
     r = cramer.newton(gap, m_b, upper(edge), -math.inf)
     params = variational.ModelParams(beta1, r, p)
     theta1, theta2 = _maxima(params, turns, "r_of_beta1", tilts)

@@ -14,6 +14,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -392,6 +393,31 @@ class TestFiguresCommand:
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
         assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
 
+    def test_existing_out_dir_that_cannot_be_written_is_reported_before_any_work(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from wergm import cramer
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a profile was solved before --out-dir was checked")
+
+        # The tests run as root, for whom os.access allows every write.
+        monkeypatch.setattr(cramer, "dual_theta", fail)
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        out_dir = tmp_path / "figs"
+        out_dir.mkdir()
+        code, out, err = run_cli(
+            capsys, "figures", "--p", "2", "--points=-5,3.5", "--out-dir", str(out_dir),
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "module": "cli",
+            "operation": "figures",
+            "message": f"cannot write to {str(out_dir)!r}: Permission denied",
+            "offending_parameter": "out_dir",
+        }
+        assert list(out_dir.iterdir()) == []
+
 
 class TestSampleCommand:
     def test_csv_trajectory_shape(self, capsys):
@@ -540,6 +566,27 @@ class TestOutputPath:
         assert json.loads(err)["message"] == (
             f"cannot write to {str(path)!r}: Not a directory"
         )
+
+    def test_out_that_is_a_directory_is_reported_before_any_work(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from wergm import cramer
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a rate was solved before --out was checked")
+
+        monkeypatch.setattr(cramer, "dual_theta", fail)
+        with pytest.raises(IsADirectoryError) as opened:
+            open(tmp_path, "w")
+        code, out, err = run_cli(capsys, "rate", "--u", "0.5", "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "module": "cli",
+            "operation": "rate",
+            "message": f"cannot write to {str(tmp_path)!r}: {opened.value.strerror}",
+            "offending_parameter": "out",
+        }
+        assert list(tmp_path.iterdir()) == []
 
     def test_existing_file_survives_a_domain_error(self, capsys, tmp_path):
         path = tmp_path / "kept.csv"

@@ -245,6 +245,18 @@ class TestNewton:
         assert len(seen) <= 20
 
 
+def caller_record() -> ThetaCapError:
+    return ThetaCapError(
+        "no bracket", module="caller", operation="search", offending_parameter="x"
+    )
+
+
+CALLER_RECORD = {
+    "module": "caller", "operation": "search", "message": "no bracket",
+    "offending_parameter": "x",
+}
+
+
 class TestWiden:
     def test_doubles_the_edge_until_the_sign_changes(self):
         seen = []
@@ -253,7 +265,7 @@ class TestWiden:
             seen.append(x)
             return x - 5.0
 
-        assert cramer.widen(fn, 0.0, -5.0, 1.0) == (8.0, 3.0)
+        assert cramer.widen(fn, 0.0, -5.0, 1.0, error=caller_record) == (8.0, 3.0)
         assert seen == [1.0, 2.0, 4.0, 8.0]
 
     def test_edge_short_of_inner_is_doubled_first(self):
@@ -264,32 +276,50 @@ class TestWiden:
             seen.append(x)
             return x + 1200.0
 
-        assert cramer.widen(fn, -1000.0, 200.0, -680.0) == (-1360.0, -160.0)
+        assert cramer.widen(fn, -1000.0, 200.0, -680.0, error=caller_record) == (
+            -1360.0, -160.0
+        )
         assert seen == [-1360.0]
 
     def test_limit_record(self):
-        with pytest.raises(ThetaCapError) as excinfo:
-            cramer.widen(lambda x: -1.0, 0.0, -1.0, 1.0, limit=700.0)
-        assert excinfo.value.record() == {
-            "module": "cramer",
-            "operation": "widen",
-            "message": "no sign change between theta = 0 and 700",
-            "offending_parameter": "theta",
-        }
+        seen = []
 
-    @pytest.mark.parametrize("fn,edge", [
-        (lambda x: -math.exp(x), "1024"),  # math.exp raises OverflowError
-        (lambda x: -1.0, "inf"),  # the edge itself overflows
-    ], ids=["fn-overflow", "edge-overflow"])
-    def test_overflow_record(self, fn, edge):
+        def fn(x):
+            seen.append(x)
+            return -1.0
+
         with pytest.raises(ThetaCapError) as excinfo:
-            cramer.widen(fn, 0.0, -1.0, 1.0)
-        assert excinfo.value.record() == {
-            "module": "cramer",
-            "operation": "widen",
-            "message": f"no sign change between theta = 0 and {edge}",
-            "offending_parameter": "theta",
-        }
+            cramer.widen(fn, 0.0, -1.0, 1.0, error=caller_record, limit=700.0)
+        assert excinfo.value.record() == CALLER_RECORD
+        assert seen[-2:] == [512.0, 700.0]
+
+    @pytest.mark.parametrize("fn", [
+        lambda x: -math.exp(x),  # math.exp raises OverflowError
+        lambda x: -1.0,  # the edge itself overflows
+    ], ids=["fn-overflow", "edge-overflow"])
+    def test_overflow_record(self, fn):
+        with pytest.raises(ThetaCapError) as excinfo:
+            cramer.widen(fn, 0.0, -1.0, 1.0, error=caller_record)
+        assert excinfo.value.record() == CALLER_RECORD
+
+    def test_zero_division_record(self):
+        # -1/0 raises ZeroDivisionError once the edge passes 100, at 128.
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return -1.0 / max(100.0 - x, 0.0)
+
+        with pytest.raises(ThetaCapError) as excinfo:
+            cramer.widen(fn, 0.0, -1.0, 1.0, error=caller_record)
+        assert excinfo.value.record() == CALLER_RECORD
+        assert seen[-1] == 128.0
+
+    def test_the_record_is_built_only_on_a_stop(self):
+        def refuse():
+            raise AssertionError("record built for a bracket that was found")
+
+        assert cramer.widen(lambda x: x - 3.0, 0.0, -3.0, 1.0, error=refuse) == (4.0, 1.0)
 
     def test_stops_before_the_infinite_edge(self):
         # Library code calls the laws unchecked, so widen itself must not
@@ -300,8 +330,9 @@ class TestWiden:
             seen.append(x)
             return -1.0 if math.isfinite(x) else 1.0
 
-        with pytest.raises(ThetaCapError):
-            cramer.widen(fn, 0.0, -1.0, 1.0)
+        with pytest.raises(ThetaCapError) as excinfo:
+            cramer.widen(fn, 0.0, -1.0, 1.0, error=caller_record)
+        assert excinfo.value.record() == CALLER_RECORD
         assert all(map(math.isfinite, seen))
 
 

@@ -25,7 +25,7 @@ from wergm.critical import (
 )
 from wergm import cramer
 from wergm.cramer import UNIFORM01, finite_support, log_mgf_d1, rate_d1, rate_d2
-from wergm.errors import InputValidationError, ThetaCapError
+from wergm.errors import GradientUndefinedError, InputValidationError, ThetaCapError
 
 ATOMS = finite_support([(0.2, 0.3), (0.5, 0.4), (0.8, 0.3)])
 
@@ -96,6 +96,17 @@ class TestDualIdentities:
             solves.clear()
             assert f_of_u(p, u, dist) == old
             assert len(solves) == 1
+
+    def test_m_is_undefined_where_u_to_the_p_minus_2_vanishes(self):
+        # On the atoms -1 and 1, u = 0 is inside the support, and u**(p-2) = 0.
+        with pytest.raises(GradientUndefinedError) as excinfo:
+            m_of_u(3, 0.0, finite_support([(-1.0, 0.5), (1.0, 0.5)]))
+        assert excinfo.value.record() == {
+            "module": "critical",
+            "operation": "m_of_u",
+            "message": "m is undefined at u = 0.0 for p = 3",
+            "offending_parameter": "u",
+        }
 
     def test_zero_tilt_closed_forms(self):
         # n(0) = p(p-1)/3 * (1/2)^(p-1) and g(0) = 3/(p-1).
@@ -178,10 +189,13 @@ class TestFindTheta0:
         # theta0 is about p/2, past the evaluation cap THETA_MAX = 700 here.
         with pytest.raises(ThetaCapError) as excinfo:
             find_theta0(2000)
-        record = excinfo.value.record()
-        assert record["module"] == "critical"
-        assert record["operation"] == "find_theta0"
-        assert record["offending_parameter"] == "p"
+        assert excinfo.value.record() == {
+            "module": "critical",
+            "operation": "find_theta0",
+            "message": "the critical tilt for p = 2000 lies beyond the searched tilts "
+                       "[0, 700]",
+            "offending_parameter": "p",
+        }
 
     def test_u0_increases_with_p(self):
         u0s = [find_theta0(p).u0 for p in (2, 3, 4, 5, 7, 10)]
@@ -191,6 +205,13 @@ class TestFindTheta0:
     def test_rejects_bad_p(self):
         with pytest.raises(InputValidationError):
             find_theta0(1)
+
+    def test_unhashable_p_is_checked_before_the_cache(self):
+        misses = find_theta0.cache_info().misses
+        with pytest.raises(InputValidationError) as excinfo:
+            find_theta0([3])
+        assert excinfo.value.record()["offending_parameter"] == "p"
+        assert find_theta0.cache_info().misses == misses
 
     def test_cached_record_is_read_only(self):
         data = find_theta0(3)

@@ -314,17 +314,10 @@ BAD_NUMBERS = {
     "int-1e400": 10**400, "list": [1.0],
 }
 
-#: ``find_theta0`` keeps its ``lru_cache``, which hashes ``p`` before the
-#: check runs: an unhashable ``p`` raises the cache's ``TypeError`` there
-#: and in every call that hands ``p`` to it first.
-CACHED_P = {"find_theta0-p", "critical_table-p", "bounding_point-p", "maxima_gap-p",
-            "r_of_beta1-p", "trace_curve-p", "jump_profile-p"}
-
 BOUNDARY_CASES = [
     pytest.param(module, parameter, call, value, id=f"{site}-{label}")
     for site, (module, parameter, call) in BOUNDARY_SITES.items()
     for label, value in BAD_NUMBERS.items()
-    if not (site in CACHED_P and label == "list")
 ]
 
 

@@ -11,7 +11,7 @@ side, bracket geometry, and monotone trends along the curve.
 import numpy as np
 import pytest
 
-from wergm import cramer
+from wergm import cramer, phase_curve
 from wergm.critical import critical_table, f_of_u, find_theta0, m_of_u
 from wergm.errors import InputValidationError, NoTwoPhaseRegionError, ThetaCapError
 from wergm.phase_curve import (
@@ -93,9 +93,13 @@ class TestBoundingPoint:
         # A**2 underflows in g' before widen reaches it.
         with pytest.raises(ThetaCapError) as excinfo:
             fn(p, beta1)
-        record = excinfo.value.record()
-        assert (record["module"], record["operation"]) == ("phase_curve", fn.__name__)
-        assert record["offending_parameter"] == "beta1"
+        assert excinfo.value.record() == {
+            "module": "phase_curve",
+            "operation": fn.__name__,
+            "message": f"the turning tilts for p = {p} at beta1 = {beta1:g} cannot be "
+                       "bracketed in floating point",
+            "offending_parameter": "beta1",
+        }
 
     def test_maxima_out_of_float_reach_name_the_caller(self):
         # m_a is inf here, so beta2 = 1e307 lies between the bounds, and the
@@ -105,6 +109,23 @@ class TestBoundingPoint:
         record = excinfo.value.record()
         assert (record["module"], record["operation"]) == ("phase_curve", "maxima_gap")
         assert record["offending_parameter"] == "beta2"
+
+
+def test_tie_out_of_float_reach_names_r_of_beta1(monkeypatch):
+    # No tested point reaches it: with the gap held at -inf, the tilt that
+    # sets the upper end of the beta2 bracket doubles until it overflows.
+    monkeypatch.setattr(
+        phase_curve, "_gap", lambda params, turns, operation, start: (-np.inf, np.nan, start)
+    )
+    with pytest.raises(ThetaCapError) as excinfo:
+        r_of_beta1(3, -3.0)
+    assert excinfo.value.record() == {
+        "module": "phase_curve",
+        "operation": "r_of_beta1",
+        "message": "the transition beta2 for p = 3 at beta1 = -3 cannot be bracketed "
+                   "in floating point",
+        "offending_parameter": "beta1",
+    }
 
 
 def test_corner_and_curve_make_no_dual_solve(monkeypatch):
@@ -134,6 +155,10 @@ class TestMaximaGap:
         assert np.all(np.diff(gaps) > 0.0)
         assert gaps[0] < 0.0 < gaps[-1]
         assert len(finite) >= 3  # interior points have both maxima alive
+
+    def test_no_upper_maximum_at_or_below_m_b(self):
+        bound = bounding_point(3, -3.0)
+        assert maxima_gap(3, -3.0, bound.m_b - 0.1) == -np.inf
 
 
 class TestROfBeta1:
@@ -306,6 +331,16 @@ class TestTraceAndJump:
         assert all(pt.beta1 < corner for pt in points)
         with pytest.raises(InputValidationError):
             trace_curve(2, -4.0, 0.0, 5)
+
+    def test_empty_range_is_a_record(self):
+        with pytest.raises(InputValidationError) as excinfo:
+            trace_curve(3, -1.5, -2.0, 5)
+        assert excinfo.value.record() == {
+            "module": "phase_curve",
+            "operation": "trace_curve",
+            "message": "empty tracing range: [-1.5, -2]",
+            "offending_parameter": "beta1_lo",
+        }
 
     def test_jump_profile_p2_components_equal(self):
         edge_jump, sub_jump = jump_profile(2, -5.0)
