@@ -76,6 +76,15 @@ BAD_INPUTS = {
     "critical-table-past-cap": ["critical-table", "--p", "1401"],
     "rate-past-cap": ["rate", "--u", "0.999"],
     "rate-out-is-dir": ["rate", "--u", "0.5", "--out", "/"],
+    "rate-out-empty": ["rate", "--u", "0.5", "--out", ""],
+    # open resolves ".." from /dev/null, which is not a directory.
+    "rate-out-above-device": ["rate", "--u", "0.5", "--out", "/dev/null/.."],
+    "figures-out-dir-through-device": ["figures", "--p", "2", "--points=-5,3.5",
+                                       "--out-dir", "/dev/null/../figs"],
+    "rate-count-zero": ["rate", "--u", "0.3:0.7:0"],
+    "rate-atoms-without-prob": ["rate", "--u", "0.5", "--atoms", "0.2:0.5"],
+    "figures-points-without-comma": ["figures", "--p", "3", "--points", "1;2",
+                                     "--out-dir", "{out}/figs"],
 }
 
 

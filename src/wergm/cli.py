@@ -119,25 +119,29 @@ def _create(path, operation: str, parameter: str):
 def _check_out(args) -> None:
     """Raise the record writing ``--out`` or making ``--out-dir`` would, making nothing.
 
-    ``--out`` must not be a directory; its parent, or ``--out-dir`` itself or
-    its nearest existing ancestor, must be a writable directory.
+    Each path is judged as given, as ``open`` and ``mkdir`` resolve it: a
+    ``..`` needs the component before it to be a directory.  ``--out`` must
+    not be a directory or end in a separator, and its parent must be a
+    writable directory; ``--out-dir`` must not be a non-directory with its
+    ``..`` folded, and its nearest existing path must be a writable directory.
     """
     out_dir = getattr(args, "out_dir", None)
     path, parameter = (args.out, "out") if out_dir is None else (Path(out_dir), "out_dir")
     if path == "-":
         return
-    target = os.path.abspath(path)
-    parent = os.path.dirname(target) if out_dir is None else target
+    if out_dir is None:  # '' has no parent, and 'x/' is in the parent of x
+        parent = os.path.dirname(path.rstrip(os.sep)) or (path and os.curdir)
+    else:
+        parent = next(p for p in (path, *path.parents) if os.path.exists(p))
     with _os_errors(path, args.command, parameter):
-        if out_dir is None and os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        target = os.path.abspath(path)
         if out_dir is not None and os.path.exists(target) and not os.path.isdir(target):
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST))
-        while out_dir is not None and not os.path.exists(parent):
-            parent = os.path.dirname(parent)  # mkdir makes the missing ones
         if not os.path.isdir(parent):
             os.stat(parent)  # a missing directory raises here
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if out_dir is None and (os.path.isdir(path) or path.endswith(os.sep)):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if not os.access(parent, os.W_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
 

@@ -272,13 +272,16 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
     B(theta_b)]`` (0 at the least when that straddles 0 and ``p - 1`` is
     even).  A block whose enclosure clears 0 by ``1e-9*p*(|lo| + |hi|)``,
     far more than the rounding of ``D``, holds no crossing and is dropped.
-    So every adjacent pair of grid points where ``D`` may cross is seen,
-    with the values a full scan would give, and ``cramer.newton`` refines
-    each ``+ -> -`` crossing to adjacent floats.  A crossing whose mean
-    rounds onto a support endpoint of finite rate (an endpoint atom) is
-    dropped, since the endpoint candidate of ``solve_psi`` stands for it;
-    at an endpoint of infinite rate it is kept.  No global filtering is
-    applied; ``solve_psi`` layers tie detection on top.
+    So every adjacent pair of grid points where ``D`` may cross is seen, with
+    the values a full scan would give, and ``cramer.newton`` refines each
+    ``+ -> -`` crossing (``D > 0``, then ``D <= 0``) to adjacent floats.  That
+    is the one maximum test: a grid point where ``D`` is exactly 0 closes the
+    pair on its left, so its maximizer is reported once, and a maximum where
+    ``D`` rises above 0 and falls back within a grid step is missed.  A
+    crossing whose mean rounds onto a support endpoint of finite rate (an
+    endpoint atom) is dropped, since the endpoint candidate of ``solve_psi``
+    stands for it; at an endpoint of infinite rate it is kept.  No global
+    filtering is applied; ``solve_psi`` layers tie detection on top.
     """
     beta1, beta2, p, dist = params
     slope, slope_d1 = stationarity(params)
@@ -325,9 +328,6 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
             # elsewhere): on the uniform's p = 2 tie line D(0) is exactly 0,
             # and a bracket shrinking onto 0 would pass through the subnormals.
             roots.append(cramer.newton(slope_d1, theta_prev, theta_here, d_prev, 0.0))
-        elif d_prev == 0.0 and d_here < 0.0:
-            # Grid point landed exactly on a stationary maximum.
-            roots.append(theta_prev)
 
     scan(0, point(0), last, point(last))
     s_lo, s_hi = cramer.support_interval(dist)

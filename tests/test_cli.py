@@ -77,6 +77,13 @@ class TestRateCommand:
         assert len(rows) == 1
         assert abs(float(rows[0][1])) <= 1e-12  # at the prior mean
 
+    def test_count_of_one_is_the_low_end(self, capsys):
+        code, out, err = run_cli(capsys, "rate", "--u", "0.3:0.7:1")
+        assert code == 0 and err == ""
+        assert out == (
+            "u,rate,rate_d1,rate_d2\n0.3,0.252845563004,-2.67210385527,16.5823125717\n"
+        )
+
     def test_support_error_record(self, capsys):
         code, out, err = run_cli(capsys, "rate", "--u", "1.5")
         assert code == 1 and out == ""
@@ -367,7 +374,10 @@ class TestFiguresCommand:
 
     @pytest.mark.parametrize("where, reason", [
         ("file/figs", "Not a directory"), ("file", "File exists"),
-    ], ids=["under-a-file", "a-file"])
+        ("file/../x", "Not a directory"), ("file/..", "Not a directory"),
+        ("/dev/null/../figs", "Not a directory"),
+    ], ids=["under-a-file", "a-file", "through-a-file", "above-a-file",
+            "through-a-device"])
     def test_unusable_out_dir_is_reported_before_any_work(
         self, capsys, tmp_path, monkeypatch, where, reason
     ):
@@ -587,6 +597,41 @@ class TestOutputPath:
             "offending_parameter": "out",
         }
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("path, reason", [
+        ("", "No such file or directory"),
+        ("missing/..", "No such file or directory"),
+        ("file/..", "Not a directory"),
+        ("/dev/null/..", "Not a directory"),
+        ("missing/", "Is a directory"),
+    ], ids=["empty", "above-a-missing-dir", "above-a-file", "above-a-device",
+            "trailing-separator"])
+    def test_path_as_given_is_judged_before_any_work(
+        self, capsys, tmp_path, monkeypatch, path, reason
+    ):
+        # Each path passes once its ".." are folded, but open resolves a
+        # ".." from the component before it, which must be a directory.
+        from wergm import cramer
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a rate was solved before --out was checked")
+
+        monkeypatch.setattr(cramer, "dual_theta", fail)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+        with pytest.raises(OSError) as opened:
+            open(path, "w")
+        assert opened.value.strerror == reason
+        code, out, err = run_cli(capsys, "rate", "--u", "0.5", "--out", path)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "module": "cli",
+            "operation": "rate",
+            "message": f"cannot write to {path!r}: {reason}",
+            "offending_parameter": "out",
+        }
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
 
     def test_existing_file_survives_a_domain_error(self, capsys, tmp_path):
         path = tmp_path / "kept.csv"

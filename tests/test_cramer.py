@@ -401,6 +401,19 @@ class TestRate:
         assert abs(rate_d1(UNIFORM01, 0.5)) <= 1e-12
         assert rate(BERNOULLI_HALF, 0.5) <= 1e-15
 
+    def test_curvature_where_the_tilted_variance_underflows_is_a_record(self):
+        # The coin's tilted variance at theta = 800 is about exp(-800),
+        # which rounds to 0; a pair the caller built there has no curvature.
+        with pytest.raises(SupportError) as caught:
+            cramer.rate_d2_at(BERNOULLI_HALF, cramer.DualPair(800.0, 0.9))
+        assert caught.value.record() == {
+            "module": "cramer",
+            "operation": "rate_d2",
+            "message": "tilted variance underflowed at u = 0.9; "
+                       "too close to a support endpoint",
+            "offending_parameter": "u",
+        }
+
     def test_uniform_symmetry(self):
         for u in np.linspace(0.02, 0.98, 25):
             assert abs(rate(UNIFORM01, float(u)) - rate(UNIFORM01, float(1 - u))) <= 1e-10
@@ -565,6 +578,13 @@ class TestLawRecords:
         assert cramer.UniformLaw() == UNIFORM01
         assert hash(cramer.UniformLaw()) == hash(UNIFORM01)
         assert finite_support([(0.2, 0.5), (0.9, 0.5)]) != THREE_ATOMS
+
+    def test_repr_names_the_law_and_its_atoms(self):
+        assert repr(UNIFORM01) == "UniformLaw()"
+        assert repr(BERNOULLI_HALF) == "FairCoin(atoms=((0.0, 0.5), (1.0, 0.5)))"
+        assert repr(finite_support([(0.2, 0.5), (0.8, 0.5)])) == (
+            "AtomLaw(atoms=((0.2, 0.5), (0.8, 0.5)))"
+        )
 
     def test_the_coin_is_not_an_atom_law(self):
         # Equality compares the law's type as well as its atoms.

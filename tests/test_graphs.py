@@ -220,6 +220,11 @@ class TestHomDensity:
         graph = WeightedGraph(7, w)
         assert hom_density(EDGE, graph) == float(w.sum()) / 49.0
 
+    def test_edgeless_subgraph_has_density_one(self):
+        # Every vertex integrates out: the sum over all maps is n**k.
+        empty = SubgraphSpec(2, (), "empty")
+        assert hom_density(empty, WeightedGraph(2, [[0.1, 0.2], [0.2, 0.3]])) == 1.0
+
     def test_large_subgraph_warns_but_computes(self):
         # A 5-vertex path has no closed-form shortcut and k > 4 contracts
         # are expensive; the computation should warn and still be exact.

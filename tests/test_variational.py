@@ -48,7 +48,7 @@ def linear_scan_maxima(params: ModelParams) -> tuple:
 
     The full pass that the pruned scan replaced, kept as its oracle: the
     same pieces of the root interval, cut at whichever of +-THETA_WINDOW lie
-    inside it, the same grid on each, the same two crossing tests and the
+    inside it, the same grid on each, the same crossing test and the
     same ``newton`` call on each crossing pair.
     """
     slope, slope_d1 = variational.stationarity(params)
@@ -66,8 +66,6 @@ def linear_scan_maxima(params: ModelParams) -> tuple:
         d_here = slope(theta_here)[0]
         if d_prev > 0.0 and d_here <= 0.0:
             roots.append(cramer.newton(slope_d1, theta_prev, theta_here, d_prev, 0.0))
-        elif d_prev == 0.0 and d_here < 0.0:
-            roots.append(theta_prev)
         theta_prev, d_prev = theta_here, d_here
     s_lo, s_hi = params.dist.support
     e_lo, e_hi = params.dist.endpoint_rate
@@ -550,6 +548,30 @@ class TestPrunedScan:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(variational, "GRID_POINTS", 8192)
             self.check_against_full_pass(dist, point)
+
+    @pytest.mark.parametrize("grid_points", [2049, 2047])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "dist", [UNIFORM01, BERNOULLI_HALF, THREE_ATOMS],
+        ids=["uniform", "coin", "three-atoms"],
+    )
+    def test_grid_point_on_the_root_gives_one_maximizer(
+        self, monkeypatch, dist, p, grid_points
+    ):
+        # At beta1 = beta2 = 0, D(theta) = -theta/2 on the root interval
+        # [-1, 1], and these grids put a point on its root theta = 0, where
+        # D is exactly 0: the pair on its left reports the maximizer, and
+        # the pair on its right must not report it again.
+        params = ModelParams(0.0, 0.0, p, dist)
+        solution = solve_psi(params)
+        monkeypatch.setattr(variational, "GRID_POINTS", grid_points)
+        assert variational._root_interval(params) == (-1.0, 1.0)
+        assert 0.0 in [-1.0 + j * (2.0 / (grid_points - 1)) for j in range(grid_points)]
+        found = local_maxima(params)
+        assert [m.u for m in found] == [dist.mean(0.0)]
+        assert linear_scan_maxima(params) == found
+        assert solve_psi(params) == solution
+        assert solution.maximizers == (dist.mean(0.0),)
 
     def test_maximum_where_the_mean_crosses_zero(self):
         # At p = 3, B**2 dips to 0 where B changes sign, between block ends
