@@ -9,13 +9,16 @@ at seeds 1, 2 and 3 runs once on each side, as ``python -m wergm`` in a
 fresh interpreter with that side's ``src`` on ``PYTHONPATH``, and so does
 each malformed command of ``BAD_INPUTS``, whose error record is its
 stderr, so that a changed record, or a file a failing command leaves
-behind, shows as a difference.  The base side
+behind, shows as a difference, and each ``phase-curve`` command of
+``CURVE_EDGES``, whose rows near the corners and at deep ties show the
+digits a change to the tie search moves.  The base side
 is a ``git archive`` export of ``--base``; the change side is the working
 tree as it is.  Each side's commands write their files under a temporary
 directory of its own, whose path reads ``<out>``, and the side's root
 ``<root>``, in stdout and stderr before they are compared.  Every command
 whose exit code, stdout, stderr or written files differ is listed, the
-workload commands and the bad inputs are counted apart, and the exit
+workload commands, the bad inputs and the curve edges are counted apart,
+and the exit
 status is 1 if any differs.  Under each one, for stdout, stderr and every
 written file that differs, come the largest absolute and relative
 difference of each numeric CSV column or JSON field that changed, then the
@@ -87,6 +90,22 @@ BAD_INPUTS = {
                                      "--out-dir", "{out}/figs"],
 }
 
+#: Transition-curve rows where the tie search is least well conditioned:
+#: six beta1 within 0.1 of each corner (from 0.001 below it at p = 2, 3, 5,
+#: 10 and 150), where the tie nears a double root, and three deep ties.
+CURVE_EDGES = {
+    "p2-corner": ["phase-curve", "--p", "2", "--beta1=-3.1:-3.001:6"],
+    "p3-corner": ["phase-curve", "--p", "3", "--beta1=-1.42224:-1.32324:6"],
+    "p5-corner": ["phase-curve", "--p", "5", "--beta1=-0.205891:-0.106891:6"],
+    "p10-corner": ["phase-curve", "--p", "10", "--beta1=1.0723:1.1713:6"],
+    "p150-corner": ["phase-curve", "--p", "150", "--beta1=18.7758:18.8748:6"],
+    "p2-deep": ["phase-curve", "--p", "2", "--beta1=-1e12:-1e6:3"],
+}
+
+#: The groups of single commands, by the name their commands are listed
+#: and counted under.
+GROUPS = {"bad input": BAD_INPUTS, "curve edge": CURVE_EDGES}
+
 
 def _run(root: Path, env: dict, argv: list[str], out: Path) -> tuple:
     """One command: (argv, code, stdout, stderr, files), with ``out`` as <out>."""
@@ -103,17 +122,23 @@ def _run(root: Path, env: dict, argv: list[str], out: Path) -> tuple:
 
 
 def _run_side(root: Path, out_root: Path) -> dict:
-    """Run every command on one side; key -> (argv, code, stdout, stderr, files)."""
+    """Run every command on one side; key -> (argv, code, stdout, stderr, files).
+
+    A key is ``(group, name, seed, index)``: a workload command's group is
+    ``"workload"``, and a single command's seed and index are None and 0.
+    """
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     results = {}
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             out = out_root / f"{name}-{seed}"
             for index, command in enumerate(workloads.build(name, seed, out)):
-                results[(name, seed, index)] = _run(root, env, command.argv, out)
-    for name, argv in BAD_INPUTS.items():
-        out = out_root / "bad" / name
-        results[(name, None, 0)] = _run(root, env, [a.format(out=out) for a in argv], out)
+                results[("workload", name, seed, index)] = _run(root, env, command.argv, out)
+    for group, commands in GROUPS.items():
+        for name, argv in commands.items():
+            out = out_root / group.replace(" ", "-") / name
+            results[(group, name, None, 0)] = _run(
+                root, env, [a.format(out=out) for a in argv], out)
     return results
 
 
@@ -210,22 +235,23 @@ def main(argv=None) -> int:
         change = _run_side(ROOT, tmp / "change-out")
 
     parts = ("exit code", "stdout", "stderr", "files")
-    differing = []
+    counts = {group: [0, 0] for group in ("workload", *GROUPS)}  # commands, differing
     for key, (cmd, *base_result) in base.items():
         _, *change_result = change[key]
         diff = [part for part, b, c in zip(parts, base_result, change_result) if b != c]
+        group, name, seed, _ = key
+        counts[group][0] += 1
         if diff:
-            name, seed, _ = key
-            differing.append(seed is None)
-            where = f"bad input {name}" if seed is None else f"{name} seed {seed}"
+            counts[group][1] += 1
+            where = f"{name} seed {seed}" if seed is not None else f"{group} {name}"
             print(f"DIFFERS ({', '.join(diff)}): {where}: wergm {' '.join(cmd)}")
             for line in _details(base_result, change_result):
                 print(line)
-    bad = sum(differing)
-    print(f"{len(base) - len(BAD_INPUTS)} commands, {len(differing) - bad} differ; "
-          f"{len(BAD_INPUTS)} bad inputs, {bad} differ "
-          f"(base {commit[:12]} vs working tree)")
-    return 1 if differing else 0
+    labels = {"workload": "commands", "bad input": "bad inputs", "curve edge": "curve edges"}
+    print("; ".join(f"{total} {labels[group]}, {differ} differ"
+                    for group, (total, differ) in counts.items())
+          + f" (base {commit[:12]} vs working tree)")
+    return 1 if any(differ for _, differ in counts.values()) else 0
 
 
 if __name__ == "__main__":

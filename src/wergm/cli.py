@@ -122,24 +122,28 @@ def _check_out(args) -> None:
     Each path is judged as given, as ``open`` and ``mkdir`` resolve it: a
     ``..`` needs the component before it to be a directory.  ``--out`` must
     not be a directory or end in a separator, and its parent must be a
-    writable directory; ``--out-dir`` must not be a non-directory with its
-    ``..`` folded, and its nearest existing path must be a writable directory.
+    writable directory; ``--out-dir`` must not be empty, its nearest existing
+    path must be a writable directory, and it must not name a non-directory
+    once the ``..`` after each directory ``mkdir`` would make is folded.
     """
     out_dir = getattr(args, "out_dir", None)
-    path, parameter = (args.out, "out") if out_dir is None else (Path(out_dir), "out_dir")
+    path, parameter = (args.out, "out") if out_dir is None else (
+        out_dir and Path(out_dir), "out_dir")
     if path == "-":
         return
     if out_dir is None:  # '' has no parent, and 'x/' is in the parent of x
         parent = os.path.dirname(path.rstrip(os.sep)) or (path and os.curdir)
-    else:
-        parent = next(p for p in (path, *path.parents) if os.path.exists(p))
+    else:  # '' is no path at all
+        parent = path and next(p for p in (path, *path.parents) if os.path.exists(p))
     with _os_errors(path, args.command, parameter):
-        target = os.path.abspath(path)
-        if out_dir is not None and os.path.exists(target) and not os.path.isdir(target):
-            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST))
         if not os.path.isdir(parent):
             os.stat(parent)  # a missing directory raises here
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+            error = errno.EEXIST if parent == path else errno.ENOTDIR
+            raise OSError(error, os.strerror(error))
+        if out_dir is not None and parent != path:  # mkdir folds the '..' after a dir it makes
+            target = os.path.abspath(path)
+            if os.path.exists(target) and not os.path.isdir(target):
+                raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST))
         if out_dir is None and (os.path.isdir(path) or path.endswith(os.sep)):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if not os.access(parent, os.W_OK):

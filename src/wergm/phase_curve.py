@@ -25,7 +25,7 @@ m(a)``: the V-shaped region bounded by the parametric curve ``u -> (-f(u),
 m(u))``.  The lower maximum is the fall of ``D`` below ``theta_a``, the
 upper one above ``theta_b``.  The turning tilts step with ``g'`` from
 ``critical.g_d1`` in brackets that ``cramer.widen`` grows from
-``+-THETA_WINDOW``; each maximum steps with ``D'`` from
+``+-THETA_WINDOW``; a maximum at a given ``beta2`` steps with ``D'`` from
 ``variational.stationarity`` between its turning tilt and an end of
 ``variational._root_interval``, outside which ``D`` has no root.
 
@@ -33,7 +33,10 @@ Inside the region the value gap between the upper and lower maximum
 increases in ``beta2`` (its derivative is ``u2**p - u1**p``) and changes
 sign once; the zero is the first-order transition curve
 ``beta2 = r(beta1)``, where both maximizers are global and of equal height.
-``r_of_beta1`` finds it by Newton steps in ``beta2`` with that slope.
+``r_of_beta1`` finds it in the upper maximizer's tilt ``theta2``, where
+``beta2 = h(theta2)`` rises with ``theta2`` above ``theta_b``, so that each
+Newton step solves only the lower maximum; the slope in ``theta2`` is
+``(u2**p - u1**p) * h'(theta2)``.
 """
 
 from __future__ import annotations
@@ -140,58 +143,27 @@ def _turns(p: int, beta1: float, operation: str) -> tuple[float, float, float, f
     return beta1, theta_a, theta_b, _h(p, beta1, theta_a), _h(p, beta1, theta_b)
 
 
-def _maxima(
-    params: variational.ModelParams,
-    turns: tuple[float, float, float, float, float],
-    operation: str,
-    start: tuple[float | None, float | None] = (None, None),
+def _lower(
+    params: variational.ModelParams, theta_a: float, operation: str, start: float | None = None
 ) -> tuple[float, float]:
-    """Tilts of the lower and upper local maximum, for ``m_b < beta2 < m_a``.
+    """Tilt of the lower local maximum, for ``beta2 < m_a``, and the root bound's upper end.
 
-    ``turns`` is ``_turns``.  Each maximum is where ``variational``'s ``D``
-    falls through zero, below ``theta_a`` and above ``theta_b``.  ``D =
-    p*B**(p-1) * (beta2 - h)`` has the sign of ``beta2 - m_a < 0`` at
-    ``theta_a`` and of ``beta2 - m_b > 0`` at ``theta_b``; by the bound of
-    ``variational._root_interval`` it is positive at that interval's lower
-    end and negative at its upper end, which close the two brackets
-    unevaluated.  The Newton iterations start at ``start`` when given.
-    Where that bound leaves the float range, raises ``ThetaCapError``
-    naming ``operation`` and ``beta2``.
+    The maximum is where ``variational``'s ``D`` falls through zero below
+    ``theta_a``, at which ``D = p*B**(p-1) * (beta2 - h)`` has the sign of
+    ``beta2 - m_a < 0``.  By the bound of ``variational._root_interval``,
+    ``D`` is positive at that interval's lower end and negative at its upper
+    end, which close the brackets of the lower and upper maximum unevaluated.
+    The Newton iteration starts at ``start`` when given.  Where that bound
+    leaves the float range, raises ``ThetaCapError`` naming ``operation`` and
+    ``beta2``.
     """
-    _, theta_a, theta_b, _, m_b = turns
-    slope_d1 = variational.stationarity(params)[1]
     try:
         lo, hi = variational._root_interval(params)
     except ThetaCapError as err:
         raise ThetaCapError(
             str(err), module=_MODULE, operation=operation, offending_parameter="beta2"
         ) from None
-    return (
-        cramer.newton(slope_d1, lo, theta_a, math.inf, start[0]),
-        cramer.newton(slope_d1, theta_b, hi, params.beta2 - m_b, start[1]),
-    )
-
-
-def _gap(
-    params: variational.ModelParams,
-    turns: tuple[float, float, float, float, float],
-    operation: str,
-    start: tuple[float | None, float | None] = (None, None),
-) -> tuple[float, float, tuple[float | None, float | None]]:
-    """``L(upper max) - L(lower max)``, its ``beta2``-derivative and the tilts.
-
-    The derivative is ``u2**p - u1**p`` (envelope theorem).  Where one
-    maximum is absent the gap is +-inf, the derivative nan and the tilts
-    are ``start``.
-    """
-    m_a, m_b = turns[3:]
-    if params.beta2 >= m_a:
-        return math.inf, math.nan, start
-    if params.beta2 <= m_b:
-        return -math.inf, math.nan, start
-    tilts = _maxima(params, turns, operation, start)
-    low, high = (variational.at_tilt(params, theta) for theta in tilts)
-    return high.value - low.value, high.u**params.p - low.u**params.p, tilts
+    return cramer.newton(variational.stationarity(params)[1], lo, theta_a, math.inf, start), hi
 
 
 def bounding_point(p: int, beta1: float) -> BoundingPoint:
@@ -220,14 +192,20 @@ def _bound_and_tie(p: int, beta1: float) -> tuple[BoundingPoint, PhaseCurvePoint
 def maxima_gap(p: int, beta1: float, beta2: float) -> float:
     """Value gap l(upper max) - l(lower max) for the uniform law.
 
-    Returns -inf for ``beta2 <= m_b``, where the upper local maximum does
-    not exist, and +inf for ``beta2 >= m_a``, where the lower one does not
-    — the sign is what the curve search needs, and there is no finite
-    gap to report in either case.
+    Each maximum is found by ``cramer.newton`` between its turning tilt and
+    an end of the root bound.  Returns -inf for ``beta2 <= m_b``, where the
+    upper local maximum does not exist, and +inf for ``beta2 >= m_a``, where
+    the lower one does not; there is no finite gap to report in either case.
     """
-    turns = _turns(p, beta1, "maxima_gap")
-    params = variational.ModelParams(turns[0], beta2, p)
-    return _gap(params, turns, "maxima_gap")[0]
+    beta1, theta_a, theta_b, m_a, m_b = _turns(p, beta1, "maxima_gap")
+    params = variational.ModelParams(beta1, beta2, p)
+    if params.beta2 >= m_a:
+        return math.inf
+    if params.beta2 <= m_b:
+        return -math.inf
+    theta1, hi = _lower(params, theta_a, "maxima_gap")
+    theta2 = cramer.newton(variational.stationarity(params)[1], theta_b, hi, params.beta2 - m_b)
+    return variational.at_tilt(params, theta2).value - variational.at_tilt(params, theta1).value
 
 
 def r_of_beta1(
@@ -235,13 +213,13 @@ def r_of_beta1(
 ) -> PhaseCurvePoint:
     """Transition ``beta2`` at the given ``beta1``, with both maximizers.
 
-    The root of the maxima gap over ``(m_b, m_a)``, where it rises from -inf
-    to +inf, found by ``cramer.newton`` in ``beta2`` with the envelope slope
-    ``u2**p - u1**p`` down to adjacent floats.  The upper end is first
-    lowered to ``min(m_a, h(edge))``, with ``edge`` grown by
-    ``cramer.widen`` from ``THETA_WINDOW`` until the gap is positive there.
-    Each gap evaluation starts the Newton searches for the two maxima at
-    the previous one's tilts.
+    The root of the maxima gap in the upper maximizer's tilt ``theta2``, at
+    ``beta2 = h(theta2)``, where the gap is +inf once ``h(theta2) >= m_a``.
+    ``cramer.widen`` grows the bracket's upper end from ``THETA_WINDOW`` until
+    the gap is positive there, and ``cramer.newton`` steps down to adjacent
+    floats, each lower-maximum solve started at the previous one's tilt.
+    ``psi`` is the lower maximizer's value: at the upper one ``beta1*u`` and
+    ``beta2*u**p`` are both about ``|beta1|`` and cancel.
     """
     if dist != cramer.UNIFORM01:
         raise InputValidationError(
@@ -255,28 +233,32 @@ def r_of_beta1(
 
 def _tie(p: int, turns: tuple[float, float, float, float, float]) -> PhaseCurvePoint:
     """``r_of_beta1``, given its ``_turns``."""
-    beta1, _, theta_b, m_a, m_b = turns
-    tilts = (None, None)
+    beta1, theta_a, theta_b, m_a, _ = turns
+    theta1 = None
 
-    def gap(beta2: float) -> tuple[float, float]:
-        nonlocal tilts
+    def maxima(theta2: float, beta2: float) -> tuple[variational.Maximizer, ...]:
+        nonlocal theta1
         params = variational.ModelParams(beta1, beta2, p)
-        value, slope, tilts = _gap(params, turns, "r_of_beta1", tilts)
-        return value, slope
+        theta1 = _lower(params, theta_a, "r_of_beta1", theta1)[0]
+        return variational.at_tilt(params, theta1), variational.at_tilt(params, theta2)
 
-    def upper(edge: float) -> float:
-        return min(m_a, _h(p, beta1, edge))
+    def gap(theta2: float) -> tuple[float, float]:
+        beta2 = _h(p, beta1, theta2)
+        if beta2 >= m_a:
+            return math.inf, math.nan
+        low, high = maxima(theta2, beta2)
+        # h' = 1/(2p*B**(p-1)) - h*(p-1)*A/B
+        a = cramer.UNIFORM01.var(theta2)
+        h_d1 = 0.5 / (p * high.u ** (p - 1)) - beta2 * (p - 1) * a / high.u
+        return high.value - low.value, (high.u**p - low.u**p) * h_d1
 
-    # The gap is -inf at m_b = h(theta_b).
-    edge, _ = cramer.widen(lambda t: gap(upper(t))[0], theta_b, -math.inf, THETA_WINDOW,
+    # At theta_b, h = m_b and the upper maximum has not yet split off.
+    edge, _ = cramer.widen(lambda t: gap(t)[0], theta_b, -math.inf, THETA_WINDOW,
                            error=_unbracketed("the transition beta2", p, beta1, "r_of_beta1"))
-    r = cramer.newton(gap, m_b, upper(edge), -math.inf)
-    params = variational.ModelParams(beta1, r, p)
-    theta1, theta2 = _maxima(params, turns, "r_of_beta1", tilts)
-    low, high = variational.at_tilt(params, theta1), variational.at_tilt(params, theta2)
-    return PhaseCurvePoint(
-        beta1=beta1, r=r, u1_star=low.u, u2_star=high.u, psi=max(low.value, high.value)
-    )
+    theta2 = cramer.newton(gap, theta_b, edge, -math.inf)
+    r = _h(p, beta1, theta2)
+    low, high = maxima(theta2, r)
+    return PhaseCurvePoint(beta1=beta1, r=r, u1_star=low.u, u2_star=high.u, psi=low.value)
 
 
 def trace_curve(

@@ -375,9 +375,12 @@ class TestFiguresCommand:
     @pytest.mark.parametrize("where, reason", [
         ("file/figs", "Not a directory"), ("file", "File exists"),
         ("file/../x", "Not a directory"), ("file/..", "Not a directory"),
-        ("/dev/null/../figs", "Not a directory"),
+        ("/dev/null/../figs", "Not a directory"), ("", "No such file or directory"),
+        ("file/../file", "Not a directory"), ("adir/../file", "File exists"),
+        ("missing/../file", "File exists"),
     ], ids=["under-a-file", "a-file", "through-a-file", "above-a-file",
-            "through-a-device"])
+            "through-a-device", "empty", "through-a-file-to-it",
+            "through-a-dir-to-a-file", "through-a-missing-dir-to-a-file"])
     def test_unusable_out_dir_is_reported_before_any_work(
         self, capsys, tmp_path, monkeypatch, where, reason
     ):
@@ -387,20 +390,23 @@ class TestFiguresCommand:
             raise AssertionError("a profile was solved before --out-dir was checked")
 
         monkeypatch.setattr(cramer, "dual_theta", fail)
+        monkeypatch.chdir(tmp_path)  # where an empty --out-dir would write
         (tmp_path / "file").write_text("kept\n", encoding="utf-8")
-        out_dir = tmp_path / where
+        (tmp_path / "adir").mkdir()
+        out_dir = str(tmp_path / where) if where else ""
         code, out, err = run_cli(
-            capsys, "figures", "--p", "2", "--points=-5,3.5", "--out-dir", str(out_dir),
+            capsys, "figures", "--p", "2", "--points=-5,3.5", "--out-dir", out_dir,
         )
         assert code == 1 and out == ""
         assert err.count("\n") == 1
         assert json.loads(err) == {
             "module": "cli",
             "operation": "figures",
-            "message": f"cannot write to {str(out_dir)!r}: {reason}",
+            "message": f"cannot write to {out_dir!r}: {reason}",
             "offending_parameter": "out_dir",
         }
-        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "file"]
+        assert not any((tmp_path / "adir").iterdir())
         assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
 
     def test_existing_out_dir_that_cannot_be_written_is_reported_before_any_work(

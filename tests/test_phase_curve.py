@@ -11,7 +11,7 @@ side, bracket geometry, and monotone trends along the curve.
 import numpy as np
 import pytest
 
-from wergm import cramer, phase_curve
+from wergm import cramer, phase_curve, variational
 from wergm.critical import critical_table, f_of_u, find_theta0, m_of_u
 from wergm.errors import InputValidationError, NoTwoPhaseRegionError, ThetaCapError
 from wergm.phase_curve import (
@@ -112,10 +112,15 @@ class TestBoundingPoint:
 
 
 def test_tie_out_of_float_reach_names_r_of_beta1(monkeypatch):
-    # No tested point reaches it: with the gap held at -inf, the tilt that
-    # sets the upper end of the beta2 bracket doubles until it overflows.
+    # No tested point reaches it.  Here h is held at m_b, below m_a, and the
+    # value at each tilt falls with the tilt, so the gap stays below 0 and
+    # the tilt that sets the upper end of the bracket doubles until it
+    # overflows.
+    turns = phase_curve._turns(3, -3.0, "r_of_beta1")
+    monkeypatch.setattr(phase_curve, "_turns", lambda p, beta1, operation: turns)
+    monkeypatch.setattr(phase_curve, "_h", lambda p, beta1, theta: turns[4])
     monkeypatch.setattr(
-        phase_curve, "_gap", lambda params, turns, operation, start: (-np.inf, np.nan, start)
+        variational, "at_tilt", lambda params, theta: variational.Maximizer(0.5, -theta)
     )
     with pytest.raises(ThetaCapError) as excinfo:
         r_of_beta1(3, -3.0)
@@ -159,6 +164,10 @@ class TestMaximaGap:
     def test_no_upper_maximum_at_or_below_m_b(self):
         bound = bounding_point(3, -3.0)
         assert maxima_gap(3, -3.0, bound.m_b - 0.1) == -np.inf
+
+    def test_no_lower_maximum_at_or_above_m_a(self):
+        bound = bounding_point(3, -3.0)
+        assert maxima_gap(3, -3.0, bound.m_a) == maxima_gap(3, -3.0, bound.m_a + 0.1) == np.inf
 
 
 class TestROfBeta1:
@@ -268,13 +277,8 @@ class TestROfBeta1:
         point = r_of_beta1(116, 0.0)
         assert abs(maxima_gap(116, 0.0, point.r)) <= 1e-14 * max(1.0, abs(point.psi))
 
-    @pytest.mark.parametrize(
-        "p,beta1", [(2, -8.0), (2, -3.1), (3, -3.5), (5, -1.0), (10, -40.0), (150, -19.5)]
-    )
-    def test_uniform_law_evaluations_per_point(self, monkeypatch, p, beta1):
-        # A call count, not a timing: safeguarded Newton needs a few hundred
-        # evaluations per point, a bisection fallback thousands.
-        find_theta0(p)  # cached corner, not part of the point
+    @staticmethod
+    def _count_law_calls(monkeypatch) -> list:
         calls = []
         for name in ("log_mgf", "mean", "var", "skew"):
             method = getattr(UniformLaw, name)
@@ -284,15 +288,67 @@ class TestROfBeta1:
                 return _method(self, theta)
 
             monkeypatch.setattr(UniformLaw, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "p,beta1", [(2, -8.0), (2, -3.1), (3, -3.5), (5, -1.0), (10, -40.0), (150, -19.5)]
+    )
+    def test_uniform_law_evaluations_per_point(self, monkeypatch, p, beta1):
+        # A call count, not a timing: safeguarded Newton needs a few hundred
+        # evaluations per point, a bisection fallback thousands.
+        find_theta0(p)  # cached corner, not part of the point
+        calls = self._count_law_calls(monkeypatch)
         r_of_beta1(p, beta1)
         assert 0 < len(calls) <= 600
+
+    def test_mean_law_evaluations_on_workload_points(self, monkeypatch):
+        # The phase-diagram workload's curve ranges: the tie solves only the
+        # lower maximum per step, about 218 evaluations per point, where a
+        # search in beta2 that solves both maxima per step needs about 251.
+        points = [(2, float(b)) for b in np.linspace(-8.0, -3.5, 20)]
+        points += [(3, float(b)) for b in np.linspace(-4.0, -1.6, 20)]
+        find_theta0(2), find_theta0(3)  # cached corners, not part of a point
+        calls = self._count_law_calls(monkeypatch)
+        for p, beta1 in points:
+            r_of_beta1(p, beta1)
+        assert len(calls) / len(points) <= 230
+
+    @pytest.mark.parametrize(
+        "p,beta1", [(2, -8.0), (2, -3.1), (3, -3.5), (5, -1.0), (10, -40.0), (150, -19.5)]
+    )
+    def test_no_newton_solve_for_the_upper_maximum(self, monkeypatch, p, beta1):
+        # The tie's root is the upper maximizer's tilt itself, so the one
+        # Newton search whose bracket starts at theta_b is the tie's own.
+        theta_b = phase_curve._turns(p, beta1, "r_of_beta1")[2]
+        starts = []
+        newton = cramer.newton
+
+        def counted(fn, lo, *args):
+            starts.append(lo)
+            return newton(fn, lo, *args)
+
+        monkeypatch.setattr(cramer, "newton", counted)
+        r_of_beta1(p, beta1)
+        assert starts.count(theta_b) == 1
+
+    @pytest.mark.parametrize("beta1,psi", [
+        # 80-digit mpmath references at r = -beta1.
+        (-1e6, -7.2543286192618597),
+        (-1e9, -10.708206508503178),
+        (-1e12, -14.162084148243997),
+    ])
+    def test_deep_tie_psi_is_the_lower_maximizers_value(self, beta1, psi):
+        # At the upper maximizer beta1*u and beta2*u**p are both about
+        # |beta1| and cancel, so its value carries an error of |beta1|*2**-52.
+        assert abs(r_of_beta1(2, beta1).psi - psi) <= 1e-13 * abs(psi)
 
     @pytest.mark.parametrize(
         "p,beta1", [(2, -8.0), (2, -1000.0), (3, -3.5), (10, -40.0), (150, -19.5)]
     )
     def test_widen_calls_per_point(self, monkeypatch, p, beta1):
-        # One bracket per turning tilt and one for the upper end of the beta2
-        # search; the maxima are bracketed by the root bound on D.
+        # One bracket per turning tilt and one for the upper end of the tie's
+        # search in the upper maximizer's tilt; the lower maximum is
+        # bracketed by the root bound on D.
         find_theta0(p)  # cached corner, not part of the point
         calls = []
         widen = cramer.widen
