@@ -84,6 +84,12 @@ BAD_INPUTS = {
     "rate-out-above-device": ["rate", "--u", "0.5", "--out", "/dev/null/.."],
     "figures-out-dir-through-device": ["figures", "--p", "2", "--points=-5,3.5",
                                        "--out-dir", "/dev/null/../figs"],
+    # <out> does not exist when a command starts: open stops at it, while
+    # figures makes it, reaches the name past the file system's limit, and
+    # removes <out> again.
+    "rate-out-name-too-long": ["rate", "--u", "0.5", "--out", "{out}/" + "a" * 300],
+    "figures-out-dir-name-too-long": ["figures", "--p", "2", "--points=-5,3.5",
+                                      "--out-dir", "{out}/" + "a" * 300],
     "rate-count-zero": ["rate", "--u", "0.3:0.7:0"],
     "rate-atoms-without-prob": ["rate", "--u", "0.5", "--atoms", "0.2:0.5"],
     "figures-points-without-comma": ["figures", "--p", "3", "--points", "1;2",

@@ -18,7 +18,7 @@ JSON output is a single top-level object.  Stochastic commands require an
 explicit ``--seed`` so repeated runs are byte-identical.  Any domain error
 is reported as a one-line JSON record on stderr and a nonzero exit status.
 Each ``_cmd_*`` handler returns its output and writes nothing: ``main``
-checks every output path before the handler runs and writes after it.
+makes the output path first, writes after, and undoes what it made on failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from pathlib import Path
 
 from . import cramer
@@ -105,49 +105,47 @@ def _os_errors(path, operation: str, parameter: str):
     try:
         yield
     except OSError as err:
-        raise _invalid(
-            f"cannot write to {str(path)!r}: {err.strerror}", operation, parameter
-        ) from None
+        message = f"cannot write to {str(path)!r}: {err.strerror}"
+        raise _invalid(message, operation, parameter) from None
 
 
-def _create(path, operation: str, parameter: str):
-    """Open ``path`` for writing as UTF-8 text with LF newlines."""
+def _create(path, operation: str, parameter: str, made: list, mode: str = "w"):
+    """Open ``path`` as UTF-8 text with LF newlines; note in ``made`` a file it creates."""
     with _os_errors(path, operation, parameter):
-        return open(path, "w", encoding="utf-8", newline="")
+        try:
+            stream = open(path, "x", encoding="utf-8", newline="")
+        except FileExistsError:  # existing, or a link whose missing target open makes
+            if os.path.exists(path):
+                return open(path, mode, encoding="utf-8", newline="")
+            stream = open(path, mode, encoding="utf-8", newline="")
+            path = os.path.realpath(path)
+        made.append((os.remove, path))
+        return stream
 
 
-def _check_out(args) -> None:
-    """Raise the record writing ``--out`` or making ``--out-dir`` would, making nothing.
+def _makedirs(path: str, made: list) -> None:
+    """``os.makedirs(path, exist_ok=True)``, noting in ``made`` each directory it makes."""
+    if (head := os.path.dirname(path.rstrip(os.sep))) and not os.path.exists(head):
+        _makedirs(head, made)
+    if not os.path.isdir(path):
+        os.mkdir(path)
+        made.append((os.rmdir, path))
 
-    Each path is judged as given, as ``open`` and ``mkdir`` resolve it: a
-    ``..`` needs the component before it to be a directory.  ``--out`` must
-    not be a directory or end in a separator, and its parent must be a
-    writable directory; ``--out-dir`` must not be empty, its nearest existing
-    path must be a writable directory, and it must not name a non-directory
-    once the ``..`` after each directory ``mkdir`` would make is folded.
+
+def _claim(args, made: list) -> None:
+    """Make the output path before the work, truncating nothing; note in ``made`` what is new.
+
+    An interrupted or killed process can leave the empty file or directory it made.
     """
-    out_dir = getattr(args, "out_dir", None)
-    path, parameter = (args.out, "out") if out_dir is None else (
-        out_dir and Path(out_dir), "out_dir")
-    if path == "-":
-        return
-    if out_dir is None:  # '' has no parent, and 'x/' is in the parent of x
-        parent = os.path.dirname(path.rstrip(os.sep)) or (path and os.curdir)
-    else:  # '' is no path at all
-        parent = path and next(p for p in (path, *path.parents) if os.path.exists(p))
-    with _os_errors(path, args.command, parameter):
-        if not os.path.isdir(parent):
-            os.stat(parent)  # a missing directory raises here
-            error = errno.EEXIST if parent == path else errno.ENOTDIR
-            raise OSError(error, os.strerror(error))
-        if out_dir is not None and parent != path:  # mkdir folds the '..' after a dir it makes
-            target = os.path.abspath(path)
-            if os.path.exists(target) and not os.path.isdir(target):
-                raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST))
-        if out_dir is None and (os.path.isdir(path) or path.endswith(os.sep)):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        if not os.access(parent, os.W_OK):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    if getattr(args, "out_dir", None) is not None:
+        path = args.out_dir and str(Path(args.out_dir))  # '' is no path at all
+        with _os_errors(path, args.command, "out_dir"):
+            _makedirs(path, made)
+            if not os.access(path, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    elif args.out != "-" and not (os.path.exists(args.out) and Path(args.out).is_fifo()):
+        # A FIFO is left to the write: its reader would take this close as the end.
+        _create(args.out, args.command, "out", made, "a").close()
 
 
 def _dump(stream, result) -> None:
@@ -165,18 +163,17 @@ def _dump(stream, result) -> None:
         writer.writerows(result[1])
 
 
-def _write(args, result) -> None:
+def _write(args, result, made: list) -> None:
     """Write figures' tables under --out-dir, then the table or payload to --out."""
     if isinstance(result, list):
+        _claim(args, made)  # again: the path may have changed during the work
         out_dir = Path(args.out_dir)
-        with _os_errors(out_dir, args.command, "out_dir"):
-            out_dir.mkdir(parents=True, exist_ok=True)
         for name, *table in result:
-            with _create(out_dir / name, args.command, "out_dir") as stream:
+            with _create(out_dir / name, args.command, "out_dir", made) as stream:
                 _dump(stream, table)
         result = {"out_dir": str(out_dir), "files": [name for name, *_ in result]}
     out = getattr(args, "out", "-")
-    target = nullcontext(sys.stdout) if out == "-" else _create(out, args.command, "out")
+    target = nullcontext(sys.stdout) if out == "-" else _create(out, args.command, "out", made)
     with target as stream:
         _dump(stream, result)
 
@@ -458,13 +455,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, made = build_parser().parse_args(argv), []
     try:
-        _check_out(args)
-        _write(args, args.handler(args))
+        _claim(args, made)
+        _write(args, args.handler(args), made)
     except WergmError as err:
+        for undo, path in reversed(made):
+            with suppress(OSError):
+                undo(path)
         import json
-
         sys.stderr.write(json.dumps(err.record()) + "\n")
         return 1
     return 0

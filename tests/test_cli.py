@@ -17,6 +17,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +436,26 @@ class TestFiguresCommand:
         }
         assert list(out_dir.iterdir()) == []
 
+    def test_failing_write_leaves_no_table_it_made(self, capsys, tmp_path):
+        # The write fails after the work, at vregion.csv; the profile it
+        # made first is removed, and one that was there is kept.
+        out_dir = tmp_path / "figs"
+        (out_dir / "vregion.csv").mkdir(parents=True)
+        kept = out_dir / "profile_p2_b1_m5_b2_5.csv"
+        kept.write_text("old\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "figures", "--p", "2", "--points=-5,3.5;-5,5", "--grid-points", "4",
+            "--beta1=-4:-3.5:2", "--out-dir", str(out_dir),
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "module": "cli",
+            "operation": "figures",
+            "message": f"cannot write to {str(out_dir / 'vregion.csv')!r}: Is a directory",
+            "offending_parameter": "out_dir",
+        }
+        assert sorted(p.name for p in out_dir.iterdir()) == [kept.name, "vregion.csv"]
+
 
 class TestSampleCommand:
     def test_csv_trajectory_shape(self, capsys):
@@ -610,13 +632,17 @@ class TestOutputPath:
         ("file/..", "Not a directory"),
         ("/dev/null/..", "Not a directory"),
         ("missing/", "Is a directory"),
+        ("a" * 300, "File name too long"),
+        ("link", "No such file or directory"),
     ], ids=["empty", "above-a-missing-dir", "above-a-file", "above-a-device",
-            "trailing-separator"])
+            "trailing-separator", "name-too-long", "dangling-link"])
     def test_path_as_given_is_judged_before_any_work(
         self, capsys, tmp_path, monkeypatch, path, reason
     ):
         # Each path passes once its ".." are folded, but open resolves a
-        # ".." from the component before it, which must be a directory.
+        # ".." from the component before it, which must be a directory.  A
+        # name past the file system's limit, and a link into a missing
+        # directory, fail only when opened.
         from wergm import cramer
 
         def fail(*args, **kwargs):
@@ -625,6 +651,7 @@ class TestOutputPath:
         monkeypatch.setattr(cramer, "dual_theta", fail)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+        (tmp_path / "link").symlink_to(os.path.join("missing", "x"))
         with pytest.raises(OSError) as opened:
             open(path, "w")
         assert opened.value.strerror == reason
@@ -636,8 +663,76 @@ class TestOutputPath:
             "message": f"cannot write to {path!r}: {reason}",
             "offending_parameter": "out",
         }
-        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "link"]
         assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
+        assert os.readlink(tmp_path / "link") == os.path.join("missing", "x")
+
+    @pytest.mark.parametrize("argv, flag, path", [
+        (["figures", "--p", "2", "--points=-5,3.5"], "--out-dir", "missing/../file"),
+        (["figures", "--p", "2", "--points=nan,1", "--grid-points", "4"],
+         "--out-dir", "missing/../adir"),
+        (["figures", "--p", "2", "--points=nan,1", "--grid-points", "4"],
+         "--out-dir", "new/figs"),
+        (["psi", "--p", "1", "--beta1", "0", "--beta2", "0"], "--out", "file"),
+        (["psi", "--p", "1", "--beta1", "0", "--beta2", "0"], "--out", "new.json"),
+        (["rate", "--u", "1.5"], "--out", "adir/../new.csv"),
+        (["rate", "--u", "1.5"], "--out", "link"),
+    ], ids=["out-dir-through-a-missing-dir-to-a-file",
+            "out-dir-through-a-missing-dir-to-a-dir", "new-out-dir", "existing-out",
+            "new-out", "new-out-through-a-dir", "new-out-through-a-link"])
+    def test_a_failing_command_removes_only_what_it_made(
+        self, capsys, tmp_path, monkeypatch, argv, flag, path
+    ):
+        # The path is made before the work, which then fails; what was
+        # there before keeps its bytes, and what the command made goes.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "link").symlink_to(os.path.join("adir", "new.csv"))
+        code, out, err = run_cli(capsys, *argv, flag, path)
+        assert code == 1 and out == ""
+        assert set(json.loads(err)) == {
+            "module", "operation", "message", "offending_parameter"
+        }
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "file", "link"]
+        assert not any((tmp_path / "adir").iterdir())
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
+
+    def test_dangling_link_is_written_through(self, capsys, tmp_path):
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "new.csv")
+        code, out, err = run_cli(capsys, "rate", "--u", "0.5", "--out", str(link))
+        assert code == 0 and out == "" and err == ""
+        header, rows = parse_csv((tmp_path / "new.csv").read_text(encoding="utf-8"))
+        assert header == ["u", "rate", "rate_d1", "rate_d2"] and len(rows) == 1
+
+    def test_fifo_is_opened_once(self, capsys, tmp_path, monkeypatch):
+        # Closing a FIFO ends its reader's stream, so only the write opens it.
+        from wergm import cramer
+
+        dual_theta = cramer.dual_theta
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)  # long enough for a reader to see an early close
+            return dual_theta(*args, **kwargs)
+
+        monkeypatch.setattr(cramer, "dual_theta", slow)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        streams = []
+
+        def read():  # reopens after an empty stream, so that no writer waits
+            while not any(streams):
+                with open(fifo, encoding="utf-8") as stream:
+                    streams.append(stream.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        code, _, err = run_cli(capsys, "rate", "--u", "0.5", "--out", str(fifo))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert code == 0 and err == ""
+        assert streams == ["u,rate,rate_d1,rate_d2\n0.5,0,0,12\n"]
 
     def test_existing_file_survives_a_domain_error(self, capsys, tmp_path):
         path = tmp_path / "kept.csv"

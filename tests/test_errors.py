@@ -124,11 +124,12 @@ GRAPHS_SITES = [
 def _run_command(*argv):
     """One CLI command's handler and writer, so that its error propagates as raised.
 
-    ``main``'s path check is skipped: the writer's own calls must still give
-    the record, as they would if the path changed after the check.
+    ``main``'s claim, which makes the output path before the work, is
+    skipped: the writer's own calls must still give the record, as they
+    would if the path changed during the work.
     """
     args = build_parser().parse_args(list(argv))
-    _write(args, args.handler(args))
+    _write(args, args.handler(args), [])
 
 
 OUTPUT_PATH_SITES = [
