@@ -11,15 +11,16 @@ each malformed command of ``BAD_INPUTS``, whose error record is its
 stderr, so that a changed record, or a file a failing command leaves
 behind, shows as a difference, and each ``phase-curve`` command of
 ``CURVE_EDGES``, whose rows near the corners and at deep ties show the
-digits a change to the tie search moves.  The base side
-is a ``git archive`` export of ``--base``; the change side is the working
-tree as it is.  Each side's commands write their files under a temporary
-directory of its own, whose path reads ``<out>``, and the side's root
-``<root>``, in stdout and stderr before they are compared.  Every command
-whose exit code, stdout, stderr or written files differ is listed, the
-workload commands, the bad inputs and the curve edges are counted apart,
-and the exit
-status is 1 if any differs.  Under each one, for stdout, stderr and every
+digits a change to the tie search moves, and each fair-coin command of
+``COIN_TAILS``, which shows the digits a change to the coin's evaluators
+moves in its tails.  The base side is a ``git archive`` export of
+``--base``; the change side is the working tree as it is.  Each side's
+commands write their files under a temporary directory of its own, whose
+path reads ``<out>``, and the side's root ``<root>``, in stdout and stderr
+before they are compared.  Every command whose exit code, stdout, stderr
+or written files differ is listed, the workload commands, the bad inputs,
+the curve edges and the coin tails are counted apart, and the exit status
+is 1 if any differs.  Under each one, for stdout, stderr and every
 written file that differs, come the largest absolute and relative
 difference of each numeric CSV column or JSON field that changed, then the
 changed lines: for a CSV table of unchanged shape, each changed row's
@@ -108,9 +109,24 @@ CURVE_EDGES = {
     "p2-deep": ["phase-curve", "--p", "2", "--beta1=-1e12:-1e6:3"],
 }
 
+#: Fair-coin commands in the tails, where the coin's evaluators are most
+#: sensitive to how its tilted sums are written: rates within 1e-3 of each
+#: atom, maxima far into either tail and at the p = 2 corner, and a chain.
+COIN_TAILS = {
+    "rate-low": ["rate", "--dist", "bernoulli-half", "--u", "1e-12:1e-3:7"],
+    "rate-high": ["rate", "--dist", "bernoulli-half", "--u", "0.999:0.999999999:7"],
+    **{f"psi-{b1}-{b2}-p{p}": ["psi", "--dist", "bernoulli-half", "--p", p,
+                               f"--beta1={b1}", f"--beta2={b2}"]
+       for b1, b2, p in (("20", "0", "2"), ("-12", "6", "10"), ("-300", "300", "2"),
+                         ("-30", "25", "3"), ("-0.5", "0.5", "2"), ("-1", "0.5", "5"))},
+    "sample-json": ["sample", "--p", "2", "--beta1=-1", "--beta2", "1", "--n", "6",
+                    "--sweeps", "50", "--burn-in", "5", "--seed", "3",
+                    "--dist", "bernoulli-half", "--format", "json"],
+}
+
 #: The groups of single commands, by the name their commands are listed
 #: and counted under.
-GROUPS = {"bad input": BAD_INPUTS, "curve edge": CURVE_EDGES}
+GROUPS = {"bad input": BAD_INPUTS, "curve edge": CURVE_EDGES, "coin tail": COIN_TAILS}
 
 
 def _run(root: Path, env: dict, argv: list[str], out: Path) -> tuple:
@@ -253,7 +269,8 @@ def main(argv=None) -> int:
             print(f"DIFFERS ({', '.join(diff)}): {where}: wergm {' '.join(cmd)}")
             for line in _details(base_result, change_result):
                 print(line)
-    labels = {"workload": "commands", "bad input": "bad inputs", "curve edge": "curve edges"}
+    labels = {"workload": "commands", "bad input": "bad inputs", "curve edge": "curve edges",
+              "coin tail": "coin tails"}
     print("; ".join(f"{total} {labels[group]}, {differ} differ"
                     for group, (total, differ) in counts.items())
           + f" (base {commit[:12]} vs working tree)")

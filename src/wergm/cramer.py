@@ -27,7 +27,8 @@ tilts it computes, except ``rate_at``/``rate_d2_at``, which check theirs.
   fix its support hull, its endpoint rates ``-log q``, its tilted sums and
   the CDF its sampler searches.
 - ``FairCoin`` (``BERNOULLI_HALF``): the atom law on {0, 1} with mass 1/2
-  each, with closed-form evaluators and an integer sampler.
+  each.  It evaluates through ``AtomLaw``'s sums; its own code is only its
+  integer sampler, kept for the stream it draws.
 
 Every law evaluates at any finite tilt.  ``widen`` grows a bracket outward
 until a function changes sign across it, or raises its caller's record;
@@ -81,8 +82,6 @@ _A_SERIES = tuple(
 )
 # The derivative of the _A_SERIES sum, divided by theta.
 _K3_SERIES = tuple(2.0 * k * c for k, c in enumerate(_A_SERIES) if k)
-
-_LOG2 = math.log(2.0)
 
 
 def _horner_even(coeffs: tuple[float, ...], s: float) -> float:
@@ -239,18 +238,23 @@ class AtomLaw(EdgeDistribution):
         object.__setattr__(self, "support", (values[0], values[-1]))
         object.__setattr__(self, "endpoint_rate", (-log_q[0], -log_q[-1]))
         object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_log_q", log_q)
+        # Equal masses drop out of the tilted weights: their common log q is
+        # added to log M alone, so the coin's scores theta*v round at most in
+        # the product and its weights are single exponentials of -|theta|.
+        common = log_q[0] if len(set(log_q)) == 1 else 0.0
+        object.__setattr__(self, "_log_common", common)
+        object.__setattr__(self, "_log_rest", tuple(lq - common for lq in log_q))
         # Generator.choice's CDF: the running sum divided by its last entry.
         cdf = tuple(accumulate(probs))
         object.__setattr__(self, "_cdf", tuple(c / cdf[-1] for c in cdf))
 
     def _tilt(self, theta: float) -> tuple[float, list[float]]:
         """Tilted log-normalizer and normalized atom weights."""
-        scores = [theta * v + lq for v, lq in zip(self._values, self._log_q)]
+        scores = [theta * v + lq for v, lq in zip(self._values, self._log_rest)]
         top = max(scores)
         weights = [math.exp(s - top) for s in scores]
         total = math.fsum(weights)
-        return top + math.log(total), [w / total for w in weights]
+        return top + math.log(total) + self._log_common, [w / total for w in weights]
 
     def log_mgf(self, theta: float) -> float:
         return self._tilt(theta)[0]
@@ -278,23 +282,11 @@ class AtomLaw(EdgeDistribution):
 
 
 class FairCoin(AtomLaw):
-    """The fair coin on {0, 1}: an atom law with closed-form evaluators."""
+    """The fair coin on {0, 1}: an atom law whose own code is its sampler.
 
-    def log_mgf(self, theta: float) -> float:
-        # log((1 + exp(theta)) / 2), written in exp(-|theta|) so it cannot overflow.
-        return max(theta, 0.0) + math.log1p(math.exp(-abs(theta))) - _LOG2
-
-    def mean(self, theta: float) -> float:
-        if theta >= 0.0:
-            return 1.0 / (1.0 + math.exp(-theta))
-        e = math.exp(theta)
-        return e / (1.0 + e)
-
-    def var(self, theta: float) -> float:
-        # sigmoid * (1 - sigmoid), but computed from exp(-|theta|) so it stays
-        # positive instead of rounding to 0 once the sigmoid saturates.
-        e = math.exp(-abs(theta))
-        return e / (1.0 + e) ** 2
+    ``draw`` keeps the ``rng.integers`` stream that ``sample --dist
+    bernoulli-half`` prints; ``AtomLaw.draw`` would draw other values.
+    """
 
     def draw(self, rng: np.random.Generator, size: int) -> list[float]:
         return rng.integers(0, 2, size).astype(float).tolist()

@@ -552,16 +552,13 @@ class ConcentrationReport(NamedTuple):
     One target pair ``(u*, u***p)`` per global maximizer; with two global
     maximizers both are listed without adjudicating which basin a finite
     chain occupies.  ``deviations[k]`` holds the absolute deviations of
-    ``(mean_t_edge, mean_t_sub)`` from ``targets[k]``.
+    ``(mean_t_edge, mean_t_sub)`` from ``targets[k]``; the means and their
+    standard errors stay in the ``TrajectoryStats`` compared.
     """
 
     classification: PhaseClass
     targets: tuple[tuple[float, float], ...]
     deviations: tuple[tuple[float, float], ...]
-    mean_t_edge: float
-    mean_t_sub: float
-    se_t_edge: float
-    se_t_sub: float
 
 
 def concentration_report(
@@ -578,10 +575,6 @@ def concentration_report(
         classification=solution.classification,
         targets=targets,
         deviations=deviations,
-        mean_t_edge=stats.mean_t_edge,
-        mean_t_sub=stats.mean_t_sub,
-        se_t_edge=stats.se_t_edge,
-        se_t_sub=stats.se_t_sub,
     )
 
 

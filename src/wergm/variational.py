@@ -73,6 +73,10 @@ TIE_RTOL = 1e-9
 #: treated as one flat optimum, not genuine coexistence.
 MERGE_SPAN_FRACTION = 1e-3
 
+# A crossing whose mean lies within this many ulps of an endpoint atom is
+# that endpoint: the mean rounds by a few ulps of the atom there.
+_ENDPOINT_ULPS = 4
+
 
 class PhaseClass(Enum):
     """How many distinct global maximizers the variational problem has."""
@@ -278,10 +282,11 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
     is the one maximum test: a grid point where ``D`` is exactly 0 closes the
     pair on its left, so its maximizer is reported once, and a maximum where
     ``D`` rises above 0 and falls back within a grid step is missed.  A
-    crossing whose mean rounds onto a support endpoint of finite rate (an
-    endpoint atom) is dropped, since the endpoint candidate of ``solve_psi``
-    stands for it; at an endpoint of infinite rate it is kept.  No global
-    filtering is applied; ``solve_psi`` layers tie detection on top.
+    crossing whose mean lies within ``_ENDPOINT_ULPS`` ulps of a support
+    endpoint of finite rate (an endpoint atom) is dropped, since the
+    endpoint candidate of ``solve_psi`` stands for it; at an endpoint of
+    infinite rate it is kept.  No global filtering is applied;
+    ``solve_psi`` layers tie detection on top.
     """
     beta1, beta2, p, dist = params
     slope, slope_d1 = stationarity(params)
@@ -332,11 +337,10 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
     scan(0, point(0), last, point(last))
     s_lo, s_hi = cramer.support_interval(dist)
     e_lo, e_hi = cramer.endpoint_rate(dist)
+    above = s_lo + _ENDPOINT_ULPS * math.ulp(s_lo) if math.isfinite(e_lo) else -math.inf
+    below = s_hi - _ENDPOINT_ULPS * math.ulp(s_hi) if math.isfinite(e_hi) else math.inf
     found = (at_tilt(params, theta) for theta in roots)
-    return tuple(
-        m for m in found
-        if (m.u > s_lo or math.isinf(e_lo)) and (m.u < s_hi or math.isinf(e_hi))
-    )
+    return tuple(m for m in found if above < m.u < below)
 
 
 def solve_psi(params: ModelParams) -> MaximizerSet:

@@ -615,7 +615,7 @@ class TestRecords:
     def test_fields_are_read_only(self):
         stats = run_sampler(FREE, 4, 2, 0, 1)
         report = concentration_report(stats, FREE)
-        for record, name in ((TWO_STAR, "k"), (stats, "seed"), (report, "mean_t_edge")):
+        for record, name in ((TWO_STAR, "k"), (stats, "seed"), (report, "targets")):
             with pytest.raises(AttributeError):
                 setattr(record, name, getattr(record, name))
 

@@ -13,10 +13,10 @@ finite law by ``exp(lam*v) / M(lam)`` must shift ``beta1`` by ``lam/2`` and
 psi by ``-log M(lam)/2``, with the same maximizers; scaling its support by
 ``w`` must give the base law's psi at ``w*beta1`` and ``w**p * beta2``,
 with the maximizers scaled by ``w``.  Deep ties, far below the corner and
-up to p = 200, are traced too.  The fair coin's closed-form evaluators are
-checked against the generic atom-law sums for the same two atoms, and the
-uniform law's third cumulant ``skew`` against a centred difference of its
-variance.
+up to p = 200, are traced too.  The fair coin, which evaluates through the
+atom-law sums, is checked against 60-digit mpmath on seeded tilts out to
+|theta| = 700, and the uniform law's third cumulant ``skew`` against a
+centred difference of its variance.
 
 Tolerances follow from the dual solve, which ends at adjacent floats: the
 recovered tilt is off by the rounding of ``B`` near ``u``, a few ulp of
@@ -29,6 +29,7 @@ leave room for the rounding of ``m``, ``n``, ``f`` and ``g`` themselves.
 import math
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -249,34 +250,49 @@ def test_scaling_the_law_scales_the_parameters():
     # objective into the base law's at (w*beta1, w**p * beta2):
     # psi_w(beta1, beta2) = psi(w*beta1, w**p * beta2), and each maximizer
     # is w times the base law's.  Cases and the 1e-12 relative bound were
-    # fixed before the first run.  The endpoint flag is compared only where
-    # the base problem's two best candidates do not tie (343 of these 400
-    # cases): a maximum within rounding of an atom endpoint ties with that
-    # endpoint, and which of the two is reported then turns on rounding.
+    # fixed before the first run.  The endpoint flag must agree in every
+    # case: a crossing within rounding of an atom endpoint is that endpoint
+    # on both sides.
     for atoms, w, p, beta1, beta2 in _scaled_law_cases(400, seed=1607):
         case = (atoms, w, p, beta1, beta2)
         base = ModelParams(w * beta1, w**p * beta2, p, cramer.finite_support(atoms))
         scaled = cramer.finite_support([(w * v, q) for v, q in atoms])
         expected, solution = solve_psi(base), solve_psi(ModelParams(beta1, beta2, p, scaled))
         assert solution.classification is expected.classification, case
-        if not _best_two_tie(base):
-            assert solution.includes_endpoint == expected.includes_endpoint, case
+        assert solution.includes_endpoint == expected.includes_endpoint, case
         assert abs(solution.psi - expected.psi) <= 1e-12 * max(1.0, abs(expected.psi)), case
         assert len(solution.maximizers) == len(expected.maximizers), case
         for u, x in zip(solution.maximizers, expected.maximizers):
             assert abs(u - w * x) <= 1e-12 * max(1.0, abs(w * x)), case
 
 
-_GENERIC_COIN = cramer.finite_support([(0.0, 0.5), (1.0, 0.5)])
+def _coin_tilts(seed: int) -> list[float]:
+    """Seeded tilts: 300 in [-700, 700], 100 in [-3, 3] and 100 of either
+    sign with |theta| log-uniform in [1e-12, 1]."""
+    rng = random.Random(seed)
+    return (
+        [rng.uniform(-700.0, 700.0) for _ in range(300)]
+        + [rng.uniform(-3.0, 3.0) for _ in range(100)]
+        + [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 0.0) for _ in range(100)]
+    )
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(theta=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
-def test_coin_closed_forms_match_generic_atom_sums(theta):
-    for evaluator in (cramer.log_mgf, cramer.log_mgf_d1, cramer.log_mgf_d2):
-        closed = evaluator(cramer.BERNOULLI_HALF, theta)
-        generic = evaluator(_GENERIC_COIN, theta)
-        assert abs(closed - generic) <= 1e-12 * max(1.0, abs(generic))
+def test_coin_matches_high_precision_reference():
+    # The coin evaluates through the atom sums.  Against 60-digit mpmath,
+    # log M((1 + e^theta) / 2) must be within 2 eps max(1, |theta|), and
+    # the mean e^theta / (1 + e^theta) and the variance e^theta / (1 +
+    # e^theta)**2 within 4 ulps of their true values, skipped where those
+    # are below 1e-300.  Seed and bounds were fixed before the first run.
+    mpmath = pytest.importorskip("mpmath")
+    law, eps = cramer.BERNOULLI_HALF, math.ulp(1.0)
+    with mpmath.workdps(60):
+        for theta in _coin_tilts(seed=2032):
+            e = mpmath.exp(mpmath.mpf(theta))
+            log_m = float(mpmath.log((1 + e) / 2))
+            assert abs(law.log_mgf(theta) - log_m) <= 2 * eps * max(1.0, abs(theta)), theta
+            for got, true in ((law.mean(theta), e / (1 + e)), (law.var(theta), e / (1 + e) ** 2)):
+                if true >= 1e-300:
+                    assert abs(mpmath.mpf(got) - true) <= 4 * math.ulp(float(true)), theta
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

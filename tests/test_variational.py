@@ -67,13 +67,13 @@ def linear_scan_maxima(params: ModelParams) -> tuple:
         if d_prev > 0.0 and d_here <= 0.0:
             roots.append(cramer.newton(slope_d1, theta_prev, theta_here, d_prev, 0.0))
         theta_prev, d_prev = theta_here, d_here
-    s_lo, s_hi = params.dist.support
-    e_lo, e_hi = params.dist.endpoint_rate
+    # A mean within _ENDPOINT_ULPS ulps of an endpoint atom is that endpoint.
+    ulps = variational._ENDPOINT_ULPS
+    (s_lo, s_hi), (e_lo, e_hi) = params.dist.support, params.dist.endpoint_rate
+    above = s_lo + ulps * math.ulp(s_lo) if math.isfinite(e_lo) else -math.inf
+    below = s_hi - ulps * math.ulp(s_hi) if math.isfinite(e_hi) else math.inf
     found = (variational.at_tilt(params, theta) for theta in roots)
-    return tuple(
-        m for m in found
-        if (m.u > s_lo or math.isinf(e_lo)) and (m.u < s_hi or math.isinf(e_hi))
-    )
+    return tuple(m for m in found if above < m.u < below)
 
 
 def _atom_law(values, weights):
