@@ -11,22 +11,23 @@ each malformed command of ``BAD_INPUTS``, whose error record is its
 stderr, so that a changed record, or a file a failing command leaves
 behind, shows as a difference, and each ``phase-curve`` command of
 ``CURVE_EDGES``, whose rows near the corners and at deep ties show the
-digits a change to the tie search moves, and each fair-coin command of
+digits a change to the tie search moves, each fair-coin command of
 ``COIN_TAILS``, which shows the digits a change to the coin's evaluators
-moves in its tails.  The base side is a ``git archive`` export of
-``--base``; the change side is the working tree as it is.  Each side's
-commands write their files under a temporary directory of its own, whose
-path reads ``<out>``, and the side's root ``<root>``, in stdout and stderr
-before they are compared.  Every command whose exit code, stdout, stderr
-or written files differ is listed, the workload commands, the bad inputs,
-the curve edges and the coin tails are counted apart, and the exit status
-is 1 if any differs.  Under each one, for stdout, stderr and every
-written file that differs, come the largest absolute and relative
-difference of each numeric CSV column or JSON field that changed, then the
-changed lines: for a CSV table of unchanged shape, each changed row's
-first cell and its changed cells as ``base→change``;
-otherwise a line diff (``-`` base, ``+`` change).  A file that only one
-side wrote is named with its size.
+moves in its tails, and each command of ``ENDPOINT_TIES``, whose maxima
+lie within rounding of an atom endpoint's value.  The base side is a
+``git archive`` export of ``--base``; the change side is the working tree
+as it is.  Each side's commands write their files under a temporary
+directory of its own, whose path reads ``<out>``, and the side's root
+``<root>``, in stdout and stderr before they are compared.  Every command
+whose exit code, stdout, stderr or written files differ is listed, the
+workload commands, the bad inputs, the curve edges, the coin tails and the
+endpoint ties are counted apart, and the exit status is 1 if any differs.
+Under each one, for stdout, stderr and every written file that differs,
+come the largest absolute and relative difference of each numeric CSV
+column or JSON field that changed, then the changed lines: for a CSV table
+of unchanged shape, each changed row's first cell and its changed cells as
+``base→change``; otherwise a line diff (``-`` base, ``+`` change).  A file
+that only one side wrote is named with its size.
 """
 
 from __future__ import annotations
@@ -124,9 +125,30 @@ COIN_TAILS = {
                     "--dist", "bernoulli-half", "--format", "json"],
 }
 
+#: Atom laws whose maximum lies so far into a tail that its value ties
+#: the nearby endpoint atom's: a mean that floats can still tell from the
+#: atom 0 (four psi points and a chain's targets), and a mean that rounds
+#: onto the atom 1 or -1 and is reported as that endpoint.
+ENDPOINT_TIES = {
+    **{f"coin-{b1}-{b2}-p2": ["psi", "--dist", "bernoulli-half", "--p", "2",
+                              f"--beta1={b1}", f"--beta2={b2}"]
+       for b1, b2 in (("-20", "0"), ("-60", "0"), ("-40", "40"))},
+    **{f"q0.3-{b1}-{b2}-p{p}": ["psi", "--atoms", "0=0.3,1=0.7", "--p", p,
+                                f"--beta1={b1}", f"--beta2={b2}"]
+       for b1, b2, p in (("-60", "0", "2"), ("-300", "40", "3"))},
+    "q0.7-60-0-p2": ["psi", "--atoms", "0=0.7,1=0.3", "--p", "2", "--beta1=60",
+                     "--beta2=0"],
+    "three-atoms--20-0-p2": ["psi", "--atoms=-1=0.2,0.5=0.5,2=0.3", "--p", "2",
+                            "--beta1=-20", "--beta2=0"],
+    "sample-json": ["sample", "--p", "2", "--beta1=-20", "--beta2", "0", "--n", "6",
+                    "--sweeps", "20", "--burn-in", "5", "--seed", "3",
+                    "--atoms", "0=0.3,1=0.7", "--format", "json"],
+}
+
 #: The groups of single commands, by the name their commands are listed
 #: and counted under.
-GROUPS = {"bad input": BAD_INPUTS, "curve edge": CURVE_EDGES, "coin tail": COIN_TAILS}
+GROUPS = {"bad input": BAD_INPUTS, "curve edge": CURVE_EDGES, "coin tail": COIN_TAILS,
+          "endpoint tie": ENDPOINT_TIES}
 
 
 def _run(root: Path, env: dict, argv: list[str], out: Path) -> tuple:
@@ -270,7 +292,7 @@ def main(argv=None) -> int:
             for line in _details(base_result, change_result):
                 print(line)
     labels = {"workload": "commands", "bad input": "bad inputs", "curve edge": "curve edges",
-              "coin tail": "coin tails"}
+              "coin tail": "coin tails", "endpoint tie": "endpoint ties"}
     print("; ".join(f"{total} {labels[group]}, {differ} differ"
                     for group, (total, differ) in counts.items())
           + f" (base {commit[:12]} vs working tree)")

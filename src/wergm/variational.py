@@ -22,15 +22,18 @@ with derivative ``A(theta) * D(theta)``, ``A = log_mgf_d2 > 0`` and
 
     D(theta) = beta1 + p*beta2*B**(p-1) - theta/2.
 
-The interior local maxima are the ``+ -> -`` crossings of ``D``, found in
-closed forms of ``B`` and ``log M`` on a grid over the tilt interval where
-the bound ``|B| <= max|support|`` puts every root of ``D`` (finest inside
-``|theta| <= THETA_WINDOW``), and refined by ``cramer.newton`` in theta
-with the slope ``D' = p*(p-1)*beta2*B**(p-2)*A - 1/2``; no dual solve is
-needed.  The grid is bisected, not walked: ``B`` is nondecreasing, so
-``D`` on a block of grid points is enclosed by its parts at the block's
-ends, and a block whose enclosure clears 0 by a rounding margin holds no
-crossing; that one test decides where ``D`` is evaluated.  A solve
+``D`` falls from +inf to -inf along the tilt line, so the objective climbs
+from each support end to the nearest ``+ -> -`` crossing of ``D``: every
+maximum is such a crossing, and an endpoint atom is never a rival.  The
+crossings are found in closed forms of ``B`` and ``log M`` on a grid over
+the tilt interval where the bound ``|B| <= max|support|`` puts every root
+of ``D`` (finest inside ``|theta| <= THETA_WINDOW``), and refined by
+``cramer.newton`` in theta with the slope ``D' =
+p*(p-1)*beta2*B**(p-2)*A - 1/2``; no dual solve is needed.  The grid is
+bisected, not walked: ``B`` is nondecreasing, so ``D`` on a block of grid
+points is enclosed by its parts at the block's ends, and a block whose
+enclosure clears 0 by a rounding margin holds no crossing; that one test
+decides where ``D`` is evaluated.  A solve
 evaluates the law a few dozen times, at the same grid points and with the
 same Newton calls as a pass over the whole grid.  ``stationarity`` is the
 one home of ``D`` and ``D'``: ``phase_curve`` finds the two maxima of the
@@ -73,8 +76,8 @@ TIE_RTOL = 1e-9
 #: treated as one flat optimum, not genuine coexistence.
 MERGE_SPAN_FRACTION = 1e-3
 
-# A crossing whose mean lies within this many ulps of an endpoint atom is
-# that endpoint: the mean rounds by a few ulps of the atom there.
+# A crossing whose mean lies within this many ulps of an endpoint atom, as
+# one far in a tail rounds onto it, is reported as that atom.
 _ENDPOINT_ULPS = 4
 
 
@@ -126,11 +129,10 @@ class ModelParams(_ModelFields):
 
 
 class Maximizer(NamedTuple):
-    """One local maximizer: location, objective value, endpoint flag."""
+    """One local maximizer: location and objective value."""
 
     u: float
     value: float
-    is_endpoint: bool = False
 
 
 class MaximizerSet(NamedTuple):
@@ -139,8 +141,8 @@ class MaximizerSet(NamedTuple):
     ``psi`` is the optimum value, ``maximizers`` the distinct global
     maximizer locations in ascending order (length 1 or 2),
     ``classification`` the phase count, and ``includes_endpoint`` is True
-    when some maximizer sits on a support endpoint — possible only for
-    laws whose endpoints carry atoms.
+    when some maximizer is an endpoint atom: exact maximizers are always
+    interior, so only where a maximizer's mean rounds onto the atom.
     """
 
     psi: float
@@ -281,14 +283,12 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
     ``+ -> -`` crossing (``D > 0``, then ``D <= 0``) to adjacent floats.  That
     is the one maximum test: a grid point where ``D`` is exactly 0 closes the
     pair on its left, so its maximizer is reported once, and a maximum where
-    ``D`` rises above 0 and falls back within a grid step is missed.  A
-    crossing whose mean lies within ``_ENDPOINT_ULPS`` ulps of a support
-    endpoint of finite rate (an endpoint atom) is dropped, since the
-    endpoint candidate of ``solve_psi`` stands for it; at an endpoint of
-    infinite rate it is kept.  No global filtering is applied;
-    ``solve_psi`` layers tie detection on top.
+    ``D`` rises above 0 and falls back within a grid step is missed.  Every
+    refined crossing is returned, also one whose mean rounds onto a support
+    endpoint.  No global filtering is applied; ``solve_psi`` layers the
+    endpoint rounding rule and tie detection on top.
     """
-    beta1, beta2, p, dist = params
+    beta1, beta2, p, _ = params
     slope, slope_d1 = stationarity(params)
     lo, hi = _root_interval(params)
     cuts = [lo, *(t for t in (-THETA_WINDOW, THETA_WINDOW) if lo < t < hi), hi]
@@ -335,31 +335,28 @@ def local_maxima(params: ModelParams) -> tuple[Maximizer, ...]:
             roots.append(cramer.newton(slope_d1, theta_prev, theta_here, d_prev, 0.0))
 
     scan(0, point(0), last, point(last))
-    s_lo, s_hi = cramer.support_interval(dist)
-    e_lo, e_hi = cramer.endpoint_rate(dist)
-    above = s_lo + _ENDPOINT_ULPS * math.ulp(s_lo) if math.isfinite(e_lo) else -math.inf
-    below = s_hi - _ENDPOINT_ULPS * math.ulp(s_hi) if math.isfinite(e_hi) else math.inf
-    found = (at_tilt(params, theta) for theta in roots)
-    return tuple(m for m in found if above < m.u < below)
+    return tuple(at_tilt(params, theta) for theta in roots)
 
 
 def solve_psi(params: ModelParams) -> MaximizerSet:
     """Maximize the variational integrand and report all global maximizers.
 
-    Interior candidates come from ``local_maxima``; support endpoints are
-    added as candidates when they carry finite rate (laws with endpoint
-    atoms), since the objective stays finite there.  Every candidate tied
-    with the best within ``TIE_RTOL`` is kept, then tied maximizers
-    separated by less than ``MERGE_SPAN_FRACTION`` of the support's width
-    are merged into their best representative: a numerically flat optimum
-    is one phase, not two.
+    The candidates are the crossings of ``local_maxima`` alone: the
+    objective at an endpoint atom is below the nearest crossing's.  A
+    crossing within ``_ENDPOINT_ULPS`` ulps of an endpoint atom ``s`` stands
+    as ``s``, with the value ``beta1*s + beta2*s**p + log(q_s)/2``.  Every
+    candidate tied with the best within ``TIE_RTOL`` is kept, then tied
+    maximizers separated by less than ``MERGE_SPAN_FRACTION`` of the
+    support's width are merged into their best representative: a
+    numerically flat optimum is one phase, not two.
     """
     dist = params.dist
-    candidates = list(local_maxima(params))
     support = cramer.support_interval(dist)
-    for u, e in zip(support, cramer.endpoint_rate(dist)):
-        if math.isfinite(e):
-            candidates.append(Maximizer(u, _value(params, u, e), is_endpoint=True))
+    ends = {s: e for s, e in zip(support, cramer.endpoint_rate(dist)) if math.isfinite(e)}
+    candidates = []
+    for m in local_maxima(params):
+        s = next((s for s in ends if abs(m.u - s) <= _ENDPOINT_ULPS * math.ulp(s)), None)
+        candidates.append(m if s is None else Maximizer(s, _value(params, s, ends[s])))
 
     psi = max(c.value for c in candidates)
     tie_tol = TIE_RTOL * max(1.0, abs(psi))
@@ -381,7 +378,7 @@ def solve_psi(params: ModelParams) -> MaximizerSet:
         psi=psi,
         maximizers=tuple(c.u for c in merged),
         classification=classification,
-        includes_endpoint=any(c.is_endpoint for c in merged),
+        includes_endpoint=any(c.u in ends for c in merged),
     )
 
 

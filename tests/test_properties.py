@@ -146,8 +146,10 @@ def test_solve_psi_is_the_convex_supremum(dist, p, beta1, other_beta1, beta2):
 def _best_two_tie(params: ModelParams) -> bool:
     """Whether the two best candidates lie within 100 TIE_RTOL of each other.
 
-    The candidates are the interior maxima and the finite-rate endpoints;
-    rounding may tie such a pair on one side of an identity only.
+    The candidates are the interior maxima and the finite-rate endpoints:
+    rounding may tie two maxima on one side of an identity only, and a
+    maximum whose value ties an endpoint's lies so close to it that it may
+    round onto that endpoint on one side only.
     """
     values = sorted(
         [m.value for m in local_maxima(params)]
@@ -245,6 +247,19 @@ def _scaled_law_cases(count: int, seed: int) -> list[tuple]:
     return cases
 
 
+def _check_endpoints_below_psi(params: ModelParams, psi: float, case) -> None:
+    """``psi`` is no lower than the objective at each finite-rate support endpoint.
+
+    ``D`` falls from +inf to -inf along the tilt line, so the objective
+    climbs from each endpoint to the nearest interior maximum, and
+    ``solve_psi``, which has no endpoint candidates, must still beat them.
+    """
+    tol = TIE_RTOL * max(1.0, abs(psi))
+    for s, e in zip(cramer.support_interval(params.dist), cramer.endpoint_rate(params.dist)):
+        if math.isfinite(e):
+            assert psi >= params.beta1 * s + params.beta2 * s**params.p - 0.5 * e - tol, case
+
+
 def test_scaling_the_law_scales_the_parameters():
     # The law of w*X has rate I_w(u) = I(u / w), so u = w*x turns its
     # objective into the base law's at (w*beta1, w**p * beta2):
@@ -252,12 +267,15 @@ def test_scaling_the_law_scales_the_parameters():
     # is w times the base law's.  Cases and the 1e-12 relative bound were
     # fixed before the first run.  The endpoint flag must agree in every
     # case: a crossing within rounding of an atom endpoint is that endpoint
-    # on both sides.
+    # on both sides.  On both sides psi also beats every atom endpoint.
     for atoms, w, p, beta1, beta2 in _scaled_law_cases(400, seed=1607):
         case = (atoms, w, p, beta1, beta2)
         base = ModelParams(w * beta1, w**p * beta2, p, cramer.finite_support(atoms))
-        scaled = cramer.finite_support([(w * v, q) for v, q in atoms])
-        expected, solution = solve_psi(base), solve_psi(ModelParams(beta1, beta2, p, scaled))
+        scaled = ModelParams(beta1, beta2, p,
+                             cramer.finite_support([(w * v, q) for v, q in atoms]))
+        expected, solution = solve_psi(base), solve_psi(scaled)
+        _check_endpoints_below_psi(base, expected.psi, case)
+        _check_endpoints_below_psi(scaled, solution.psi, case)
         assert solution.classification is expected.classification, case
         assert solution.includes_endpoint == expected.includes_endpoint, case
         assert abs(solution.psi - expected.psi) <= 1e-12 * max(1.0, abs(expected.psi)), case

@@ -67,13 +67,7 @@ def linear_scan_maxima(params: ModelParams) -> tuple:
         if d_prev > 0.0 and d_here <= 0.0:
             roots.append(cramer.newton(slope_d1, theta_prev, theta_here, d_prev, 0.0))
         theta_prev, d_prev = theta_here, d_here
-    # A mean within _ENDPOINT_ULPS ulps of an endpoint atom is that endpoint.
-    ulps = variational._ENDPOINT_ULPS
-    (s_lo, s_hi), (e_lo, e_hi) = params.dist.support, params.dist.endpoint_rate
-    above = s_lo + ulps * math.ulp(s_lo) if math.isfinite(e_lo) else -math.inf
-    below = s_hi - ulps * math.ulp(s_hi) if math.isfinite(e_hi) else math.inf
-    found = (variational.at_tilt(params, theta) for theta in roots)
-    return tuple(m for m in found if above < m.u < below)
+    return tuple(variational.at_tilt(params, theta) for theta in roots)
 
 
 def _atom_law(values, weights):
@@ -249,6 +243,26 @@ class TestSolvePsi:
         solution = solve_psi(ModelParams(-3.0, 3.0, 2))
         assert solution.classification is PhaseClass.UNIQUE
         np.testing.assert_allclose(solution.maximizers[0], 0.5, atol=1e-3)
+
+    @pytest.mark.parametrize("beta2, upper", [(0.5977862477, False), (0.5977862478, True)])
+    def test_close_tied_maxima_merge_into_the_better(self, beta2, upper):
+        # The coin's two maxima at p = 3, beta1 = -0.45 (u ~ 0.49 and 0.81)
+        # tie near beta2 = 0.59778624776; these beta2 favour one of them by
+        # under TIE_RTOL.  An atom of mass 1e-300 at -500, whose weight is
+        # below 1e-290 at their tilts, widens the support to 501, so the two
+        # lie closer than MERGE_SPAN_FRACTION of its width and merge into
+        # the higher one; on the coin alone they stay two phases.
+        law = finite_support([(-500.0, 1e-300), (0.0, 0.5), (1.0, 0.5)])
+        params = ModelParams(-0.45, beta2, 3, law)
+        low, high = local_maxima(params)
+        best = high if upper else low
+        assert (high.value > low.value) == upper
+        solution = solve_psi(params)
+        assert solution.classification is PhaseClass.UNIQUE
+        assert solution.maximizers == (best.u,)
+        assert solution.psi == best.value
+        coin = solve_psi(ModelParams(-0.45, beta2, 3, BERNOULLI_HALF))
+        assert coin.classification is PhaseClass.TWO_GLOBAL
 
     @pytest.mark.parametrize("beta1, phases", [
         (-3.0, 2), (-2.0, 2), (-1.2, 2), (-0.8, 1), (-0.5, 1),
@@ -446,12 +460,20 @@ class TestLocalMaxima:
     def test_interior_maximum_beside_a_far_atom(self):
         # The atom at 10 widens the root interval to about +-1e5; the
         # maximum at theta ~ -10 sits next to the atom at 0.  50-digit
-        # mpmath reference.
+        # mpmath reference.  The second crossing, the global maximum, lies
+        # so far up that its mean rounds onto the atom 10, so solve_psi
+        # reports that endpoint with its value -50 + 10**5 + log(0.1)/2.
         law = finite_support([(0.0, 0.45), (1.0, 0.45), (10.0, 0.1)])
-        found = local_maxima(ModelParams(-5.0, 1.0, 5, law))
-        assert len(found) == 1
+        params = ModelParams(-5.0, 1.0, 5, law)
+        found = local_maxima(params)
+        assert len(found) == 2
         assert math.isclose(found[0].u, 4.5397868702434396433e-05, rel_tol=1e-12)
         assert math.isclose(found[0].value, -0.39923114865927736066, rel_tol=1e-12)
+        assert abs(found[1].u - 10.0) <= variational._ENDPOINT_ULPS * math.ulp(10.0)
+        solution = solve_psi(params)
+        assert solution.maximizers == (10.0,)
+        assert solution.includes_endpoint
+        assert math.isclose(solution.psi, 99950.0 + 0.5 * math.log(0.1), rel_tol=1e-12)
 
     def test_maximum_past_the_window_on_an_atom_law(self):
         # D changes sign beyond -THETA_WINDOW, so that piece is scanned too:
@@ -625,6 +647,22 @@ class TestBeta2Zero:
         assert math.isclose(
             solution.maximizers[0], dist.mean(2.0 * beta1), rel_tol=1e-12, abs_tol=1e-15
         )
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("beta1", [-20.0, -60.0, -300.0])
+    @pytest.mark.parametrize(
+        "dist", [BERNOULLI_HALF, finite_support([(0.0, 0.3), (1.0, 0.7)])],
+        ids=["coin", "atoms-0.3-0.7"],
+    )
+    def test_tiny_maximizer_beside_the_atom_zero(self, dist, beta1, p):
+        # u* = B(2*beta1) is between 1e-261 and 1e-17 here: a float, not the
+        # atom 0, whose value log(q_0)/2 the maximum only approaches.
+        solution = solve_psi(ModelParams(beta1, 0.0, p, dist))
+        assert solution.classification is PhaseClass.UNIQUE
+        assert not solution.includes_endpoint
+        assert len(solution.maximizers) == 1
+        assert math.isclose(solution.maximizers[0], dist.mean(2.0 * beta1), rel_tol=1e-12)
+        assert math.isclose(solution.psi, 0.5 * dist.log_mgf(2.0 * beta1), rel_tol=1e-12)
 
     def test_large_atom_at_large_p(self):
         params = ModelParams(0.0, 0.0, 2000, finite_support([(0.0, 0.5), (2.0, 0.5)]))
