@@ -13,21 +13,22 @@ behind, shows as a difference, and each ``phase-curve`` command of
 ``CURVE_EDGES``, whose rows near the corners and at deep ties show the
 digits a change to the tie search moves, each fair-coin command of
 ``COIN_TAILS``, which shows the digits a change to the coin's evaluators
-moves in its tails, and each command of ``ENDPOINT_TIES``, whose maxima
-lie within rounding of an atom endpoint's value.  The base side is a
-``git archive`` export of ``--base``; the change side is the working tree
-as it is.  Each side's commands write their files under a temporary
-directory of its own, whose path reads ``<out>``, and the side's root
-``<root>``, in stdout and stderr before they are compared.  Every command
-whose exit code, stdout, stderr or written files differ is listed, the
-workload commands, the bad inputs, the curve edges, the coin tails and the
-endpoint ties are counted apart, and the exit status is 1 if any differs.
-Under each one, for stdout, stderr and every written file that differs,
-come the largest absolute and relative difference of each numeric CSV
-column or JSON field that changed, then the changed lines: for a CSV table
-of unchanged shape, each changed row's first cell and its changed cells as
-``base→change``; otherwise a line diff (``-`` base, ``+`` change).  A file
-that only one side wrote is named with its size.
+moves in its tails, each command of ``ENDPOINT_TIES``, whose maxima lie
+within rounding of an atom endpoint's value, and each command of
+``FAR_ATOMS``, a coin tie on a law with a far atom of negligible mass.  The
+base side is a ``git archive`` export of ``--base``; the change side is the
+working tree as it is.  Each side's commands write their files under a
+temporary directory of its own, whose path reads ``<out>``, and the side's
+root ``<root>``, in stdout and stderr before they are compared.  Every
+command whose exit code, stdout, stderr or written files differ is listed,
+the workload commands, the bad inputs, the curve edges, the coin tails, the
+endpoint ties and the far atoms are counted apart, and the exit status is 1
+if any differs.  Under each one, for stdout, stderr and every written file
+that differs, come the largest absolute and relative difference of each
+numeric CSV column or JSON field that changed, then the changed lines: for
+a CSV table of unchanged shape, each changed row's first cell and its
+changed cells as ``base→change``; otherwise a line diff (``-`` base, ``+``
+change).  A file that only one side wrote is named with its size.
 """
 
 from __future__ import annotations
@@ -96,6 +97,11 @@ BAD_INPUTS = {
     "rate-atoms-without-prob": ["rate", "--u", "0.5", "--atoms", "0.2:0.5"],
     "figures-points-without-comma": ["figures", "--p", "3", "--points", "1;2",
                                      "--out-dir", "{out}/figs"],
+    # The maximum lies near 1e200, so its target t_sub = u**2 leaves the float range.
+    "sample-json-power-overflow": ["sample", "--p", "2", "--beta1", "0", "--beta2", "0",
+                                   "--n", "3", "--sweeps", "2", "--burn-in", "0",
+                                   "--seed", "1", "--atoms", "0=1,1e300=1e-100",
+                                   "--format", "json"],
 }
 
 #: Transition-curve rows where the tie search is least well conditioned:
@@ -145,10 +151,24 @@ ENDPOINT_TIES = {
                     "--atoms", "0=0.3,1=0.7", "--format", "json"],
 }
 
+#: Fair-coin ties at p = 3 on the coin plus an atom of mass 1e-300 at -500,
+#: which widens the support to 501 but moves neither maximum: the two values
+#: of beta2 that favour one maximum by under TIE_RTOL at beta1 = -0.45, and
+#: three seeded ties where the maxima lie less than a thousandth of the
+#: support's width apart.  Each has the coin's two phases.
+FAR_ATOMS = {
+    f"tie{b1}-{b2}": ["psi", "--atoms=-500=1e-300,0=0.5,1=0.5", "--p", "3",
+                      f"--beta1={b1}", f"--beta2={b2}"]
+    for b1, b2 in (("-0.45", "0.5977862477"), ("-0.45", "0.5977862478"),
+                   ("-0.4854156205803799", "0.6250825940816196"),
+                   ("-0.43114228161549684", "0.5834137789274181"),
+                   ("-0.4952641560020724", "0.6327423287090448"))
+}
+
 #: The groups of single commands, by the name their commands are listed
 #: and counted under.
 GROUPS = {"bad input": BAD_INPUTS, "curve edge": CURVE_EDGES, "coin tail": COIN_TAILS,
-          "endpoint tie": ENDPOINT_TIES}
+          "endpoint tie": ENDPOINT_TIES, "far atom": FAR_ATOMS}
 
 
 def _run(root: Path, env: dict, argv: list[str], out: Path) -> tuple:
@@ -292,7 +312,8 @@ def main(argv=None) -> int:
             for line in _details(base_result, change_result):
                 print(line)
     labels = {"workload": "commands", "bad input": "bad inputs", "curve edge": "curve edges",
-              "coin tail": "coin tails", "endpoint tie": "endpoint ties"}
+              "coin tail": "coin tails", "endpoint tie": "endpoint ties",
+              "far atom": "far atoms"}
     print("; ".join(f"{total} {labels[group]}, {differ} differ"
                     for group, (total, differ) in counts.items())
           + f" (base {commit[:12]} vs working tree)")

@@ -294,8 +294,9 @@ def _cmd_figures(args) -> list:
         grid = _parse_range(args.beta1, "--beta1")
     rows = []
     for beta1 in grid:
-        bound, point = phase_curve._bound_and_tie(args.p, beta1)
-        rows.append([_fmt(beta1), _fmt(bound.m_a), _fmt(bound.m_b), _fmt(point.r)])
+        bound = phase_curve.bounding_point(args.p, beta1)
+        r = phase_curve.r_of_beta1(args.p, beta1).r
+        rows.append([_fmt(beta1), _fmt(bound.m_a), _fmt(bound.m_b), _fmt(r)])
     tables.append(("vregion.csv", ["beta1", "m_a", "m_b", "r"], rows))
     return tables
 

@@ -44,6 +44,7 @@ from .errors import (
     ThetaCapError,
     check_integer,
     check_real,
+    power_guard,
 )
 
 _MODULE = "critical"
@@ -66,7 +67,8 @@ def m_of_u(
     """Mean-side curvature profile, reciprocal to ``n_of_theta`` under duality."""
     p = check_integer(p, 2, name="p", module=_MODULE, operation="m_of_u")
     u = check_real(u, name="u", module=_MODULE, operation="m_of_u")
-    denom = 2.0 * p * (p - 1) * u ** (p - 2)
+    denom = power_guard(lambda: 2.0 * p * (p - 1) * u ** (p - 2), u, module=_MODULE,
+                        operation="m_of_u")
     if denom == 0.0:
         raise GradientUndefinedError(
             f"m is undefined at u = {u!r} for p = {p}",

@@ -5,7 +5,8 @@ violated precondition, the operation that raised, and (when meaningful) the
 offending parameter, so callers -- the CLI in particular -- can serialize a
 machine-readable record without parsing message strings.  ``check_real``,
 ``check_integer`` and ``check_seed`` check each public real, integer and
-seed argument once, where it enters the package.
+seed argument once, where it enters the package, and ``power_guard`` turns
+a power of a float that leaves the float range into a typed record.
 """
 
 from __future__ import annotations
@@ -87,6 +88,23 @@ def check_real(value, *, name: str, module: str, operation: str) -> float:
         operation=operation,
         offending_parameter=name,
     )
+
+
+def power_guard(compute, u: float, *, module: str, operation: str):
+    """``compute()``, raising ``ThetaCapError`` where a power of ``u`` overflows.
+
+    A float power past the float range raises a bare ``OverflowError``; the
+    record that replaces it names ``module``, ``operation`` and ``u``.
+    """
+    try:
+        return compute()
+    except OverflowError:
+        raise ThetaCapError(
+            f"a power of u = {u:g} in {operation} reaches beyond the float range",
+            module=module,
+            operation=operation,
+            offending_parameter="u",
+        ) from None
 
 
 def check_integer(

@@ -28,7 +28,7 @@ from operator import length_hint
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import cramer
-from .errors import InputValidationError, check_integer, check_real, check_seed
+from .errors import InputValidationError, check_integer, check_real, check_seed, power_guard
 from .variational import ModelParams, PhaseClass, solve_psi
 
 if TYPE_CHECKING:
@@ -566,7 +566,9 @@ def concentration_report(
 ) -> ConcentrationReport:
     """Compare a trajectory against the variational concentration targets."""
     solution = solve_psi(params)
-    targets = tuple((u, u**params.p) for u in solution.maximizers)
+    targets = tuple((u, power_guard(lambda: u**params.p, u, module=_MODULE,
+                                    operation="concentration_report"))
+                    for u in solution.maximizers)
     deviations = tuple(
         (abs(stats.mean_t_edge - t0), abs(stats.mean_t_sub - t1))
         for t0, t1 in targets

@@ -175,18 +175,8 @@ def bounding_point(p: int, beta1: float) -> BoundingPoint:
     ``a**(p-1)`` underflows, ``m_a`` exceeds the float range and is
     returned as inf.
     """
-    return _bound(_turns(p, beta1, "bounding_point"))
-
-
-def _bound(turns: tuple[float, float, float, float, float]) -> BoundingPoint:
-    beta1, theta_a, theta_b, m_a, m_b = turns
+    beta1, theta_a, theta_b, m_a, m_b = _turns(p, beta1, "bounding_point")
     return BoundingPoint(beta1, _mean(theta_a), _mean(theta_b), m_a, m_b)
-
-
-def _bound_and_tie(p: int, beta1: float) -> tuple[BoundingPoint, PhaseCurvePoint]:
-    """``bounding_point`` and ``r_of_beta1`` from one ``_turns``, failing as they do."""
-    turns = _turns(p, beta1, "bounding_point")
-    return _bound(turns), _tie(p, turns)
 
 
 def maxima_gap(p: int, beta1: float, beta2: float) -> float:

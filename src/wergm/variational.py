@@ -8,9 +8,10 @@ partition function of the model is the value of the scalar maximization
 
 over the support hull of the edge-weight law.  ``solve_psi`` locates every
 global maximizer, which is where all phase structure lives: a unique
-maximizer means a single phase, two tied maximizers mean coexistence, and
-the envelope gradient of psi in (beta1, beta2) is ``(u*, u***p)`` wherever
-the maximizer is unique.
+maximizer means a single phase, and two maxima whose values tie mean
+coexistence, however close they lie, so the objective's values alone
+decide it.  The envelope gradient of psi in (beta1, beta2) is ``(u*,
+u***p)`` wherever the maximizer is unique.
 
 The problem is solved on the tilt side.  Every mean in the open support
 interior is ``u = B(theta)`` with ``B = log_mgf_d1``, where ``rate(u) =
@@ -57,6 +58,7 @@ from .errors import (
     ThetaCapError,
     check_integer,
     check_real,
+    power_guard,
 )
 
 _MODULE = "variational"
@@ -71,10 +73,6 @@ THETA_WINDOW = 680.0
 
 #: Two candidate values within 1e-9 * max(1, |psi|) count as tied.
 TIE_RTOL = 1e-9
-
-#: Tied maximizers closer than this fraction of the support's width are
-#: treated as one flat optimum, not genuine coexistence.
-MERGE_SPAN_FRACTION = 1e-3
 
 # A crossing whose mean lies within this many ulps of an endpoint atom, as
 # one far in a tail rounds onto it, is reported as that atom.
@@ -138,9 +136,10 @@ class Maximizer(NamedTuple):
 class MaximizerSet(NamedTuple):
     """Result of ``solve_psi``.
 
-    ``psi`` is the optimum value, ``maximizers`` the distinct global
-    maximizer locations in ascending order (length 1 or 2),
-    ``classification`` the phase count, and ``includes_endpoint`` is True
+    ``psi`` is the optimum value, ``maximizers`` the global maximizer
+    locations in ascending order: every local maximum whose value ties
+    ``psi`` within ``TIE_RTOL``, so values alone set their number.
+    ``classification`` is the phase count, and ``includes_endpoint`` is True
     when some maximizer is an endpoint atom: exact maximizers are always
     interior, so only where a maximizer's mean rounds onto the atom.
     """
@@ -151,27 +150,18 @@ class MaximizerSet(NamedTuple):
     includes_endpoint: bool
 
 
-def _power_guard(operation: str, u: float, compute):
-    """``compute()``, raising ``ThetaCapError`` where a power of ``u`` overflows."""
-    try:
-        return compute()
-    except OverflowError:
-        message = f"a power of u = {u:g} in {operation} reaches beyond the float range"
-        raise ThetaCapError(
-            message, module=_MODULE, operation=operation, offending_parameter="u"
-        ) from None
-
-
 def objective(params: ModelParams, u: float) -> float:
     """The variational integrand ``beta1*u + beta2*u**p - rate(u)/2``."""
     pair = cramer.dual_theta(params.dist, u)
-    return _power_guard("objective", u, lambda: objective_at(params, pair))
+    return power_guard(lambda: objective_at(params, pair), u, module=_MODULE,
+                       operation="objective")
 
 
 def objective_d1(params: ModelParams, u: float) -> float:
     """First u-derivative of the variational integrand."""
     pair = cramer.dual_theta(params.dist, u)
-    return _power_guard("objective_d1", u, lambda: objective_d1_at(params, pair))
+    return power_guard(lambda: objective_d1_at(params, pair), u, module=_MODULE,
+                       operation="objective_d1")
 
 
 def _value(params: ModelParams, u: float, rate: float) -> float:
@@ -195,9 +185,9 @@ def objective_d2(params: ModelParams, u: float) -> float:
     """Second u-derivative of the variational integrand."""
     _, beta2, p, dist = params
     curvature = cramer.rate_d2(dist, u)
-    return _power_guard("objective_d2", u, lambda: (
+    return power_guard(lambda: (
         (p * (p - 1) * beta2 * u ** (p - 2) if beta2 else 0.0) - 0.5 * curvature
-    ))
+    ), u, module=_MODULE, operation="objective_d2")
 
 
 def at_tilt(params: ModelParams, theta: float) -> Maximizer:
@@ -344,11 +334,11 @@ def solve_psi(params: ModelParams) -> MaximizerSet:
     The candidates are the crossings of ``local_maxima`` alone: the
     objective at an endpoint atom is below the nearest crossing's.  A
     crossing within ``_ENDPOINT_ULPS`` ulps of an endpoint atom ``s`` stands
-    as ``s``, with the value ``beta1*s + beta2*s**p + log(q_s)/2``.  Every
-    candidate tied with the best within ``TIE_RTOL`` is kept, then tied
-    maximizers separated by less than ``MERGE_SPAN_FRACTION`` of the
-    support's width are merged into their best representative: a
-    numerically flat optimum is one phase, not two.
+    as ``s``, with the value ``beta1*s + beta2*s**p + log(q_s)/2``.  Value
+    alone decides coexistence: every candidate tied with the best within
+    ``TIE_RTOL`` is a global maximizer, however close to another it lies, so
+    one such crossing is ``UNIQUE`` and more than one ``TWO_GLOBAL``.  The
+    crossings come in ascending u, and the endpoint rule keeps that order.
     """
     dist = params.dist
     support = cramer.support_interval(dist)
@@ -359,26 +349,12 @@ def solve_psi(params: ModelParams) -> MaximizerSet:
         candidates.append(m if s is None else Maximizer(s, _value(params, s, ends[s])))
 
     psi = max(c.value for c in candidates)
-    tie_tol = TIE_RTOL * max(1.0, abs(psi))
-    tied = sorted(
-        (c for c in candidates if c.value >= psi - tie_tol), key=lambda c: c.u
-    )
-
-    merge_gap = MERGE_SPAN_FRACTION * (support[1] - support[0])
-    merged: list[Maximizer] = []
-    for c in tied:
-        if merged and c.u - merged[-1].u < merge_gap:
-            if c.value > merged[-1].value:
-                merged[-1] = c
-        else:
-            merged.append(c)
-
-    classification = PhaseClass.UNIQUE if len(merged) == 1 else PhaseClass.TWO_GLOBAL
+    tied = [c for c in candidates if c.value >= psi - TIE_RTOL * max(1.0, abs(psi))]
     return MaximizerSet(
         psi=psi,
-        maximizers=tuple(c.u for c in merged),
-        classification=classification,
-        includes_endpoint=any(c.u in ends for c in merged),
+        maximizers=tuple(c.u for c in tied),
+        classification=PhaseClass.UNIQUE if len(tied) == 1 else PhaseClass.TWO_GLOBAL,
+        includes_endpoint=any(c.u in ends for c in tied),
     )
 
 
@@ -399,4 +375,5 @@ def psi_gradient(params: ModelParams) -> tuple[float, float]:
             offending_parameter="params",
         )
     u_star = solution.maximizers[0]
-    return u_star, u_star**params.p
+    return u_star, power_guard(lambda: u_star**params.p, u_star, module=_MODULE,
+                               operation="psi_gradient")

@@ -308,24 +308,25 @@ class TestFiguresCommand:
         }
         assert not out_dir.exists()
 
-    def test_one_turning_tilt_solve_per_vregion_row(self, capsys, tmp_path, monkeypatch):
-        # bounding_point and r_of_beta1 share the row's turning tilts.
+    def test_vregion_rows_come_from_the_public_functions(self, capsys, tmp_path, monkeypatch):
+        # Each row is one bounding_point and one r_of_beta1 call, which a
+        # tracer of the public functions counts.
         from wergm import phase_curve
 
         calls = []
-        turns = phase_curve._turns
+        for name in ("bounding_point", "r_of_beta1"):
+            def counted(p, beta1, fn=getattr(phase_curve, name), name=name):
+                calls.append((name, beta1))
+                return fn(p, beta1)
 
-        def counted(*args):
-            calls.append(args[1])
-            return turns(*args)
-
-        monkeypatch.setattr(phase_curve, "_turns", counted)
+            monkeypatch.setattr(phase_curve, name, counted)
         code, _, err = run_cli(
             capsys, "figures", "--p", "3", "--points=-3,3.4", "--grid-points", "4",
             "--out-dir", str(tmp_path / "figs"), "--beta1", "-3.5:-2:4",
         )
         assert code == 0 and err == ""
-        assert calls == [-3.5, -3.0, -2.5, -2.0]
+        assert calls == [(name, beta1) for beta1 in (-3.5, -3.0, -2.5, -2.0)
+                         for name in ("bounding_point", "r_of_beta1")]
 
     def test_failing_vregion_row_names_bounding_point(self, capsys, tmp_path):
         code, out, err = run_cli(

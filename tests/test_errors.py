@@ -7,7 +7,8 @@ typed record too.  Each call site keeps its own module, operation,
 parameter and message, so the error records a caller sees are pinned here
 site by site, and a sweep of the public numeric arguments checks that each
 malformed number raises an ``InputValidationError`` naming the module and
-parameter where it entered.
+parameter where it entered.  A power of a finite ``u`` past the float range
+is a ``ThetaCapError`` record through ``power_guard``, pinned site by site.
 """
 
 import math
@@ -17,14 +18,15 @@ import pytest
 
 from wergm import cramer, critical, phase_curve, variational
 from wergm.cli import _write, build_parser
-from wergm.cramer import BERNOULLI_HALF, UNIFORM01
-from wergm.errors import InputValidationError, check_integer, check_real
+from wergm.cramer import BERNOULLI_HALF, UNIFORM01, finite_support
+from wergm.errors import InputValidationError, ThetaCapError, check_integer, check_real
 from wergm.gaussian_directed import GaussianModelParams, psi_n_exact, psi_n_monte_carlo
 from wergm.graphs import (
     TRIANGLE,
     MetropolisChain,
     SubgraphSpec,
     WeightedGraph,
+    concentration_report,
     enumerate_gibbs,
     run_sampler,
     sample_prior,
@@ -151,6 +153,34 @@ def _assert_record(call, module, operation, parameter, message):
         "message": message,
         "offending_parameter": parameter,
     }
+
+
+#: A law whose maximum at (0, 0) lies near 1e200, where u**2 leaves the float range.
+HUGE_ATOM = ModelParams(0.0, 0.0, 2, finite_support([(0.0, 1.0), (1e300, 1e-100)]))
+
+#: Powers of a finite ``u`` past the float range, one public call each, with
+#: the module, operation and ``u`` that its ``ThetaCapError`` record names.
+POWER_SITES = [
+    (lambda: variational.psi_gradient(HUGE_ATOM), "variational", "psi_gradient", "1e+200"),
+    (lambda: concentration_report(run_sampler(HUGE_ATOM, 3, 2, 0, 1), HUGE_ATOM),
+     "graphs", "concentration_report", "1e+200"),
+    (lambda: critical.m_of_u(400, 50.0, finite_support([(0.0, 0.5), (100.0, 0.5)])),
+     "critical", "m_of_u", "50"),
+]
+
+
+class TestPowerGuard:
+    @pytest.mark.parametrize("call, module, operation, u", POWER_SITES,
+                             ids=[site[2] for site in POWER_SITES])
+    def test_overflowing_power_is_one_record(self, call, module, operation, u):
+        with pytest.raises(ThetaCapError) as excinfo:
+            call()
+        assert excinfo.value.record() == {
+            "module": module,
+            "operation": operation,
+            "message": f"a power of u = {u} in {operation} reaches beyond the float range",
+            "offending_parameter": "u",
+        }
 
 
 class TestCheckInteger:

@@ -32,6 +32,7 @@ from wergm.errors import (
 )
 from wergm.phase_curve import bounding_point
 from wergm.variational import (
+    TIE_RTOL,
     ModelParams,
     PhaseClass,
     local_maxima,
@@ -41,6 +42,27 @@ from wergm.variational import (
     psi_gradient,
     solve_psi,
 )
+
+#: The fair coin with an atom of mass 1e-300 at -500: the support is 501
+#: wide, but at tilts above about -1.3 the far atom's weight is negligible.
+FAR_ATOM_COIN = finite_support([(-500.0, 1e-300), (0.0, 0.5), (1.0, 0.5)])
+
+
+def coin_tie(beta1: float) -> float:
+    """The ``beta2`` where the coin's two local maxima at p = 3 tie, below its corner.
+
+    The value gap of the upper over the lower maximum rises in ``beta2``
+    with slope ``u2**3 - u1**3``; where only one maximum exists the gap is
+    -inf below the corner's ``u0 = 2/3`` and +inf above it.
+    """
+    def gap(beta2: float) -> tuple[float, float]:
+        maxima = local_maxima(ModelParams(beta1, beta2, 3, BERNOULLI_HALF))
+        if len(maxima) == 1:
+            return math.copysign(math.inf, maxima[0].u - 2.0 / 3.0), math.nan
+        low, high = maxima
+        return high.value - low.value, high.u**3 - low.u**3
+
+    return cramer.newton(gap, 0.0, 4.0, -math.inf)
 
 
 def linear_scan_maxima(params: ModelParams) -> tuple:
@@ -239,30 +261,54 @@ class TestSolvePsi:
         assert solution.maximizers[0] > 0.5
         assert abs(objective_d1(ModelParams(-4.3, 5.0, 2), solution.maximizers[0])) <= 1e-8
 
-    def test_corner_plateau_merges_to_unique(self):
+    def test_corner_is_one_flat_maximum_at_half(self):
         solution = solve_psi(ModelParams(-3.0, 3.0, 2))
         assert solution.classification is PhaseClass.UNIQUE
         np.testing.assert_allclose(solution.maximizers[0], 0.5, atol=1e-3)
 
-    @pytest.mark.parametrize("beta2, upper", [(0.5977862477, False), (0.5977862478, True)])
-    def test_close_tied_maxima_merge_into_the_better(self, beta2, upper):
+    @pytest.mark.parametrize("beta2", [0.5977862477, 0.5977862478])
+    def test_far_atom_keeps_the_coins_two_phases(self, beta2):
         # The coin's two maxima at p = 3, beta1 = -0.45 (u ~ 0.49 and 0.81)
         # tie near beta2 = 0.59778624776; these beta2 favour one of them by
         # under TIE_RTOL.  An atom of mass 1e-300 at -500, whose weight is
-        # below 1e-290 at their tilts, widens the support to 501, so the two
-        # lie closer than MERGE_SPAN_FRACTION of its width and merge into
-        # the higher one; on the coin alone they stay two phases.
-        law = finite_support([(-500.0, 1e-300), (0.0, 0.5), (1.0, 0.5)])
-        params = ModelParams(-0.45, beta2, 3, law)
-        low, high = local_maxima(params)
-        best = high if upper else low
-        assert (high.value > low.value) == upper
-        solution = solve_psi(params)
-        assert solution.classification is PhaseClass.UNIQUE
-        assert solution.maximizers == (best.u,)
-        assert solution.psi == best.value
+        # below 1e-290 at their tilts, widens the support to 501 but moves
+        # neither maximum, so the point keeps its two phases.
         coin = solve_psi(ModelParams(-0.45, beta2, 3, BERNOULLI_HALF))
-        assert coin.classification is PhaseClass.TWO_GLOBAL
+        far = solve_psi(ModelParams(-0.45, beta2, 3, FAR_ATOM_COIN))
+        assert coin.classification is far.classification is PhaseClass.TWO_GLOBAL
+        assert len(far.maximizers) == 2
+        for u_far, u_coin in zip(far.maximizers, coin.maximizers):
+            assert abs(u_far - u_coin) <= 1e-12
+        assert abs(far.psi - coin.psi) <= 1e-12
+
+    def test_far_atom_changes_no_coin_tie(self):
+        # Seeded coin ties at p = 3 below the corner (-0.403, 0.5625), each
+        # at the tie and at a seeded offset within three tie bands of it,
+        # where the tie band is the beta2 width over which the two values
+        # agree within TIE_RTOL.  Where the atom of mass 1e-300 at -500
+        # moves no local maximum by more than 1e-12, the law with it has the
+        # coin's classification and maximizers: value alone decides.
+        rng = np.random.default_rng(34)
+        kept = {PhaseClass.UNIQUE: 0, PhaseClass.TWO_GLOBAL: 0}
+        for beta1 in rng.uniform(-1.0, -0.41, 40):
+            tie = coin_tie(beta1)
+            low, high = local_maxima(ModelParams(beta1, tie, 3, BERNOULLI_HALF))
+            band = TIE_RTOL * max(1.0, abs(low.value)) / (high.u**3 - low.u**3)
+            for beta2 in (tie, tie + rng.uniform(-3.0, 3.0) * band):
+                coin = ModelParams(beta1, beta2, 3, BERNOULLI_HALF)
+                far = ModelParams(beta1, beta2, 3, FAR_ATOM_COIN)
+                coin_maxima, far_maxima = local_maxima(coin), local_maxima(far)
+                if len(coin_maxima) != len(far_maxima) or any(
+                    abs(a.u - b.u) > 1e-12 for a, b in zip(coin_maxima, far_maxima)
+                ):
+                    continue
+                coin_solution, far_solution = solve_psi(coin), solve_psi(far)
+                kept[coin_solution.classification] += 1
+                assert far_solution.classification is coin_solution.classification
+                assert len(far_solution.maximizers) == len(coin_solution.maximizers)
+                for u_far, u_coin in zip(far_solution.maximizers, coin_solution.maximizers):
+                    assert abs(u_far - u_coin) <= 1e-12
+        assert kept[PhaseClass.TWO_GLOBAL] >= 20 and kept[PhaseClass.UNIQUE] >= 5
 
     @pytest.mark.parametrize("beta1, phases", [
         (-3.0, 2), (-2.0, 2), (-1.2, 2), (-0.8, 1), (-0.5, 1),
